@@ -274,7 +274,11 @@ def cmd_topology(args) -> int:
         for p in locale_points(loc):
             print(p.generator)
         return EXIT_OK
-    assert specialization_order(T) == L.poset
+    if specialization_order(T) != L.poset:
+        raise ValidationError(
+            "specialization order of the Scott topology is not the lattice order",
+            law="scott:specialization",
+        )
     _write(args.output, formats.dump_space(T))
     return EXIT_OK
 

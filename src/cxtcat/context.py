@@ -10,7 +10,8 @@ intent closure; both code paths exist and are tested against each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_
 from typing import Iterable
 
 from . import kernels
@@ -21,14 +22,10 @@ from .order import (
     FiniteLattice,
     FinitePoset,
     JoinSemilattice,
-    lattice_from_sets,
     powerset_lattice,
     powerset_members,
 )
 
-# Full powerset enumeration of attribute subsets is used up to this width;
-# wider attribute sets fall back to saturation from singleton closures.
-POWERSET_CLOSURE_GUARD = 16
 # Cap for the literal union-over-finite-subsets closure.
 APPROX_CLOSURE_GUARD = 16
 # Concept structures build quadratic tables over the closed sets.
@@ -155,17 +152,36 @@ def is_closed(P: FormalContext, ys: Iterable[str]) -> bool:
     return attr_closure(P, ys) == ys
 
 
-def _closed_attr_sets(
-    P: FormalContext, powerset_guard: int, max_closed: int
-) -> list[frozenset[str]]:
-    n = len(P.attributes)
-    if n <= powerset_guard:
-        masks = kernels.closed_masks_powerset(P.rows, n)
-    else:
-        masks = kernels.closed_masks_saturate(P.rows, n)
-    if len(masks) > max_closed:
-        raise SizeGuardExceeded("closed attribute sets", len(masks), max_closed)
-    return sorted((P.attrs_of_mask(m) for m in masks), key=set_id)
+def _concept_tables(P: FormalContext, max_closed: int):
+    """Closed intents of ``P`` on masks, with their order, bottom and joins.
+
+    Every intent is an intersection of object rows (the empty intersection
+    is the full attribute set), so the family grows one row at a time and
+    the guard stops it as soon as it passes ``max_closed``.  The join of two
+    intents is the intent whose extent is the intersection of their extents;
+    the least intent is the intersection of them all.  Names are made once
+    per intent, and elements are sorted by name.
+
+    Returns ``(poset, bottom, join_table, intents, masks, name_of)``:
+    ``intents`` decodes names to attribute sets, ``masks`` lists the intent
+    masks in element order and ``name_of`` maps each mask to its name.
+    """
+    fam = {P.full_attr_mask}
+    for r in P.rows:
+        fam |= {s & r for s in fam}
+        if len(fam) > max_closed:
+            raise SizeGuardExceeded("closed attribute sets", len(fam), max_closed)
+    sets = {m: P.attrs_of_mask(m) for m in fam}
+    named = sorted((set_id(ys), m) for m, ys in sets.items())
+    masks = [m for _, m in named]
+    name_of = {m: n for n, m in named}
+    exts = [sum(1 << o for o, r in enumerate(P.rows) if r & m == m) for m in masks]
+    name_of_ext = {e: n for e, (n, _) in zip(exts, named)}
+    leq = frozenset((a, b) for a, ma in named for b, mb in named if ma & mb == ma)
+    poset = FinitePoset(tuple(n for n, _ in named), leq)
+    join = tuple(tuple(name_of_ext[ea & eb] for eb in exts) for ea in exts)
+    intents = {n: sets[m] for n, m in named}
+    return poset, name_of[reduce(and_, masks)], join, intents, masks, name_of
 
 
 @dataclass(frozen=True)
@@ -228,46 +244,18 @@ class ConceptLattice:
         return hash((self.context, self.lattice))
 
 
-def sem_lattice(
-    P: FormalContext,
-    powerset_guard: int = POWERSET_CLOSURE_GUARD,
-    max_closed: int = CLOSED_SET_GUARD,
-) -> SemLattice:
+def sem_lattice(P: FormalContext, max_closed: int = CLOSED_SET_GUARD) -> SemLattice:
     """Join-semilattice of closures of finite attribute subsets."""
-    closed = _closed_attr_sets(P, powerset_guard, max_closed)
-    names = {set_id(c): c for c in closed}
-    elements = tuple(sorted(names))
-    leq = frozenset(
-        (a, b) for a in elements for b in elements if names[a] <= names[b]
-    )
-    poset = FinitePoset(elements, leq)
-    bottom = set_id(attr_closure(P, ()))
-    table = []
-    for a in elements:
-        row = []
-        for b in elements:
-            row.append(set_id(attr_closure(P, names[a] | names[b])))
-        table.append(tuple(row))
-    sl = JoinSemilattice(poset, bottom, tuple(table))
-    return SemLattice(P, sl, names)
+    poset, bottom, join, intents, _, _ = _concept_tables(P, max_closed)
+    return SemLattice(P, JoinSemilattice(poset, bottom, join), intents)
 
 
-def alg_lattice(
-    P: FormalContext,
-    powerset_guard: int = POWERSET_CLOSURE_GUARD,
-    max_closed: int = CLOSED_SET_GUARD,
-) -> ConceptLattice:
-    """Lattice of all finitarily-closed attribute sets."""
-    closed = _closed_attr_sets(P, powerset_guard, max_closed)
-
-    def join_of(a: frozenset, b: frozenset) -> frozenset:
-        return attr_closure(P, a | b)
-
-    def meet_of(a: frozenset, b: frozenset) -> frozenset:
-        return a & b
-
-    lat, members = lattice_from_sets(closed, join_of, meet_of)
-    return ConceptLattice(P, lat, members)
+def alg_lattice(P: FormalContext, max_closed: int = CLOSED_SET_GUARD) -> ConceptLattice:
+    """Lattice of all finitarily-closed attribute sets; meets are intersections."""
+    poset, bottom, join, intents, masks, name_of = _concept_tables(P, max_closed)
+    meet = tuple(tuple(name_of[a & b] for b in masks) for a in masks)
+    top = name_of[P.full_attr_mask]
+    return ConceptLattice(P, FiniteLattice(poset, bottom, top, join, meet), intents)
 
 
 def context_of_semilattice(S: JoinSemilattice) -> FormalContext:

@@ -23,7 +23,11 @@ class ValidationError(CxtcatError):
 
 
 class SizeGuardExceeded(CxtcatError):
-    """An exhaustive operation was asked to run beyond its size cap."""
+    """An exhaustive operation was asked to run beyond its size cap.
+
+    ``size`` is the count reached when the operation stopped; an enumeration
+    that stops early reports a size just past ``cap``, not the full count.
+    """
 
     def __init__(self, what: str, size: int, cap: int):
         super().__init__(f"{what}: size {size} exceeds guard {cap} (raise the guard to override)")

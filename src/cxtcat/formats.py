@@ -39,6 +39,53 @@ def _load(text: str, kind: str) -> dict:
     return doc
 
 
+def _field(doc, key: str, check, where: str = ""):
+    """``check(doc[key], path)``, where ``path`` names the key in the document;
+    a missing key or a non-object ``doc`` raises ``FormatError``."""
+    path = f"{where}.{key}" if where else key
+    if not isinstance(doc, dict):
+        raise FormatError(f"{where or 'document'} must be a JSON object")
+    if key not in doc:
+        raise FormatError(f"missing key {path!r}")
+    return check(doc[key], path)
+
+
+def _names(value, path: str) -> list[str]:
+    if not isinstance(value, list):
+        raise FormatError(f"{path} must be a list of strings")
+    for i, x in enumerate(value):
+        if not isinstance(x, str):
+            raise FormatError(f"{path}[{i}] must be a string, found {x!r}")
+    return value
+
+
+def _pairs(value, path: str) -> list[tuple[str, str]]:
+    if not isinstance(value, list):
+        raise FormatError(f"{path} must be a list of [string, string] pairs")
+    for i, p in enumerate(value):
+        if not isinstance(p, list) or len(p) != 2:
+            raise FormatError(f"{path}[{i}] must be a [string, string] pair, found {p!r}")
+        _names(p, f"{path}[{i}]")
+    return [tuple(p) for p in value]
+
+
+def _name_lists(value, path: str) -> list[list[str]]:
+    if not isinstance(value, list):
+        raise FormatError(f"{path} must be a list of lists of strings")
+    return [_names(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
+def _entailments(value, path: str) -> list[tuple[frozenset[str], str]]:
+    if not isinstance(value, list):
+        raise FormatError(f"{path} must be a list of [[string, ...], string] pairs")
+    out = []
+    for i, e in enumerate(value):
+        if not isinstance(e, list) or len(e) != 2 or not isinstance(e[1], str):
+            raise FormatError(f"{path}[{i}] must be a [[string, ...], string] pair, found {e!r}")
+        out.append((frozenset(_names(e[0], f"{path}[{i}][0]")), e[1]))
+    return out
+
+
 def detect_kind(text: str) -> str:
     """Kind of a JSON document, or ``cxt``/``sequents`` for the text formats."""
     stripped = text.lstrip()
@@ -72,7 +119,7 @@ def dump_poset(P: FinitePoset) -> str:
 
 def load_poset(text: str) -> FinitePoset:
     doc = _load(text, "poset")
-    return validate_poset(doc["elements"], [tuple(p) for p in doc["leq"]])
+    return validate_poset(_field(doc, "elements", _names), _field(doc, "leq", _pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +139,11 @@ def dump_context(P: FormalContext, provenance: Mapping | None = None) -> str:
 
 def load_context(text: str) -> FormalContext:
     doc = _load(text, "context")
-    return make_context(doc["objects"], doc["attributes"], [tuple(p) for p in doc["incidence"]])
+    return make_context(
+        _field(doc, "objects", _names),
+        _field(doc, "attributes", _names),
+        _field(doc, "incidence", _pairs),
+    )
 
 
 def dump_cxt(P: FormalContext) -> str:
@@ -150,8 +201,9 @@ def semilattice_doc(S: JoinSemilattice) -> dict:
     }
 
 
-def semilattice_from_doc(doc: Mapping) -> JoinSemilattice:
-    P = validate_poset(doc["elements"], [tuple(p) for p in doc["leq"]])
+def semilattice_from_doc(doc: Mapping, where: str = "") -> JoinSemilattice:
+    """The semilattice of an ``{elements, leq}`` object found at ``where``."""
+    P = validate_poset(_field(doc, "elements", _names, where), _field(doc, "leq", _pairs, where))
     return JoinSemilattice.from_poset(P)
 
 
@@ -166,9 +218,9 @@ def dump_mapping(m: ApproximableMapping) -> str:
 
 def load_mapping(text: str) -> ApproximableMapping:
     doc = _load(text, "mapping")
-    src = semilattice_from_doc(doc["source"])
-    tgt = semilattice_from_doc(doc["target"])
-    return ApproximableMapping(src, tgt, frozenset(tuple(p) for p in doc["pairs"]))
+    src = _field(doc, "source", semilattice_from_doc)
+    tgt = _field(doc, "target", semilattice_from_doc)
+    return ApproximableMapping(src, tgt, frozenset(_field(doc, "pairs", _pairs)))
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +238,8 @@ def dump_infosys(s: InformationSystem) -> str:
 def load_infosys(text: str) -> InformationSystem:
     doc = _load(text, "infosys")
     return InformationSystem(
-        tuple(doc["propositions"]),
-        frozenset((frozenset(xs), a) for xs, a in doc["entails"]),
+        tuple(_field(doc, "propositions", _names)),
+        frozenset(_field(doc, "entails", _entailments)),
     )
 
 
@@ -239,7 +291,10 @@ def dump_space(T: TopSpace) -> str:
 
 def load_space(text: str) -> TopSpace:
     doc = _load(text, "space")
-    return TopSpace(tuple(doc["points"]), frozenset(frozenset(o) for o in doc["opens"]))
+    return TopSpace(
+        tuple(_field(doc, "points", _names)),
+        frozenset(frozenset(o) for o in _field(doc, "opens", _name_lists)),
+    )
 
 
 def _dot_quote(name: str) -> str:

@@ -35,14 +35,6 @@ def closure_mask(rows: list[int], full: int, y: int, n_attrs: int) -> int:
     return _pick(n_attrs).closure_mask(rows, full, y)
 
 
-def closed_masks_powerset(rows: list[int], n_attrs: int) -> list[int]:
-    return _pick(n_attrs).closed_masks_powerset(rows, n_attrs)
-
-
-def closed_masks_saturate(rows: list[int], n_attrs: int) -> list[int]:
-    return _pick(n_attrs).closed_masks_saturate(rows, n_attrs)
-
-
 def directed_masks(up: list[int]) -> list[int]:
     return _pick(len(up)).directed_masks(up)
 

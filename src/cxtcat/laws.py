@@ -143,9 +143,9 @@ def law_prop5_6(seed: int | None = None, max_sem: int | None = None) -> LawRepor
     rng = rng_for(seed)
     triples = [
         (ctxs[i], ctxs[j], ctxs[k])
-        for i, j, k in {
-            tuple(rng.randrange(len(ctxs)) for _ in range(3)) for _ in range(8)
-        }
+        for i, j, k in sorted(
+            {tuple(rng.randrange(len(ctxs)) for _ in range(3)) for _ in range(8)}
+        )
     ]
     for P, Q, R in triples:
         prod = product(P, Q)

@@ -150,15 +150,28 @@ class FinitePoset:
         return frozenset(x for x in xs if all(not (self.le(y, x) and x != y) for y in xs))
 
     def covers(self) -> list[tuple[str, str]]:
-        """Hasse edges (a, b): a < b with nothing strictly between."""
+        """Hasse edges (a, b): a < b with nothing strictly between, sorted.
+
+        The upper covers of ``a`` are its strict up-cone minus everything
+        strictly above a member of that cone.
+        """
+        els = self.elements
+        strict = [m & ~(1 << i) for i, m in enumerate(self.up_masks)]
         out = []
-        for a, b in sorted(self.leq):
-            if a == b:
-                continue
-            if any(c != a and c != b and self.le(a, c) and self.le(c, b) for c in self.elements):
-                continue
-            out.append((a, b))
-        return out
+        for a, cone in zip(els, strict):
+            above = 0
+            for j in _bits(cone):
+                above |= strict[j]
+            out.extend((a, els[k]) for k in _bits(cone & ~above))
+        return sorted(out)
+
+
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def validate_poset(elements: Iterable[str], pairs: Iterable[tuple[str, str]]) -> FinitePoset:
@@ -599,7 +612,12 @@ def ideal_completion(S: JoinSemilattice, scan_guard: int = IDEAL_SCAN_GUARD) -> 
         return a & b
 
     lat, _ = lattice_from_sets(fam, join_of, meet_of)
-    assert set(lat.elements) == set(by_set.values())
+    if set(lat.elements) != set(by_set.values()):
+        raise ValidationError(
+            "ideal completion elements are not the ideals' names",
+            law="ideal:completion",
+            witness={"extra": sorted(set(lat.elements) ^ set(by_set.values()))},
+        )
     return lat
 
 

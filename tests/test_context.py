@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cxtcat import _bitcore_py
 from cxtcat.canon import set_id
 from cxtcat.context import (
+    CLOSED_SET_GUARD,
     alg_lattice,
     alpha,
     approx_closure,
@@ -19,7 +21,7 @@ from cxtcat.context import (
     sem_lattice,
 )
 from cxtcat.corpus import chain_poset, diamond_poset, k2_context, random_context
-from cxtcat.errors import ValidationError
+from cxtcat.errors import SizeGuardExceeded, ValidationError
 from cxtcat.order import (
     JoinSemilattice,
     ideal_completion,
@@ -245,15 +247,63 @@ def test_closed_set_count_guard():
     assert len(sem_lattice(P8, max_closed=300).elements) == 256
 
 
-def test_wide_contexts_use_the_saturation_path():
-    """Past the powerset guard the closed sets come from singleton-closure
-    saturation; the result must match the powerset scan."""
+def powerset_oracle_names(P):
+    """Closed-set names by the definitional scan of every attribute subset."""
+    masks = _bitcore_py.closed_masks_powerset(P.rows, len(P.attributes))
+    return sorted(set_id(P.attrs_of_mask(m)) for m in masks)
+
+
+def test_wide_context_matches_the_powerset_oracle():
+    """17 attributes: the engine's closed sets are exactly those of the
+    full powerset scan."""
     n = 17
     attrs = [f"a{i:02d}" for i in range(n)]
     objects = [f"o{i}" for i in range(6)]
     rng = random.Random(11)
     incidence = {(o, a) for o in objects for a in attrs if rng.random() < 0.5}
     P = make_context(objects, attrs, incidence)
-    wide = sem_lattice(P)  # powerset guard is 16: saturation path
-    narrow = sem_lattice(P, powerset_guard=n)  # force the full scan
-    assert wide.semilattice == narrow.semilattice
+    assert list(sem_lattice(P).elements) == powerset_oracle_names(P)
+
+
+def _engine_context(seed):
+    """Seeded context of width ``seed % 13`` (so 0 to 12 attributes); every
+    seventh has no objects."""
+    rng = random.Random(seed)
+    n_a = seed % 13
+    n_o = 0 if seed % 7 == 0 else rng.randint(1, 7)
+    p = rng.uniform(0.2, 0.8)
+    objects = [f"o{i}" for i in range(n_o)]
+    attrs = [f"a{j}" for j in range(n_a)]
+    incidence = [(o, a) for o in objects for a in attrs if rng.random() < p]
+    return make_context(objects, attrs, incidence)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_engine_agrees_with_the_definitions(seed):
+    """Closed intents match the powerset scan; every join entry is the
+    closure of the union and every meet entry the intersection."""
+    P = _engine_context(seed)
+    sem, alg = sem_lattice(P, max_closed=1 << 12), alg_lattice(P, max_closed=1 << 12)
+    assert list(sem.elements) == list(alg.elements) == powerset_oracle_names(P)
+    assert sem.intents == alg.intents
+    bottom = set_id(attr_closure(P, ()))
+    assert sem.semilattice.bottom == alg.lattice.bottom == bottom
+    assert alg.lattice.top == set_id(P.attributes)
+    I = alg.intents
+    for x in alg.elements:
+        for y in alg.elements:
+            joined = set_id(attr_closure(P, I[x] | I[y]))
+            assert sem.semilattice.join(x, y) == alg.lattice.join(x, y) == joined
+            assert I[alg.lattice.meet(x, y)] == I[x] & I[y]
+            assert alg.lattice.le(x, y) == (I[x] <= I[y])
+
+
+def test_contranominal_scale_stops_at_the_guard():
+    """The 20x20 contranominal scale has 2^20 closed sets; enumeration
+    stops as soon as the count passes the default guard."""
+    attrs = [f"a{i:02d}" for i in range(20)]
+    P = make_context(attrs, attrs, [(o, a) for o in attrs for a in attrs if o != a])
+    for build in (sem_lattice, alg_lattice):
+        with pytest.raises(SizeGuardExceeded) as exc:
+            build(P)
+        assert CLOSED_SET_GUARD < exc.value.size <= 2 * CLOSED_SET_GUARD

@@ -222,6 +222,34 @@ def test_usage_and_io_errors(files):
     assert main(["nonsense"]) == 2
 
 
+@pytest.mark.parametrize(
+    "doc, path",
+    [
+        ({"kind": "poset", "version": 1, "elements": "ab", "leq": []}, "elements"),
+        ({"kind": "poset", "version": 1, "elements": ["a"]}, "leq"),
+        (
+            {"kind": "context", "version": 1, "objects": ["o"], "attributes": ["a"],
+             "incidence": [["o"]]},
+            "incidence[0]",
+        ),
+        (
+            {"kind": "mapping", "version": 1, "source": {"elements": ["a"]},
+             "target": {"elements": ["a"], "leq": [["a", "a"]]}, "pairs": []},
+            "source.leq",
+        ),
+        ({"kind": "infosys", "version": 1, "propositions": ["p"], "entails": [["p", "p"]]},
+         "entails[0][0]"),
+        ({"kind": "space", "version": 1, "points": ["x"], "opens": [[], "x"]}, "opens[1]"),
+    ],
+)
+def test_malformed_json_exits_2_naming_the_path(files, capsys, doc, path):
+    bad = files["tmp"] / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["validate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and path in err
+
+
 def test_guard_exit_code(files):
     big = files["tmp"] / "big.json"
     big.write_text(formats.dump_poset(chain_poset(6)))

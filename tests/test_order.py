@@ -429,3 +429,28 @@ def test_filter_validation():
         Filter(P, frozenset({"a"}))  # not upward closed? a <= top missing
     with pytest.raises(ValidationError):
         Filter(P, frozenset())
+
+
+def cubic_covers(P):
+    """Reference Hasse edges: every strict pair with nothing strictly between."""
+    out = []
+    for a, b in sorted(P.leq):
+        if a == b:
+            continue
+        if any(c != a and c != b and P.le(a, c) and P.le(c, b) for c in P.elements):
+            continue
+        out.append((a, b))
+    return out
+
+
+@given(st.integers(0, 10**6), st.integers(0, 9))
+@settings(max_examples=60, deadline=None)
+def test_covers_match_the_cubic_scan(seed, n):
+    P = random_poset(random.Random(seed), n)
+    assert P.covers() == cubic_covers(P)
+
+
+def test_covers_of_fixed_orders():
+    for P in (chain_poset(1), chain_poset(4), diamond_poset(), m3_poset()):
+        assert P.covers() == cubic_covers(P)
+    assert chain_poset(3).covers() == [("c0", "c1"), ("c1", "c2")]
