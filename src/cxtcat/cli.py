@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 1 validation or law failure (a machine-readable
 witness report is printed), 2 usage or I/O error, 3 size guard exceeded.
+``rz`` exits 0 whatever the truth values of its sequents: a false sequent is
+an answer, not a failure.
 """
 
 from __future__ import annotations
@@ -42,7 +44,17 @@ EXIT_GUARD = 3
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
 
 
 def _write(path: str | None, text: str) -> None:
@@ -246,10 +258,8 @@ def cmd_convert(args) -> int:
 
 def cmd_rz(args) -> int:
     D = formats.load_poset(_read(args.poset))
-    ok_all = True
     for xs, ys in formats.parse_sequents(_read(args.sequents)):
         holds = rz_entails(D, xs, ys)
-        ok_all = ok_all and holds
         left = ",".join(sorted(xs)) or "T"
         right = ",".join(sorted(ys)) or "T"
         print(f"{left} |- {right} : {'true' if holds else 'false'}")
@@ -393,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("laws", cmd_laws, help="run a named law suite")
     p.add_argument("name")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--max-sem", type=int, default=None, dest="max_sem")
+    p.add_argument("--max-sem", type=_positive_int, default=None, dest="max_sem")
 
     p = add("dot", cmd_dot, help="Hasse diagram of a poset or a context's concepts")
     p.add_argument("file")

@@ -124,8 +124,7 @@ def omega(P: FormalContext, ys: Iterable[str]) -> frozenset[str]:
 def attr_closure(P: FormalContext, ys: Iterable[str]) -> frozenset[str]:
     """The intent closure: attributes shared by every object bearing ``ys``."""
     ym = P.attr_mask(ys)
-    n = len(P.attributes)
-    return P.attrs_of_mask(kernels.closure_mask(P.rows, P.full_attr_mask, ym, n))
+    return P.attrs_of_mask(kernels.closure_mask(P.rows, P.full_attr_mask, ym))
 
 
 def approx_closure(

@@ -1,55 +1,165 @@
-"""Kernel dispatch: compiled bit kernels when available, pure Python otherwise.
+"""Bitmask kernels.
 
-The compiled module handles universes of at most 62 elements (masks live in
-64-bit words); calls outside that range, or any call when the extension is
-missing or ``CXTCAT_PURE`` is set, run on the pure twin.  Both twins share
-one contract, covered by the equivalence tests.
+Hot inner loops shared by the whole package: derivation-operator closures on
+bitmask-encoded incidence rows, exhaustive subset scans (directed sets,
+ideals, Scott opens, compact elements), and monotone-map enumeration.
+
+Conventions: a subset of an ``n``-element universe is an ``int`` with bit
+``i`` set for member ``i``.  ``rows[o]`` is the attribute mask of object
+``o``.  ``up[i]``/``down[i]`` are the strict-and-reflexive upper/lower cones
+of element ``i`` as masks.  ``join`` is a row-major flattened ``n*n`` table
+of element indices.
 """
-
-import os
-
-from . import _bitcore_py as _pure
-
-if os.environ.get("CXTCAT_PURE"):
-    _fast = None
-else:
-    try:
-        from . import _bitcore as _fast  # type: ignore[attr-defined]
-    except ImportError:
-        _fast = None
-
-_MAX_COMPILED_BITS = 62
 
 
 def backend_name() -> str:
-    return "compiled" if _fast is not None else "pure"
+    """Name of the kernel implementation.
+
+    There is only one; the name stays because benchmark runs record it.
+    """
+    return "pure"
 
 
-def _pick(n_bits: int):
-    if _fast is not None and n_bits <= _MAX_COMPILED_BITS:
-        return _fast
-    return _pure
+def closure_mask(rows: list[int], full: int, y: int) -> int:
+    """Intent closure of attribute mask ``y``: AND of all rows containing it."""
+    c = full
+    for r in rows:
+        if r & y == y:
+            c &= r
+    return c
 
 
-def closure_mask(rows: list[int], full: int, y: int, n_attrs: int) -> int:
-    return _pick(n_attrs).closure_mask(rows, full, y)
+def closed_masks_powerset(rows: list[int], n_attrs: int) -> list[int]:
+    """All closed attribute masks, by scanning the full powerset.
+
+    No library code calls this: it is the definitional oracle that the tests
+    check the concept engine in :mod:`cxtcat.context` against.
+    """
+    full = (1 << n_attrs) - 1
+    seen = set()
+    for y in range(full + 1):
+        c = full
+        for r in rows:
+            if r & y == y:
+                c &= r
+        seen.add(c)
+    return sorted(seen)
 
 
 def directed_masks(up: list[int]) -> list[int]:
-    return _pick(len(up)).directed_masks(up)
+    """All non-empty directed subsets: every two members have an upper bound inside."""
+    n = len(up)
+    out = []
+    for d in range(1, 1 << n):
+        if _is_directed(d, up, n):
+            out.append(d)
+    return out
+
+
+def _is_directed(d: int, up: list[int], n: int) -> bool:
+    members = [i for i in range(n) if d >> i & 1]
+    for ai, a in enumerate(members):
+        for b in members[ai:]:
+            if not up[a] & up[b] & d:
+                return False
+    return True
 
 
 def ideal_masks(down: list[int], up: list[int]) -> list[int]:
-    return _pick(len(down)).ideal_masks(down, up)
+    """All non-empty directed lower subsets, by full subset scan."""
+    n = len(down)
+    out = []
+    for d in range(1, 1 << n):
+        ok = True
+        for i in range(n):
+            if d >> i & 1 and down[i] & ~d:
+                ok = False
+                break
+        if ok and _is_directed(d, up, n):
+            out.append(d)
+    return out
 
 
 def compact_mask(up: list[int], down: list[int], join: list[int]) -> int:
-    return _pick(len(up)).compact_mask(up, down, join)
+    """Mask of compact elements: no directed set violates the access condition.
+
+    ``c`` fails iff some directed ``D`` has ``c <= sup D`` but no member of
+    ``D`` above ``c``.
+    """
+    n = len(up)
+    compact = (1 << n) - 1
+    for d in range(1, 1 << n):
+        if not _is_directed(d, up, n):
+            continue
+        sup = -1
+        covered = 0
+        for i in range(n):
+            if d >> i & 1:
+                covered |= down[i]
+                sup = i if sup < 0 else join[sup * n + i]
+        compact &= ~(down[sup] & ~covered)
+    return compact
 
 
 def scott_open_masks(up: list[int], down: list[int], join: list[int]) -> list[int]:
-    return _pick(len(up)).scott_open_masks(up, down, join)
+    """All Scott-open subsets, by the definitional test on every candidate.
+
+    A candidate must be an upper set and, for every directed ``D`` whose
+    supremum it contains, meet ``D``.
+    """
+    n = len(up)
+    directed = []
+    for d in range(1, 1 << n):
+        if _is_directed(d, up, n):
+            sup = -1
+            for i in range(n):
+                if d >> i & 1:
+                    sup = i if sup < 0 else join[sup * n + i]
+            directed.append((d, sup))
+    out = []
+    for u in range(1 << n):
+        ok = True
+        for i in range(n):
+            if u >> i & 1 and up[i] & ~u:
+                ok = False
+                break
+        if not ok:
+            continue
+        for d, sup in directed:
+            if u >> sup & 1 and not d & u:
+                ok = False
+                break
+        if ok:
+            out.append(u)
+    return out
 
 
 def monotone_maps(n_src: int, preds: list[list[int]], tgt_up: list[int]) -> list[tuple[int, ...]]:
-    return _pick(len(tgt_up)).monotone_maps(n_src, preds, tgt_up)
+    """All monotone assignments from a source poset into a target poset.
+
+    Source indices must come in a linear-extension order, ``preds[i]``
+    listing the indices ``j < i`` with ``j <= i`` in the source order.
+    Returns tuples of target indices.
+    """
+    n_tgt = len(tgt_up)
+    out: list[tuple[int, ...]] = []
+    pick = [0] * n_src
+
+    def extend(i: int) -> None:
+        if i == n_src:
+            out.append(tuple(pick))
+            return
+        for t in range(n_tgt):
+            ok = True
+            for j in preds[i]:
+                if not tgt_up[pick[j]] >> t & 1:
+                    ok = False
+                    break
+            if ok:
+                pick[i] = t
+                extend(i + 1)
+
+    if n_src == 0:
+        return [()]
+    extend(0)
+    return out

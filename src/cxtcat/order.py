@@ -45,46 +45,39 @@ class FinitePoset:
                     f"duplicate element {x!r}", law="poset:elements", witness={"element": x}
                 )
             seen.add(x)
-        for a, b in sorted(self.leq):
-            if a not in seen or b not in seen:
-                raise ValidationError(
-                    f"leq references unknown element in ({a!r}, {b!r})",
-                    law="unknown-element",
-                    witness={"pair": [a, b]},
-                )
+        unknown = [(a, b) for a, b in self.leq if a not in seen or b not in seen]
+        if unknown:
+            a, b = min(unknown)
+            raise ValidationError(
+                f"leq references unknown element in ({a!r}, {b!r})",
+                law="unknown-element",
+                witness={"pair": [a, b]},
+            )
         for x in self.elements:
             if (x, x) not in self.leq:
                 raise ValidationError(
                     f"reflexivity fails at {x!r}", law="poset:reflexivity", witness={"pair": [x, x]}
                 )
-        for a, b in sorted(self.leq):
-            if a != b and (b, a) in self.leq:
-                raise ValidationError(
-                    f"antisymmetry fails at ({a!r}, {b!r})",
-                    law="poset:antisymmetry",
-                    witness={"pair": [a, b]},
-                )
-        idx = {x: i for i, x in enumerate(self.elements)}
-        up = [0] * len(self.elements)
-        for a, b in self.leq:
-            up[idx[a]] |= 1 << idx[b]
-        for i, a in enumerate(self.elements):
-            cone = up[i]
-            j = 0
-            m = cone
-            while m:
-                if m & 1:
-                    missing = up[j] & ~cone
-                    if missing:
-                        b = self.elements[j]
-                        c = self.elements[(missing & -missing).bit_length() - 1]
-                        raise ValidationError(
-                            f"transitivity fails: {a!r} <= {b!r} <= {c!r} but not {a!r} <= {c!r}",
-                            law="poset:transitivity",
-                            witness={"pair": [a, c], "via": b},
-                        )
-                m >>= 1
-                j += 1
+        cycles = [(a, b) for a, b in self.leq if a != b and (b, a) in self.leq]
+        if cycles:
+            a, b = min(cycles)
+            raise ValidationError(
+                f"antisymmetry fails at ({a!r}, {b!r})",
+                law="poset:antisymmetry",
+                witness={"pair": [a, b]},
+            )
+        up = self.up_masks
+        for i, cone in enumerate(up):
+            for j in _bits(cone):
+                missing = up[j] & ~cone
+                if missing:
+                    a, b = self.elements[i], self.elements[j]
+                    c = self.elements[(missing & -missing).bit_length() - 1]
+                    raise ValidationError(
+                        f"transitivity fails: {a!r} <= {b!r} <= {c!r} but not {a!r} <= {c!r}",
+                        law="poset:transitivity",
+                        witness={"pair": [a, c], "via": b},
+                    )
 
     @property
     def n(self) -> int:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cxtcat import _bitcore_py
+from cxtcat import kernels
 from cxtcat.canon import set_id
 from cxtcat.context import (
     CLOSED_SET_GUARD,
@@ -62,6 +62,15 @@ def test_k2_examples():
     assert omega(K2, ["a", "b"]) == naive_omega(K2, ["a", "b"]) == frozenset()
     assert attr_closure(K2, ["a"]) == {"a"}
     assert attr_closure(K2, []) == frozenset()
+
+
+def test_attr_closure_is_exact_beyond_64_attributes():
+    """71 attributes: masks wider than a machine word close exactly."""
+    attrs = [f"a{i:02d}" for i in range(71)]
+    P = make_context(["o1", "o2"], attrs, [("o1", "a70"), ("o2", "a70"), ("o2", "a00")])
+    assert attr_closure(P, ["a70"]) == {"a70"}
+    assert attr_closure(P, ["a00"]) == {"a00", "a70"}
+    assert attr_closure(P, ["a69"]) == frozenset(attrs)
 
 
 def test_undeclared_identifier():
@@ -249,7 +258,7 @@ def test_closed_set_count_guard():
 
 def powerset_oracle_names(P):
     """Closed-set names by the definitional scan of every attribute subset."""
-    masks = _bitcore_py.closed_masks_powerset(P.rows, len(P.attributes))
+    masks = kernels.closed_masks_powerset(P.rows, len(P.attributes))
     return sorted(set_id(P.attrs_of_mask(m)) for m in masks)
 
 

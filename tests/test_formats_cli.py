@@ -250,6 +250,14 @@ def test_malformed_json_exits_2_naming_the_path(files, capsys, doc, path):
     assert err.startswith("error: ") and path in err
 
 
+def test_non_utf8_input_exits_2_naming_the_path(files, capsys):
+    bad = files["tmp"] / "bad.cxt"
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    assert main(["validate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+
+
 def test_guard_exit_code(files):
     big = files["tmp"] / "big.json"
     big.write_text(formats.dump_poset(chain_poset(6)))
@@ -350,6 +358,12 @@ def test_dot_of_open_set_lattice(files, tmp_path):
 
 def test_laws_verb_unknown(capsys):
     assert main(["laws", "thm9.9"]) == 2
+
+
+@pytest.mark.parametrize("value", ["-3", "0", "two"])
+def test_laws_max_sem_must_be_a_positive_int(value, capsys):
+    assert main(["laws", "prop5.10", "--max-sem", value]) == 2
+    assert "--max-sem" in capsys.readouterr().err
 
 
 def test_laws_failure_prints_witness(monkeypatch, capsys):

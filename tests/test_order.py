@@ -69,6 +69,18 @@ def test_antisymmetry_witness():
     assert set(exc.value.witness["pair"]) == {"x", "y"}
 
 
+def test_antisymmetry_witness_is_the_smallest_pair():
+    """Ten breaches: the witness is the least one, whatever order the
+    relation's set iterates in."""
+    names = [f"e{i:02d}" for i in range(20)]
+    breaches = [(names[i], names[i + 1]) for i in range(0, 20, 2)]
+    leq = [(x, x) for x in names] + breaches + [(b, a) for a, b in breaches]
+    with pytest.raises(ValidationError) as exc:
+        validate_poset(names[::-1], leq)
+    assert exc.value.law == "poset:antisymmetry"
+    assert exc.value.witness["pair"] == ["e00", "e01"]
+
+
 def test_transitivity_witness():
     with pytest.raises(ValidationError) as exc:
         validate_poset(
