@@ -16,7 +16,7 @@ from .canon import fresh_id, pair_id, set_id
 from .context import FormalContext, SemLattice, make_context, sem_lattice
 from .errors import SizeGuardExceeded, ValidationError
 from .mappings import ApproximableMapping
-from .order import FiniteLattice, FinitePoset, JoinSemilattice, lattice_from_sets
+from .order import FiniteLattice, JoinSemilattice, closed_family, lattice_from_sets
 
 LEFT_TAG = "l:"
 RIGHT_TAG = "r:"
@@ -255,10 +255,10 @@ class FunctionSpaceContext:
 
     Objects are finite sets of such pairs; a set models a pair ``(a, b)``
     when ``b`` is below the join of the second components whose first
-    component is below ``a``.  Concept closure is computed by saturating a
-    pair set under the mapping axioms (the default engine); the literal
-    context over all finite attribute sets is materialized on demand for
-    cross-validation.
+    component is below ``a``.  Concept closure saturates a pair set under the
+    mapping axioms, and the concepts are its closed sets, enumerated by
+    ``order.closed_family``; the literal context over all finite attribute
+    sets is materialized on demand for cross-validation.
     """
 
     left: FormalContext
@@ -319,44 +319,22 @@ class FunctionSpaceContext:
         return frozenset(pair_id(x, y) for x, y in have)
 
     @cached_property
-    def closed_sets(self) -> list[frozenset[str]]:
-        """All mapping-axiom-closed attribute sets, saturated from singletons."""
-        seen = {self.closure([])}
-        for a in self.attributes:
-            seen.add(self.closure([a]))
-        frontier = list(seen)
-        while frontier:
-            fresh = []
-            for s in frontier:
-                for t in list(seen):
-                    u = self.closure(s | t)
-                    if u not in seen:
-                        seen.add(u)
-                        fresh.append(u)
-            frontier = fresh
-        return sorted(seen, key=set_id)
+    def _lattice(self) -> tuple[FiniteLattice, dict[str, frozenset[str]]]:
+        return lattice_from_sets(
+            closed_family(self.closure, self.attributes),
+            lambda a, b: self.closure(a | b),
+            lambda a, b: a & b,
+        )
 
     @cached_property
     def sem(self) -> tuple[JoinSemilattice, dict[str, frozenset[str]]]:
         """Concept semilattice over the closed pair sets, plus decoding."""
-        fam = self.closed_sets
-        names = {set_id(s): s for s in fam}
-        elements = tuple(sorted(names))
-        leq = frozenset((a, b) for a in elements for b in elements if names[a] <= names[b])
-        bottom = set_id(self.closure([]))
-        table = tuple(
-            tuple(set_id(self.closure(names[a] | names[b])) for b in elements)
-            for a in elements
-        )
-        return JoinSemilattice(FinitePoset(elements, leq), bottom, table), names
+        lat, names = self._lattice
+        return lat.as_join_semilattice(), names
 
     def concepts(self) -> tuple[FiniteLattice, dict[str, frozenset[str]]]:
         """The full concept lattice of the function space."""
-        return lattice_from_sets(
-            self.closed_sets,
-            lambda a, b: self.closure(a | b),
-            lambda a, b: a & b,
-        )
+        return self._lattice
 
     def decode(self, name: str) -> frozenset[tuple[str, str]]:
         return frozenset(self.attr_pairs[a] for a in self.sem[1][name])
@@ -413,7 +391,7 @@ def curry(
 ) -> ApproximableMapping:
     """Transpose a mapping out of a product into the function space."""
     _check_curry_interfaces(m.source, prod, fs)
-    if m.target != sem_lattice(fs.right).semilattice:
+    if m.target != fs.right_sem.semilattice:
         raise ValidationError("mapping target is not the function space codomain", law="curry:interface")
     fs_sem, fs_names = fs.sem
     src = prod.left_sem
@@ -436,7 +414,7 @@ def uncurry(
     fs_sem, fs_names = fs.sem
     if m.source != prod.left_sem.semilattice or m.target != fs_sem:
         raise ValidationError("mapping is not over the expected transpose", law="curry:interface")
-    tgt = sem_lattice(fs.right).semilattice
+    tgt = fs.right_sem.semilattice
     decoded = {w: {fs.attr_pairs[a] for a in fs_names[w]} for w in fs_sem.elements}
     pairs = set()
     for xy in prod.sem.elements:

@@ -34,8 +34,9 @@ def _load(text: str, kind: str) -> dict:
         raise FormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("kind") != kind:
         raise FormatError(f"expected a {kind!r} document")
-    if doc.get("version") != VERSION:
-        raise FormatError(f"unsupported version {doc.get('version')!r}")
+    version = doc.get("version")
+    if type(version) is not int or version != VERSION:
+        raise FormatError(f"unsupported version {version!r}")
     return doc
 
 
@@ -95,6 +96,8 @@ def detect_kind(text: str) -> str:
         except json.JSONDecodeError as exc:
             raise FormatError(f"not valid JSON: {exc}") from exc
         kind = doc.get("kind")
+        if not isinstance(kind, str):
+            raise FormatError(f"document kind must be a string, found {kind!r}")
         if kind in {"poset", "context", "mapping", "infosys", "space"}:
             return kind
         raise FormatError(f"unknown document kind {kind!r}")
@@ -175,6 +178,8 @@ def parse_cxt(text: str) -> FormalContext:
         n_obj, n_attr = int(lines[2]), int(lines[3])
     except ValueError as exc:
         raise FormatError("CXT counts are not integers") from exc
+    if n_obj < 0 or n_attr < 0:
+        raise FormatError(f"CXT counts must not be negative, found {n_obj} and {n_attr}")
     need = 5 + n_obj + n_attr + n_obj
     if len(lines) != need:
         raise FormatError(f"CXT expects {need} lines, found {len(lines)}")

@@ -21,6 +21,7 @@ from .order import (
     FiniteLattice,
     FinitePoset,
     MeetSemilattice,
+    closed_family,
     lattice_from_sets,
 )
 
@@ -264,40 +265,11 @@ class LindenbaumAlgebra:
         return hash((self.system, self.semilattice))
 
 
-def _closed_sets_of(closure, propositions: tuple[str, ...]) -> list[frozenset[str]]:
-    seen = {closure(frozenset())}
-    for p in propositions:
-        seen.add(closure(frozenset({p})))
-    frontier = list(seen)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in list(seen):
-                c = closure(a | b)
-                if c not in seen:
-                    seen.add(c)
-                    fresh.append(c)
-        frontier = fresh
-    return sorted(seen, key=set_id)
-
-
 def lindenbaum(system: CcpSystem) -> LindenbaumAlgebra:
     """Quotient by inter-derivability: classes are closures, the order is
     entailment (reverse inclusion of closures), meets join the antecedents."""
-    closed = _closed_sets_of(system.closure, system.propositions)
-    names = {set_id(c): c for c in closed}
-    elements = tuple(sorted(names))
-    leq = frozenset(
-        (a, b) for a in elements for b in elements if names[b] <= names[a]
-    )
-    poset = FinitePoset(elements, leq)
-    top = set_id(system.closure(frozenset()))
-    table = tuple(
-        tuple(set_id(system.closure(names[a] | names[b])) for b in elements)
-        for a in elements
-    )
-    sl = MeetSemilattice(poset, top, table)
-    return LindenbaumAlgebra(system, sl, names)
+    lat, classes = elements(system)
+    return LindenbaumAlgebra(system, lat.as_join_semilattice().dual(), classes)
 
 
 def semilattice_to_ccp(S: MeetSemilattice) -> CcpSystem:
@@ -314,18 +286,16 @@ def semilattice_to_ccp(S: MeetSemilattice) -> CcpSystem:
     return CcpSystem(els, frozenset(gens))
 
 
-def elements(system: InformationSystem) -> tuple[FiniteLattice, dict[str, frozenset[str]]]:
+def elements(
+    system: InformationSystem | CcpSystem,
+) -> tuple[FiniteLattice, dict[str, frozenset[str]]]:
     """All deductively closed proposition sets, as a lattice under inclusion."""
     cl = system.closure
-    closed = _closed_sets_of(lambda xs: cl(xs), system.propositions)
-
-    def join_of(a: frozenset, b: frozenset) -> frozenset:
-        return cl(a | b)
-
-    def meet_of(a: frozenset, b: frozenset) -> frozenset:
-        return a & b
-
-    return lattice_from_sets(closed, join_of, meet_of)
+    return lattice_from_sets(
+        closed_family(cl, system.propositions),
+        lambda a, b: cl(a | b),
+        lambda a, b: a & b,
+    )
 
 
 def context_to_is(P: FormalContext) -> InformationSystem:

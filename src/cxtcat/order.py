@@ -702,6 +702,23 @@ def k_semilattice(L: FiniteLattice, guard: int = SUBSET_SCAN_GUARD) -> JoinSemil
 # closure systems
 
 
+def closed_family(
+    closure: Callable[[frozenset[str]], frozenset[str]], universe: Iterable[str]
+) -> set[frozenset[str]]:
+    """All sets ``closure(S)`` for ``S`` a subset of ``universe``.
+
+    Every closed set is the closure of the union of its singletons, and
+    ``closure(closure(A) | B) == closure(A | B)``, so extending each closed
+    set found so far by one point of ``universe`` at a time reaches them all:
+    one pass over the family per point, with no pairwise-union saturation.
+    A point already in a closed set leaves it unchanged and is skipped.
+    """
+    family = {closure(frozenset())}
+    for p in universe:
+        family |= {closure(s | {p}) for s in family if p not in s}
+    return family
+
+
 def closure_from_system(L: FiniteLattice, closed: Iterable[str]) -> ClosureOperator:
     """The unique closure operator whose image is ``closed``.
 

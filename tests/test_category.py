@@ -25,7 +25,7 @@ from cxtcat.corpus import (
 )
 from cxtcat.errors import SizeGuardExceeded, ValidationError
 from cxtcat.mappings import compose, enumerate_mappings, identity_mapping
-from cxtcat.order import order_isomorphism
+from cxtcat.order import closed_family, order_isomorphism
 
 
 C2 = chain_context(2)
@@ -218,6 +218,19 @@ def test_funcspace_engines_agree():
         fs = funcspace(P, Q)
         lit = fs.literal_context()
         assert sem_lattice(lit).semilattice == fs.sem[0]
+
+
+def test_funcspace_concepts_are_every_closure():
+    for P, Q in ((C2, C2), (chain_context(3), C2)):
+        fs = funcspace(P, Q)
+        attrs = fs.attributes
+        want = {
+            fs.closure(a for i, a in enumerate(attrs) if m >> i & 1)
+            for m in range(1 << len(attrs))
+        }
+        assert closed_family(fs.closure, attrs) == want
+        assert set(fs.sem[1].values()) == want
+        assert fs.sem[0] == fs.concepts()[0].as_join_semilattice()
 
 
 def test_funcspace_closure_of_empty_is_constant_bottom():

@@ -240,6 +240,9 @@ def test_usage_and_io_errors(files):
         ({"kind": "infosys", "version": 1, "propositions": ["p"], "entails": [["p", "p"]]},
          "entails[0][0]"),
         ({"kind": "space", "version": 1, "points": ["x"], "opens": [[], "x"]}, "opens[1]"),
+        ({"kind": ["poset"], "version": 1}, "kind"),
+        ({"kind": "poset", "version": True, "elements": [], "leq": []}, "version"),
+        ({"kind": "poset", "version": 1.0, "elements": [], "leq": []}, "version"),
     ],
 )
 def test_malformed_json_exits_2_naming_the_path(files, capsys, doc, path):
@@ -248,6 +251,22 @@ def test_malformed_json_exits_2_naming_the_path(files, capsys, doc, path):
     assert main(["validate", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and path in err
+
+
+def test_dot_of_non_string_kind_exits_2(files, capsys):
+    bad = files["tmp"] / "bad.json"
+    bad.write_text(json.dumps({"kind": ["poset"], "version": 1}))
+    assert main(["dot", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text", ["B\n\n-1\n3\n\na\n", "B\n\n-2\n5\n\nx\n"])
+def test_negative_cxt_count_exits_2(files, capsys, text):
+    bad = files["tmp"] / "bad.cxt"
+    bad.write_text(text)
+    assert main(["validate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "negative" in err
 
 
 def test_non_utf8_input_exits_2_naming_the_path(files, capsys):

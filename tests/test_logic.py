@@ -33,6 +33,7 @@ from cxtcat.mappings import identity_mapping, validate_am
 from cxtcat.order import (
     JoinSemilattice,
     MeetSemilattice,
+    closed_family,
     flt_lattice,
     is_order_iso,
     validate_poset,
@@ -209,6 +210,18 @@ def test_dual_of_lindenbaum_feeds_the_mapping_category():
     assert isinstance(S, JoinSemilattice)
     identity_mapping(S)  # accepted as a morphism carrier
     validate_am(S, S, {(a, b) for a in S.elements for b in S.elements if S.le(b, a)})
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_closed_family_is_every_closure(seed):
+    rng = random.Random(seed)
+    systems = [
+        random_information_system(rng, 6),
+        semilattice_to_ccp(random_meet_semilattice(rng, 6)),
+    ]
+    for system in systems:
+        cl, props = system.closure, system.propositions
+        assert closed_family(cl, props) == {cl(xs) for xs in subsets(props)}
 
 
 # ---------------------------------------------------------------------------
