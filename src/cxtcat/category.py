@@ -91,10 +91,13 @@ class ProductContext:
         """Split a product concept into its left and right factor concepts."""
         return self._split[name]
 
+    @cached_property
+    def _combined(self) -> dict[tuple[str, str], str]:
+        return {sides: name for name, sides in self._split.items()}
+
     def combine(self, left_name: str, right_name: str) -> str:
-        ls = self.left_sem.intents[left_name]
-        rs = self.right_sem.intents[right_name]
-        return set_id({tag_left(x) for x in ls} | {tag_right(x) for x in rs})
+        """The product concept whose factor concepts are the two given."""
+        return self._combined[left_name, right_name]
 
     def attr_sides(self) -> dict[str, tuple[str, str]]:
         return {a: untag(a) for a in self.context.attributes}

@@ -174,12 +174,7 @@ def parse_cxt(text: str) -> FormalContext:
         raise FormatError("CXT file must start with a 'B' line")
     if lines[1] != "" or lines[4] != "":
         raise FormatError("CXT lines 2 and 5 must be empty")
-    try:
-        n_obj, n_attr = int(lines[2]), int(lines[3])
-    except ValueError as exc:
-        raise FormatError("CXT counts are not integers") from exc
-    if n_obj < 0 or n_attr < 0:
-        raise FormatError(f"CXT counts must not be negative, found {n_obj} and {n_attr}")
+    n_obj, n_attr = _cxt_count(lines, 3), _cxt_count(lines, 4)
     need = 5 + n_obj + n_attr + n_obj
     if len(lines) != need:
         raise FormatError(f"CXT expects {need} lines, found {len(lines)}")
@@ -193,6 +188,17 @@ def parse_cxt(text: str) -> FormalContext:
             if ch == "X":
                 incidence.add((objects[i], attributes[j]))
     return make_context(objects, attributes, incidence)
+
+
+def _cxt_count(lines: list[str], number: int) -> int:
+    """The count on line ``number`` (1-based): ASCII digits and nothing else,
+    so ``int``'s signs, spaces, underscores and non-ASCII digits are refused."""
+    text = lines[number - 1]
+    if not (text.isascii() and text.isdigit()):
+        raise FormatError(
+            f"CXT line {number} must be a non-negative count in ASCII digits, found {text!r}"
+        )
+    return int(text)
 
 
 # ---------------------------------------------------------------------------

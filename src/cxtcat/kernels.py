@@ -134,21 +134,26 @@ def scott_open_masks(up: list[int], down: list[int], join: list[int]) -> list[in
     return out
 
 
-def monotone_maps(n_src: int, preds: list[list[int]], tgt_up: list[int]) -> list[tuple[int, ...]]:
+def monotone_maps(
+    n_src: int, preds: list[list[int]], tgt_up: list[int], limit: int
+) -> list[tuple[int, ...]]:
     """All monotone assignments from a source poset into a target poset.
 
     Source indices must come in a linear-extension order, ``preds[i]``
     listing the indices ``j < i`` with ``j <= i`` in the source order.
-    Returns tuples of target indices.
+    Returns tuples of target indices.  The search stops as soon as it has
+    found more than ``limit`` assignments, so a longer result means the
+    full output is larger than ``limit``.
     """
     n_tgt = len(tgt_up)
     out: list[tuple[int, ...]] = []
     pick = [0] * n_src
 
-    def extend(i: int) -> None:
+    def extend(i: int) -> bool:
+        """Fill ``pick[i:]`` every way; True once past ``limit``."""
         if i == n_src:
             out.append(tuple(pick))
-            return
+            return len(out) > limit
         for t in range(n_tgt):
             ok = True
             for j in preds[i]:
@@ -157,7 +162,9 @@ def monotone_maps(n_src: int, preds: list[list[int]], tgt_up: list[int]) -> list
                     break
             if ok:
                 pick[i] = t
-                extend(i + 1)
+                if extend(i + 1):
+                    return True
+        return False
 
     if n_src == 0:
         return [()]

@@ -19,6 +19,7 @@ from .order import (
     FiniteLattice,
     JoinSemilattice,
     SUBSET_SCAN_GUARD,
+    _bits,
     compacts,
     down_set,
     ideal_completion,
@@ -32,6 +33,10 @@ from .order import (
 # beyond it monotonicity (equivalent on finite orders) is the certificate.
 SCOTT_CHECK_CAP = 16
 ENUMERATION_GUARD = 512
+# Most mappings ``enumerate_mappings`` may return.  ``ENUMERATION_GUARD``
+# bounds the search space, not the output: M10 into a 20-chain passes it and
+# has about 10^13 mappings.
+ENUMERATION_OUTPUT_GUARD = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -44,43 +49,57 @@ class ApproximableMapping:
 
     def __post_init__(self):
         src, tgt = self.source, self.target
-        smembers, tmembers = set(src.elements), set(tgt.elements)
-        for a, b in sorted(self.pairs):
-            if a not in smembers or b not in tmembers:
-                raise ValidationError(
-                    f"pair ({a!r}, {b!r}) references unknown elements",
-                    law="unknown-element",
-                    witness={"pair": [a, b]},
-                )
-        for a in src.elements:
-            if (a, tgt.bottom) not in self.pairs:
+        sidx, tidx = src.poset.index, tgt.poset.index
+        # image[i]: mask over target indices of what source element i reaches
+        image = [0] * src.poset.n
+        unknown = []
+        for a, b in self.pairs:
+            i, j = sidx.get(a), tidx.get(b)
+            if i is None or j is None:
+                unknown.append((a, b))
+            else:
+                image[i] |= 1 << j
+        if unknown:
+            a, b = min(unknown)
+            raise ValidationError(
+                f"pair ({a!r}, {b!r}) references unknown elements",
+                law="unknown-element",
+                witness={"pair": [a, b]},
+            )
+        bottom = 1 << tidx[tgt.bottom]
+        for a, img in zip(src.elements, image):
+            if not img & bottom:
                 raise ValidationError(
                     f"{a!r} does not reach the target bottom",
                     law="am1",
                     witness={"element": a},
                 )
-        by_src: dict[str, list[str]] = {a: [] for a in src.elements}
-        for a, b in self.pairs:
-            by_src[a].append(b)
-        for a, bs in by_src.items():
-            bset = set(bs)
-            for b in bs:
-                for b2 in bs:
-                    if tgt.join(b, b2) not in bset:
+        n, join = tgt.poset.n, tgt.join_flat
+        for a, img in zip(src.elements, image):
+            members = list(_bits(img))
+            for x, j in enumerate(members):
+                row = j * n
+                for k in members[x + 1 :]:
+                    if not img >> join[row + k] & 1:
+                        b, b2 = _am2_witness(tgt, img)
                         raise ValidationError(
                             f"images of {a!r} miss the join of {b!r} and {b2!r}",
                             law="am2",
                             witness={"element": a, "pair": [b, b2]},
                         )
-        for a, b in sorted(self.pairs):
-            for a2 in sorted(up_elements(src, a)):
-                for b2 in sorted(down_elements(tgt, b)):
-                    if (a2, b2) not in self.pairs:
-                        raise ValidationError(
-                            f"({a2!r}, {b2!r}) missing although {a!r} <= {a2!r} and {b2!r} <= {b!r}",
-                            law="am3",
-                            witness={"from": [a, b], "missing": [a2, b2]},
-                        )
+        up, down = src.poset.up_masks, tgt.poset.down_masks
+        for i, img in enumerate(image):
+            below = 0
+            for j in _bits(img):
+                below |= down[j]
+            for i2 in _bits(up[i]):
+                if below & ~image[i2]:
+                    a, b, a2, b2 = _am3_witness(self, image)
+                    raise ValidationError(
+                        f"({a2!r}, {b2!r}) missing although {a!r} <= {a2!r} and {b2!r} <= {b!r}",
+                        law="am3",
+                        witness={"from": [a, b], "missing": [a2, b2]},
+                    )
 
     def image_ideal(self, a: str) -> frozenset[str]:
         return frozenset(b for x, b in self.pairs if x == a)
@@ -89,12 +108,27 @@ class ApproximableMapping:
         return pair_set_id(self.pairs)
 
 
-def up_elements(S: JoinSemilattice, a: str) -> frozenset[str]:
-    return frozenset(x for x in S.elements if S.le(a, x))
+def _am2_witness(T: JoinSemilattice, img: int) -> tuple[str, str]:
+    """Least ``(b, b2)`` by name inside ``img`` whose join ``img`` misses."""
+    names, n, join = T.elements, T.poset.n, T.join_flat
+    return min(
+        (names[j], names[k])
+        for j in _bits(img)
+        for k in _bits(img)
+        if not img >> join[j * n + k] & 1
+    )
 
 
-def down_elements(S: JoinSemilattice, b: str) -> frozenset[str]:
-    return frozenset(x for x in S.elements if S.le(x, b))
+def _am3_witness(m: ApproximableMapping, image: list[int]) -> tuple[str, str, str, str]:
+    """Least ``(a, b, a2, b2)`` by name with ``(a, b)`` related, ``a <= a2``,
+    ``b2 <= b`` and ``(a2, b2)`` not related."""
+    S, T = m.source.poset, m.target.poset
+    return min(
+        (a, b, S.elements[i2], T.elements[k])
+        for a, b in m.pairs
+        for i2 in _bits(S.up_masks[S.index[a]])
+        for k in _bits(T.down_masks[T.index[b]] & ~image[i2])
+    )
 
 
 def validate_am(
@@ -269,7 +303,12 @@ def enumerate_mappings(
     S: JoinSemilattice, T: JoinSemilattice, guard: int = ENUMERATION_GUARD
 ) -> list[ApproximableMapping]:
     """All approximable mappings, via monotone assignments into the ideals of
-    the target; ordered by canonical pair-set encoding."""
+    the target; ordered by canonical pair-set encoding.
+
+    Raises ``SizeGuardExceeded`` when ``|S| * |Idl T|`` passes ``guard``, or
+    as soon as the search finds more than ``ENUMERATION_OUTPUT_GUARD``
+    mappings, before any of them is built.
+    """
     tgt_ideals = [i.members for i in ideals(T)]
     if len(S.elements) * len(tgt_ideals) > guard:
         raise SizeGuardExceeded(
@@ -287,8 +326,13 @@ def enumerate_mappings(
         [j for j in range(pos) if P.le(P.elements[order[j]], P.elements[order[pos]])]
         for pos in range(P.n)
     ]
+    picks = kernels.monotone_maps(P.n, preds, tgt_up, ENUMERATION_OUTPUT_GUARD)
+    if len(picks) > ENUMERATION_OUTPUT_GUARD:
+        raise SizeGuardExceeded(
+            "enumerate_mappings output", len(picks), ENUMERATION_OUTPUT_GUARD
+        )
     out = []
-    for pick in kernels.monotone_maps(P.n, preds, tgt_up):
+    for pick in picks:
         pairs = frozenset(
             (P.elements[order[pos]], b)
             for pos, t in enumerate(pick)

@@ -278,6 +278,10 @@ class JoinSemilattice:
     def dual(self) -> MeetSemilattice:
         return MeetSemilattice(self.poset.dual(), self.bottom, self.join_table)
 
+    @cached_property
+    def join_flat(self) -> list[int]:
+        return _flat_table(self.poset, self.join_table)
+
 
 @dataclass(frozen=True)
 class MeetSemilattice:
@@ -402,8 +406,13 @@ class FiniteLattice:
 
     @cached_property
     def join_flat(self) -> list[int]:
-        idx = self.poset.index
-        return [idx[v] for row in self.join_table for v in row]
+        return _flat_table(self.poset, self.join_table)
+
+
+def _flat_table(P: FinitePoset, table: tuple[tuple[str, ...], ...]) -> list[int]:
+    """A bound table as element indices, row-major: entry ``(i, j)`` at ``i * n + j``."""
+    idx = P.index
+    return [idx[v] for row in table for v in row]
 
 
 def _least(P: FinitePoset) -> str | None:
@@ -542,12 +551,28 @@ def _guard(what: str, n: int, cap: int) -> None:
         raise SizeGuardExceeded(what, n, cap)
 
 
+def _memo(value, name: str) -> dict:
+    """A cache of results derived from the frozen ``value``, kept in its
+    instance ``__dict__`` the way ``cached_property`` keeps its results.
+
+    Dataclass equality, hashing and ``repr`` read the fields only, so the
+    cache changes none of them; it lives and dies with ``value``.
+    """
+    return value.__dict__.setdefault(name, {})
+
+
 def compacts(L: FiniteLattice, guard: int = SUBSET_SCAN_GUARD) -> FinitePoset:
-    """Sub-poset of compact elements, by the definitional directed-set test."""
-    P = L.poset
-    _guard("compacts", P.n, guard)
-    mask = kernels.compact_mask(P.up_masks, P.down_masks, L.join_flat)
-    return P.restrict(P.set_of(mask))
+    """Sub-poset of compact elements, by the definitional directed-set test.
+
+    Memoized on ``L`` per guard.
+    """
+    memo = _memo(L, "_compacts")
+    if guard not in memo:
+        P = L.poset
+        _guard("compacts", P.n, guard)
+        mask = kernels.compact_mask(P.up_masks, P.down_masks, L.join_flat)
+        memo[guard] = P.restrict(P.set_of(mask))
+    return memo[guard]
 
 
 def is_algebraic(L: FiniteLattice, guard: int = SUBSET_SCAN_GUARD) -> bool:
@@ -589,7 +614,18 @@ def ideals(S: JoinSemilattice, scan_guard: int = IDEAL_SCAN_GUARD) -> list[Ideal
 
 def ideal_completion(S: JoinSemilattice, scan_guard: int = IDEAL_SCAN_GUARD) -> FiniteLattice:
     """Lattice of all ideals under inclusion; meets are intersections, joins
-    are the least ideals containing the union."""
+    are the least ideals containing the union.
+
+    Memoized on ``S`` per scan guard, so the ideal scan and its checks run
+    once for each semilattice value.
+    """
+    memo = _memo(S, "_ideal_completion")
+    if scan_guard not in memo:
+        memo[scan_guard] = _build_ideal_completion(S, scan_guard)
+    return memo[scan_guard]
+
+
+def _build_ideal_completion(S: JoinSemilattice, scan_guard: int) -> FiniteLattice:
     P = S.poset
     fam = [i.members for i in ideals(S, scan_guard)]
     by_set = {m: set_id(m) for m in fam}
@@ -660,42 +696,55 @@ def lattice_from_sets(
 ) -> tuple[FiniteLattice, dict[str, frozenset[str]]]:
     """Build a lattice over a family of sets ordered by inclusion.
 
-    ``join_of``/``meet_of`` must land inside the family.  Returns the lattice
-    and the decoding table from canonical element names back to the sets.
+    ``join_of``/``meet_of`` must land inside the family.  They are called
+    once for each incomparable pair: of two comparable sets the larger is
+    the join and the smaller the meet, and the tables are symmetric.  The
+    lattice checks every entry against the cones.  Returns the lattice and
+    the decoding table from canonical element names back to the sets.
     """
     fam = sorted(set(family), key=set_id)
-    names = {m: set_id(m) for m in fam}
-    elements = tuple(names[m] for m in fam)
-    leq = frozenset(
-        (names[a], names[b]) for a in fam for b in fam if a <= b
-    )
-    poset = FinitePoset(elements, leq)
-    jt, mt = [], []
-    for a in fam:
-        jr, mr = [], []
-        for b in fam:
-            j, m = join_of(a, b), meet_of(a, b)
-            if j not in names or m not in names:
-                raise ValidationError(
-                    "family not closed under its own bounds",
-                    law="lattice:closure",
-                    witness={"pair": [names[a], names[b]]},
-                )
-            jr.append(names[j])
-            mr.append(names[m])
-        jt.append(tuple(jr))
-        mt.append(tuple(mr))
+    names = [set_id(m) for m in fam]
+    index = {m: i for i, m in enumerate(fam)}
+    n = len(fam)
+    leq = set()
+    jt = [[""] * n for _ in range(n)]
+    mt = [[""] * n for _ in range(n)]
+    for i, a in enumerate(fam):
+        leq.add((names[i], names[i]))
+        jt[i][i] = mt[i][i] = names[i]
+        for j in range(i + 1, n):
+            b = fam[j]
+            if a <= b:
+                leq.add((names[i], names[j]))
+                jn, mn = j, i
+            elif b <= a:
+                leq.add((names[j], names[i]))
+                jn, mn = i, j
+            else:
+                jn, mn = index.get(join_of(a, b)), index.get(meet_of(a, b))
+                if jn is None or mn is None:
+                    raise ValidationError(
+                        "family not closed under its own bounds",
+                        law="lattice:closure",
+                        witness={"pair": [names[i], names[j]]},
+                    )
+            jt[i][j] = jt[j][i] = names[jn]
+            mt[i][j] = mt[j][i] = names[mn]
+    poset = FinitePoset(tuple(names), frozenset(leq))
     bottom, top = _least(poset), _greatest(poset)
     if bottom is None or top is None:
         raise ValidationError("set family lacks bottom or top", law="lattice:bounds")
-    lat = FiniteLattice(poset, bottom, top, tuple(jt), tuple(mt))
-    return lat, {names[m]: m for m in fam}
+    lat = FiniteLattice(poset, bottom, top, tuple(map(tuple, jt)), tuple(map(tuple, mt)))
+    return lat, dict(zip(names, fam))
 
 
 def k_semilattice(L: FiniteLattice, guard: int = SUBSET_SCAN_GUARD) -> JoinSemilattice:
-    """Compact elements with the induced order and joins."""
-    K = compacts(L, guard)
-    return JoinSemilattice.from_poset(K)
+    """Compact elements with the induced order and joins; memoized on ``L``
+    per guard."""
+    memo = _memo(L, "_k_semilattice")
+    if guard not in memo:
+        memo[guard] = JoinSemilattice.from_poset(compacts(L, guard))
+    return memo[guard]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from cxtcat.canon import set_id
 from cxtcat.category import (
+    FunctionSpaceContext,
     bang,
     curry,
     funcspace,
@@ -90,6 +92,19 @@ def test_product_closure_is_sidewise():
                 tag_right(y) for y in attr_closure(Q, Y)
             }
             assert got == want
+
+
+def test_combine_inverts_decompose():
+    for P, Q in ((k2_context(), C2), (C2, chain_context(3)), (terminal(), C2)):
+        prod = product(P, Q)
+        sp, sq = sem_lattice(P), sem_lattice(Q)
+        for x in sp.elements:
+            for y in sq.elements:
+                z = prod.combine(x, y)
+                assert prod.decompose(z) == (x, y)
+                assert prod.sem.intents[z] == {tag_left(a) for a in sp.intents[x]} | {
+                    tag_right(a) for a in sq.intents[y]
+                }
 
 
 def test_product_with_terminal():
@@ -231,6 +246,23 @@ def test_funcspace_concepts_are_every_closure():
         assert closed_family(fs.closure, attrs) == want
         assert set(fs.sem[1].values()) == want
         assert fs.sem[0] == fs.concepts()[0].as_join_semilattice()
+
+
+def test_funcspace_table_calls_closure_once_per_incomparable_pair(monkeypatch):
+    calls = []
+    real = FunctionSpaceContext.closure
+    monkeypatch.setattr(
+        FunctionSpaceContext, "closure", lambda self, attrs: calls.append(1) or real(self, attrs)
+    )
+    fs = funcspace(chain_context(5), chain_context(5))
+    closed = fs.sem[1].values()
+    assert len(closed) == 126
+    incomparable = sum(
+        1 for a, b in combinations(closed, 2) if not (a <= b or b <= a)
+    )
+    assert incomparable == 2709
+    # 505 calls enumerate the closed family, one per incomparable pair fills the table
+    assert len(calls) <= 505 + incomparable
 
 
 def test_funcspace_closure_of_empty_is_constant_bottom():

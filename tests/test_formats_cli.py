@@ -269,6 +269,17 @@ def test_negative_cxt_count_exits_2(files, capsys, text):
     assert err.startswith("error: ") and "negative" in err
 
 
+@pytest.mark.parametrize("count", ["+1", " 1", "0_1"])
+def test_cxt_counts_are_ascii_digits_only(files, capsys, count):
+    bad = files["tmp"] / "bad.cxt"
+    for line in (3, 4):
+        counts = [count, "1"] if line == 3 else ["1", count]
+        bad.write_text("B\n\n" + "\n".join(counts) + "\n\no\na\nX\n")
+        assert main(["validate", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"line {line}" in err and repr(count) in err
+
+
 def test_non_utf8_input_exits_2_naming_the_path(files, capsys):
     bad = files["tmp"] / "bad.cxt"
     bad.write_bytes(b"\xff\xfe\x00bad")

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product as iproduct
 
 import pytest
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cxtcat.corpus import chain_poset, diamond_poset, random_join_semilattice
-from cxtcat.errors import ValidationError
+from cxtcat.errors import SizeGuardExceeded, ValidationError
 from cxtcat.mappings import (
+    ENUMERATION_OUTPUT_GUARD,
     ScottFunction,
     compose,
     compose_functions,
@@ -27,6 +29,7 @@ from cxtcat.order import (
     Ideal,
     JoinSemilattice,
     ideals,
+    validate_poset,
 )
 
 
@@ -36,6 +39,46 @@ def chain_s(n, pfx="c"):
 
 def diamond_s():
     return JoinSemilattice.from_poset(diamond_poset())
+
+
+def m_n(n):
+    """Bottom, ``n`` pairwise incomparable atoms and a top."""
+    els = ("0",) + tuple(f"x{i}" for i in range(n)) + ("1",)
+    leq = {(e, e) for e in els} | {("0", e) for e in els} | {(e, "1") for e in els}
+    return JoinSemilattice.from_poset(validate_poset(els, leq))
+
+
+def definitional_am_check(S, T, pairs):
+    """The mapping axioms scanned by their definitions, in the order
+    ``ApproximableMapping`` reports them: ``(law, witness)`` of the first
+    breach, or None.  The reference the mask engine is checked against."""
+    pairs = frozenset(pairs)
+    for a, b in sorted(pairs):
+        if a not in S.elements or b not in T.elements:
+            return "unknown-element", {"pair": [a, b]}
+    for a in S.elements:
+        if (a, T.bottom) not in pairs:
+            return "am1", {"element": a}
+    for a in S.elements:
+        bs = sorted(b for x, b in pairs if x == a)
+        for b in bs:
+            for b2 in bs:
+                if T.join(b, b2) not in bs:
+                    return "am2", {"element": a, "pair": [b, b2]}
+    for a, b in sorted(pairs):
+        for a2 in sorted(x for x in S.elements if S.le(a, x)):
+            for b2 in sorted(y for y in T.elements if T.le(y, b)):
+                if (a2, b2) not in pairs:
+                    return "am3", {"from": [a, b], "missing": [a2, b2]}
+    return None
+
+
+def engine_verdict(S, T, pairs):
+    try:
+        validate_am(S, T, pairs)
+    except ValidationError as exc:
+        return exc.law, exc.witness
+    return None
 
 
 def count_monotone_maps_oracle(S, T):
@@ -81,6 +124,43 @@ def test_am2_witness():
     with pytest.raises(ValidationError) as exc:
         validate_am(S, T, pairs)
     assert exc.value.law == "am2"
+
+
+def test_am2_witness_is_the_least_failing_pair():
+    # index order z, y, x differs from name order, and every pair of atoms fails
+    els = ("0", "z", "y", "x", "1")
+    leq = {(e, e) for e in els} | {("0", e) for e in els} | {(e, "1") for e in els}
+    T = JoinSemilattice.from_poset(validate_poset(els, leq))
+    S = chain_s(2)
+    pairs = {("c0", "0"), ("c1", "0"), ("c1", "z"), ("c1", "y"), ("c1", "x")}
+    with pytest.raises(ValidationError) as exc:
+        validate_am(S, T, pairs)
+    assert exc.value.law == "am2"
+    assert exc.value.witness == {"element": "c1", "pair": ["x", "y"]}
+    assert (exc.value.law, exc.value.witness) == definitional_am_check(S, T, pairs)
+
+
+def test_mask_engine_agrees_with_the_definitional_scan():
+    """About 200 relations: enumerated mappings, some with one pair added,
+    one removed, or one naming an unknown element.  Diamond and M3 targets
+    have incomparable pairs, so am2 breaches occur."""
+    rng = random.Random(5)
+    laws = []
+    while len(laws) < 200:
+        S = random_join_semilattice(rng, 5)
+        T = rng.choice([random_join_semilattice(rng, 5), diamond_s(), m_n(3)])
+        pairs = set(rng.choice(enumerate_mappings(S, T)).pairs)
+        move = rng.randrange(8)
+        if move in (2, 3, 4):
+            pairs.add((rng.choice(S.elements), rng.choice(T.elements)))
+        elif move in (5, 6):
+            pairs.discard(rng.choice(sorted(pairs)))
+        elif move == 7:
+            pairs.add((rng.choice(S.elements + ("?",)), "?"))
+        want = definitional_am_check(S, T, pairs)
+        assert engine_verdict(S, T, pairs) == want
+        laws.append(want and want[0])
+    assert set(laws) == {None, "unknown-element", "am1", "am2", "am3"}
 
 
 def test_am3_witness():
@@ -230,6 +310,27 @@ def test_enumeration_matches_monotone_oracle(seed):
     S = random_join_semilattice(rng, 3)
     T = random_join_semilattice(rng, 3)
     assert len(enumerate_mappings(S, T)) == count_monotone_maps_oracle(S, T)
+
+
+def test_enumeration_of_m5_into_a_six_chain():
+    ms = enumerate_mappings(m_n(5), chain_s(6, "d"))
+    assert len(ms) == sum((6 - d) * (d + 1) ** 5 for d in range(6)) == 18236
+
+
+def test_enumeration_output_guard_stops_before_building_mappings(monkeypatch):
+    from cxtcat import mappings
+
+    built = []
+    real = mappings.ApproximableMapping
+    monkeypatch.setattr(mappings, "ApproximableMapping", lambda *a: built.append(a) or real(*a))
+    S, T = m_n(10), chain_s(20, "d")  # passes ENUMERATION_GUARD; ~10^13 mappings
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardExceeded) as exc:
+        enumerate_mappings(S, T)
+    assert time.perf_counter() - start < 1.0
+    assert exc.value.cap == ENUMERATION_OUTPUT_GUARD
+    assert exc.value.size == ENUMERATION_OUTPUT_GUARD + 1
+    assert built == []
 
 
 def test_enumeration_is_sorted_and_unique():

@@ -34,6 +34,7 @@ from cxtcat.order import (
     is_order_iso,
     join_irreducibles,
     join_primes,
+    k_semilattice,
     meet_irreducibles,
     meet_primes,
     order_isomorphism,
@@ -222,6 +223,39 @@ def test_ideal_completion_diamond():
     L = ideal_completion(S)
     assert len(L.elements) == 4
     assert order_isomorphism(L.poset, diamond_poset()) is not None
+
+
+def test_ideal_completion_is_memoized_on_the_value(monkeypatch):
+    from cxtcat import order
+
+    scans = []
+    real = order.kernels.ideal_masks
+    monkeypatch.setattr(order.kernels, "ideal_masks", lambda *a: scans.append(1) or real(*a))
+    S = JoinSemilattice.from_poset(diamond_poset())
+    S2 = JoinSemilattice.from_poset(diamond_poset())
+    fresh = (hash(S), repr(S))
+    L = ideal_completion(S)
+    assert ideal_completion(S) is L
+    assert len(scans) == 1
+    other = ideal_completion(S, scan_guard=0)  # no subset scan below guard 0
+    assert other is not L and other == L and ideal_completion(S, scan_guard=0) is other
+    assert ideal_completion(S2) == L and ideal_completion(S2) is not L
+    assert len(scans) == 2
+    assert S == S2 and (hash(S), repr(S)) == fresh == (hash(S2), repr(S2))
+
+
+def test_compacts_and_k_semilattice_are_memoized_on_the_value():
+    L = FiniteLattice.from_poset(diamond_poset())
+    L2 = FiniteLattice.from_poset(diamond_poset())
+    fresh = hash(L)
+    assert compacts(L) is compacts(L)
+    K = k_semilattice(L)
+    assert k_semilattice(L) is K
+    assert k_semilattice(L, guard=4) is not K and k_semilattice(L, guard=4) == K
+    assert k_semilattice(L2) == K and k_semilattice(L2) is not K
+    assert L == L2 and hash(L) == fresh == hash(L2)
+    with pytest.raises(SizeGuardExceeded):
+        k_semilattice(L, guard=3)
 
 
 def test_principal_ideals_are_the_compact_ones():
