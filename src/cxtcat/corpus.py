@@ -11,7 +11,7 @@ import random
 from typing import Callable
 
 from .canon import set_id
-from .context import FormalContext, context_of_semilattice, make_context, sem_lattice
+from .context import FormalContext, make_context, sem_lattice
 from .logic import InformationSystem, close_entailment
 from .order import (
     FiniteLattice,
@@ -113,15 +113,8 @@ def random_join_semilattice(rng: random.Random, max_n: int) -> JoinSemilattice:
             k = rng.randint(1, 3)
             fam = {frozenset()}
             for _ in range(k):
-                fam.add(frozenset(b for b in range(base) if rng.random() < 0.6))
-            changed = True
-            while changed:
-                changed = False
-                for a in list(fam):
-                    for b in list(fam):
-                        if a | b not in fam:
-                            fam.add(a | b)
-                            changed = True
+                g = frozenset(b for b in range(base) if rng.random() < 0.6)
+                fam |= {s | g for s in fam}
             if len(fam) > max_n:
                 return None
             names = {s: set_id(str(x) for x in s) for s in fam}
@@ -188,16 +181,6 @@ def random_information_system(rng: random.Random, max_props: int) -> Information
         body = frozenset(p for p in props if rng.random() < 0.4)
         raw.append((body, rng.choice(props)))
     return close_entailment(props, raw)
-
-
-def semilattice_contexts(max_size: int) -> list[FormalContext]:
-    """The greater-or-equal contexts of chains and the diamond, small first."""
-    out = []
-    for n in range(1, max_size + 1):
-        out.append(context_of_semilattice(JoinSemilattice.from_poset(chain_poset(n))))
-    if max_size >= 4:
-        out.append(context_of_semilattice(JoinSemilattice.from_poset(diamond_poset())))
-    return out
 
 
 def corpus(

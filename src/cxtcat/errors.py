@@ -30,7 +30,7 @@ class SizeGuardExceeded(CxtcatError):
     """
 
     def __init__(self, what: str, size: int, cap: int):
-        super().__init__(f"{what}: size {size} exceeds guard {cap} (raise the guard to override)")
+        super().__init__(f"{what}: size {size} exceeds guard {cap}")
         self.what = what
         self.size = size
         self.cap = cap

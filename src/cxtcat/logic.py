@@ -68,7 +68,7 @@ class InformationSystem:
                     law="unknown-element",
                     witness={"pair": [sorted(xs), a]},
                 )
-        cl = self._closure_map()
+        cl = self.closure_table
         for xs, members in cl.items():
             for a in xs:
                 if a not in members:
@@ -98,7 +98,8 @@ class InformationSystem:
                     witness={"set": sorted(xs), "via": sorted(members), "atom": a},
                 )
 
-    def _closure_map(self) -> dict[frozenset[str], frozenset[str]]:
+    @cached_property
+    def closure_table(self) -> dict[frozenset[str], frozenset[str]]:
         by_x: dict[frozenset[str], set[str]] = {}
         for xs, a in self.entails:
             by_x.setdefault(xs, set()).add(a)
@@ -107,10 +108,6 @@ class InformationSystem:
             xs = frozenset(p for i, p in enumerate(self.propositions) if m >> i & 1)
             out[xs] = frozenset(by_x.get(xs, set()))
         return out
-
-    @cached_property
-    def closure_table(self) -> dict[frozenset[str], frozenset[str]]:
-        return self._closure_map()
 
     def closure(self, xs: Iterable[str]) -> frozenset[str]:
         return self.closure_table[frozenset(xs)]

@@ -134,10 +134,6 @@ class FinitePoset:
             elems, frozenset((a, b) for a, b in self.leq if a in keep and b in keep)
         )
 
-    def maximal(self, xs: Iterable[str]) -> frozenset[str]:
-        xs = set(xs)
-        return frozenset(x for x in xs if all(not (self.le(x, y) and x != y) for y in xs))
-
     def minimal(self, xs: Iterable[str]) -> frozenset[str]:
         xs = set(xs)
         return frozenset(x for x in xs if all(not (self.le(y, x) and x != y) for y in xs))
@@ -176,42 +172,83 @@ def validate_poset(elements: Iterable[str], pairs: Iterable[tuple[str, str]]) ->
     return FinitePoset(tuple(elements), frozenset((a, b) for a, b in pairs))
 
 
-def down_set(P: FinitePoset, xs: Iterable[str]) -> frozenset[str]:
+# Every join/meet twin below is one routine over a cone list, by order
+# duality: pass ``P.up_masks`` for joins, least elements and up-sets, and
+# ``P.down_masks`` for meets, greatest elements and down-sets.
+
+
+def _cone_union(P: FinitePoset, xs: Iterable[str], cones: list[int]) -> frozenset[str]:
     xs = frozenset(xs)
     P.check_members(xs)
-    return frozenset(y for y in P.elements if any((y, x) in P.leq for x in xs))
+    idx = P.index
+    m = 0
+    for x in xs:
+        m |= cones[idx[x]]
+    return P.set_of(m)
+
+
+def down_set(P: FinitePoset, xs: Iterable[str]) -> frozenset[str]:
+    return _cone_union(P, xs, P.down_masks)
 
 
 def up_set(P: FinitePoset, xs: Iterable[str]) -> frozenset[str]:
-    xs = frozenset(xs)
-    P.check_members(xs)
-    return frozenset(y for y in P.elements if any((x, y) in P.leq for x in xs))
+    return _cone_union(P, xs, P.up_masks)
 
 
-def _lub_index(P: FinitePoset, i: int, j: int) -> int | None:
-    ub = P.up_masks[i] & P.up_masks[j]
-    for k in range(P.n):
-        if ub >> k & 1 and P.up_masks[k] == ub:
+def _bound_index(cones: list[int], i: int, j: int) -> int | None:
+    """The element whose cone is the intersection of the cones of ``i`` and
+    ``j``: their join on up-cones, their meet on down-cones."""
+    common = cones[i] & cones[j]
+    for k in _bits(common):
+        if cones[k] == common:
             return k
     return None
 
 
-def _glb_index(P: FinitePoset, i: int, j: int) -> int | None:
-    lb = P.down_masks[i] & P.down_masks[j]
-    for k in range(P.n):
-        if lb >> k & 1 and P.down_masks[k] == lb:
-            return k
+def _unit(P: FinitePoset, cones: list[int]) -> str | None:
+    """The element whose cone is everything: the least element on up-cones,
+    the greatest on down-cones."""
+    full = (1 << P.n) - 1
+    for x, cone in zip(P.elements, cones):
+        if cone == full:
+            return x
     return None
 
 
-def _check_table(P: FinitePoset, table, kind: str, cones) -> None:
+def _make_table(P: FinitePoset, cones: list[int], kind: str) -> tuple[tuple[str, ...], ...]:
+    rows = []
+    for i, a in enumerate(P.elements):
+        row = []
+        for j, b in enumerate(P.elements):
+            k = _bound_index(cones, i, j)
+            if k is None:
+                raise ValidationError(
+                    f"{kind} of {a!r} and {b!r} does not exist",
+                    law=f"{kind}:bound",
+                    witness={"pair": [a, b]},
+                )
+            row.append(P.elements[k])
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _fold(P: FinitePoset, table, unit: str, xs: Iterable[str]) -> str:
+    """Fold ``xs`` through a bound table from its unit: a join of all from
+    the bottom, a meet of all from the top."""
+    idx = P.index
+    out = unit
+    for x in xs:
+        out = table[idx[out]][idx[x]]
+    return out
+
+
+def _check_table(P: FinitePoset, table, kind: str, cones: list[int]) -> None:
     """Verify a binary-bound table in O(n^2): the entry for (a, b) is the
     required bound exactly when its cone is the intersection of theirs."""
     n = P.n
     if len(table) != n or any(len(row) != n for row in table):
         raise ValidationError(f"{kind} table has wrong shape", law=f"{kind}:table")
     idx = P.index
-    masks = cones(P)
     for i, a in enumerate(P.elements):
         for j, b in enumerate(P.elements):
             v = table[i][j]
@@ -221,7 +258,7 @@ def _check_table(P: FinitePoset, table, kind: str, cones) -> None:
                     law="unknown-element",
                     witness={"pair": [a, b], "value": v},
                 )
-            if masks[idx[v]] != masks[i] & masks[j]:
+            if cones[idx[v]] != cones[i] & cones[j]:
                 raise ValidationError(
                     f"{kind}({a!r},{b!r}) = {v!r} is not the required bound",
                     law=f"{kind}:bound",
@@ -248,15 +285,14 @@ class JoinSemilattice:
                 law="join:bottom",
                 witness={"element": self.bottom},
             )
-        _check_table(P, self.join_table, "join", lambda Q: Q.up_masks)
+        _check_table(P, self.join_table, "join", P.up_masks)
 
     @classmethod
     def from_poset(cls, P: FinitePoset) -> JoinSemilattice:
-        bottom = _least(P)
+        bottom = _unit(P, P.up_masks)
         if bottom is None:
             raise ValidationError("poset has no least element", law="join:bottom")
-        table = _make_table(P, _lub_index, "join")
-        return cls(P, bottom, table)
+        return cls(P, bottom, _make_table(P, P.up_masks, "join"))
 
     @property
     def elements(self) -> tuple[str, ...]:
@@ -270,10 +306,7 @@ class JoinSemilattice:
         return self.join_table[idx[a]][idx[b]]
 
     def join_all(self, xs: Iterable[str]) -> str:
-        out = self.bottom
-        for x in xs:
-            out = self.join(out, x)
-        return out
+        return _fold(self.poset, self.join_table, self.bottom, xs)
 
     def dual(self) -> MeetSemilattice:
         return MeetSemilattice(self.poset.dual(), self.bottom, self.join_table)
@@ -302,15 +335,14 @@ class MeetSemilattice:
                 law="meet:top",
                 witness={"element": self.top},
             )
-        _check_table(P, self.meet_table, "meet", lambda Q: Q.down_masks)
+        _check_table(P, self.meet_table, "meet", P.down_masks)
 
     @classmethod
     def from_poset(cls, P: FinitePoset) -> MeetSemilattice:
-        top = _greatest(P)
+        top = _unit(P, P.down_masks)
         if top is None:
             raise ValidationError("poset has no greatest element", law="meet:top")
-        table = _make_table(P, _glb_index, "meet")
-        return cls(P, top, table)
+        return cls(P, top, _make_table(P, P.down_masks, "meet"))
 
     @property
     def elements(self) -> tuple[str, ...]:
@@ -324,10 +356,7 @@ class MeetSemilattice:
         return self.meet_table[idx[a]][idx[b]]
 
     def meet_all(self, xs: Iterable[str]) -> str:
-        out = self.top
-        for x in xs:
-            out = self.meet(out, x)
-        return out
+        return _fold(self.poset, self.meet_table, self.top, xs)
 
     def dual(self) -> JoinSemilattice:
         return JoinSemilattice(self.poset.dual(), self.top, self.meet_table)
@@ -356,15 +385,17 @@ class FiniteLattice:
             raise ValidationError("bottom is not least", law="lattice:bounds")
         if P.down_masks[P.index[self.top]] != full:
             raise ValidationError("top is not greatest", law="lattice:bounds")
-        _check_table(P, self.join_table, "join", lambda Q: Q.up_masks)
-        _check_table(P, self.meet_table, "meet", lambda Q: Q.down_masks)
+        _check_table(P, self.join_table, "join", P.up_masks)
+        _check_table(P, self.meet_table, "meet", P.down_masks)
 
     @classmethod
     def from_poset(cls, P: FinitePoset) -> FiniteLattice:
-        bottom, top = _least(P), _greatest(P)
+        bottom, top = _unit(P, P.up_masks), _unit(P, P.down_masks)
         if bottom is None or top is None:
             raise ValidationError("poset lacks bottom or top", law="lattice:bounds")
-        return cls(P, bottom, top, _make_table(P, _lub_index, "join"), _make_table(P, _glb_index, "meet"))
+        return cls(
+            P, bottom, top, _make_table(P, P.up_masks, "join"), _make_table(P, P.down_masks, "meet")
+        )
 
     @property
     def elements(self) -> tuple[str, ...]:
@@ -382,16 +413,10 @@ class FiniteLattice:
         return self.meet_table[idx[a]][idx[b]]
 
     def join_all(self, xs: Iterable[str]) -> str:
-        out = self.bottom
-        for x in xs:
-            out = self.join(out, x)
-        return out
+        return _fold(self.poset, self.join_table, self.bottom, xs)
 
     def meet_all(self, xs: Iterable[str]) -> str:
-        out = self.top
-        for x in xs:
-            out = self.meet(out, x)
-        return out
+        return _fold(self.poset, self.meet_table, self.top, xs)
 
     def dual(self) -> FiniteLattice:
         return FiniteLattice(
@@ -413,39 +438,6 @@ def _flat_table(P: FinitePoset, table: tuple[tuple[str, ...], ...]) -> list[int]
     """A bound table as element indices, row-major: entry ``(i, j)`` at ``i * n + j``."""
     idx = P.index
     return [idx[v] for row in table for v in row]
-
-
-def _least(P: FinitePoset) -> str | None:
-    full = (1 << P.n) - 1
-    for i, x in enumerate(P.elements):
-        if P.up_masks[i] == full:
-            return x
-    return None
-
-
-def _greatest(P: FinitePoset) -> str | None:
-    full = (1 << P.n) - 1
-    for i, x in enumerate(P.elements):
-        if P.down_masks[i] == full:
-            return x
-    return None
-
-
-def _make_table(P: FinitePoset, pick, kind: str) -> tuple[tuple[str, ...], ...]:
-    rows = []
-    for i, a in enumerate(P.elements):
-        row = []
-        for j, b in enumerate(P.elements):
-            k = pick(P, i, j)
-            if k is None:
-                raise ValidationError(
-                    f"{kind} of {a!r} and {b!r} does not exist",
-                    law=f"{kind}:bound",
-                    witness={"pair": [a, b]},
-                )
-            row.append(P.elements[k])
-        rows.append(tuple(row))
-    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -589,15 +581,22 @@ def principal_ideal(P: FinitePoset, x: str) -> frozenset[str]:
     return down_set(P, [x])
 
 
-def ideals(S: JoinSemilattice, scan_guard: int = IDEAL_SCAN_GUARD) -> list[Ideal]:
-    """All ideals, sorted by canonical encoding.
+def ideals(S: JoinSemilattice, scan_guard: int = IDEAL_SCAN_GUARD) -> tuple[Ideal, ...]:
+    """All ideals, sorted by canonical encoding; memoized on ``S`` per scan
+    guard.
 
     Below the scan guard the family is found by the definitional subset scan
     and checked against the principal family; in a finite order the two
     always coincide.
     """
-    P = S.poset
-    principal = {frozenset(principal_ideal(P, x)) for x in P.elements}
+    memo = _memo(S, "_ideals")
+    if scan_guard not in memo:
+        memo[scan_guard] = _scan_ideals(S.poset, scan_guard)
+    return memo[scan_guard]
+
+
+def _scan_ideals(P: FinitePoset, scan_guard: int) -> tuple[Ideal, ...]:
+    principal = {principal_ideal(P, x) for x in P.elements}
     if P.n <= scan_guard:
         scanned = {
             P.set_of(m) for m in kernels.ideal_masks(P.down_masks, P.up_masks)
@@ -608,8 +607,7 @@ def ideals(S: JoinSemilattice, scan_guard: int = IDEAL_SCAN_GUARD) -> list[Ideal
                 law="ideal:principal",
                 witness={"extra": sorted(set_id(s) for s in scanned ^ principal)},
             )
-    members = sorted(principal, key=set_id)
-    return [Ideal(P, m) for m in members]
+    return tuple(Ideal(P, m) for m in sorted(principal, key=set_id))
 
 
 def ideal_completion(S: JoinSemilattice, scan_guard: int = IDEAL_SCAN_GUARD) -> FiniteLattice:
@@ -670,23 +668,16 @@ def filters(
 def flt_lattice(
     S: MeetSemilattice | JoinSemilattice, scan_guard: int = IDEAL_SCAN_GUARD
 ) -> FiniteLattice:
-    """Lattice of filters under inclusion."""
-    S = _as_meet_semilattice(S)
-    P = S.poset
-    fam = [f.members for f in filters(S, scan_guard)]
-    gen = {}
-    for m in fam:
-        mn = [x for x in m if all(P.le(x, y) for y in m)]
-        gen[m] = mn[0]
+    """Lattice of filters under inclusion, memoized on ``S`` per scan guard.
 
-    def join_of(a: frozenset, b: frozenset) -> frozenset:
-        return frozenset(up_set(P, [S.meet(gen[a], gen[b])]))
-
-    def meet_of(a: frozenset, b: frozenset) -> frozenset:
-        return a & b
-
-    lat, _ = lattice_from_sets(fam, join_of, meet_of)
-    return lat
+    By order duality it is the ideal completion of the dual join-semilattice:
+    the filters of ``S`` are the ideals of its dual, with the same member
+    sets, names and bounds.
+    """
+    memo = _memo(S, "_flt_lattice")
+    if scan_guard not in memo:
+        memo[scan_guard] = ideal_completion(_as_meet_semilattice(S).dual(), scan_guard)
+    return memo[scan_guard]
 
 
 def lattice_from_sets(
@@ -731,7 +722,7 @@ def lattice_from_sets(
             jt[i][j] = jt[j][i] = names[jn]
             mt[i][j] = mt[j][i] = names[mn]
     poset = FinitePoset(tuple(names), frozenset(leq))
-    bottom, top = _least(poset), _greatest(poset)
+    bottom, top = _unit(poset, poset.up_masks), _unit(poset, poset.down_masks)
     if bottom is None or top is None:
         raise ValidationError("set family lacks bottom or top", law="lattice:bounds")
     lat = FiniteLattice(poset, bottom, top, tuple(map(tuple, jt)), tuple(map(tuple, mt)))

@@ -153,12 +153,7 @@ def scott_topology(L: FiniteLattice, guard: int = SCOTT_GUARD) -> TopSpace:
     if P.n > guard:
         raise SizeGuardExceeded("scott_topology", P.n, guard)
     masks = kernels.scott_open_masks(P.up_masks, P.down_masks, L.join_flat)
-    upper = [
-        m
-        for m in range(1 << P.n)
-        if all(not (P.up_masks[i] & ~m) for i in range(P.n) if m >> i & 1)
-    ]
-    if sorted(masks) != sorted(upper):
+    if sorted(masks) != _cone_closed_masks(P.up_masks):
         raise ValidationError(
             "scott opens of a finite lattice are not the upper sets",
             law="scott:upper-sets",
@@ -239,15 +234,22 @@ def scott_base_and_coherence(
     return BaseCoherenceReport(ok, tuple(base), tuple(sorted(kopens, key=set_id)), tuple(details))
 
 
+def _cone_closed_masks(cones: list[int]) -> list[int]:
+    """Every subset mask, in increasing order, that holds the cone of each of
+    its members: the upper sets on up-cones, the lower sets on down-cones."""
+    n = len(cones)
+    return [
+        m
+        for m in range(1 << n)
+        if all(not (cones[i] & ~m) for i in range(n) if m >> i & 1)
+    ]
+
+
 def lower_sets(S: MeetSemilattice, guard: int = SUBSET_SCAN_GUARD) -> list[frozenset[str]]:
     P = S.poset
     if P.n > guard:
         raise SizeGuardExceeded("lower_sets", P.n, guard)
-    out = []
-    for m in range(1 << P.n):
-        if all(not (P.down_masks[i] & ~m) for i in range(P.n) if m >> i & 1):
-            out.append(P.set_of(m))
-    return sorted(out, key=set_id)
+    return sorted(map(P.set_of, _cone_closed_masks(P.down_masks)), key=set_id)
 
 
 def lower_set_locale(
@@ -410,16 +412,8 @@ def corollary_6_17_spaces(
         frozenset(n for n in fpoints if a in fnames[n]) for a in S.elements
     ]
     fam = {frozenset(), frozenset(fpoints)}
-    fam.update(basic)
-    changed = True
-    while changed:
-        changed = False
-        for a in list(fam):
-            for b in list(fam):
-                u = a | b
-                if u not in fam:
-                    fam.add(u)
-                    changed = True
+    for g in basic:
+        fam |= {s | g for s in fam}
     filter_space = TopSpace(fpoints, frozenset(fam))
 
     # point space: points of the locale, opens indexed by locale elements

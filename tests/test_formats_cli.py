@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import random
 
@@ -428,3 +430,58 @@ def test_laws_verb_prop510(capsys):
     out = capsys.readouterr().out
     assert "hom-sets: 6 = 6" in out
     assert "PASS" in out
+
+
+# ---------------------------------------------------------------------------
+# robustness: every input gets a documented exit code
+
+
+_VALID_DOCUMENTS = [
+    formats.dump_cxt(k2_context()),
+    formats.dump_context(k2_context()),
+    formats.dump_poset(chain_poset(3)),
+    formats.dump_poset(diamond_poset()),
+    formats.dump_infosys(close_entailment(["p", "q"], [({"p"}, "q")])),
+    formats.dump_space(scott_topology(FiniteLattice.from_poset(chain_poset(2)))),
+    "p |- q\nT |- p\n",
+]
+_NOISE = st.sampled_from(list(b'{}[]",:019-.\nXB aT|e\\\x00\xff'))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with one to four bytes flipped, dropped or inserted."""
+    data = bytearray(draw(st.sampled_from(_VALID_DOCUMENTS)).encode())
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(data) - 1))
+        op = draw(st.sampled_from(["flip", "drop", "insert"]))
+        if op == "flip":
+            data[i] = draw(_NOISE)
+        elif op == "drop":
+            del data[i]
+        else:
+            data.insert(i, draw(_NOISE))
+    return bytes(data)
+
+
+_VERBS = [
+    ["validate"],
+    ["concepts"],
+    ["dot"],
+    ["convert", "--to", "context"],
+    ["convert", "--to", "infosys"],
+    ["idl"],
+    ["compacts"],
+    ["topology"],
+]
+
+
+@given(st.one_of(st.binary(max_size=64), mutated_documents()))
+@settings(max_examples=60, deadline=None)
+def test_every_input_gets_a_documented_exit_code(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-input"
+    path.write_bytes(data)
+    for verb in _VERBS:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([verb[0], str(path), *verb[1:]])
+        assert code in (0, 1, 2, 3), (verb, data)

@@ -99,6 +99,13 @@ def test_closing_a_closed_relation_is_identity():
     assert again == s
 
 
+def test_validation_builds_the_closure_table_that_closure_reads():
+    s = close_entailment(["a", "b"], [({"a"}, "b")])
+    table = s.__dict__["closure_table"]  # cached by validation
+    assert s.closure_table is table and len(table) == 4
+    assert s.closure({"a"}) == {"a", "b"}
+
+
 def test_validation_rejects_broken_cut():
     props = ("a", "b", "c")
     pairs = {(xs, a) for xs in subsets(props) for a in xs}

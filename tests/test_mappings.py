@@ -28,6 +28,7 @@ from cxtcat.order import (
     FiniteLattice,
     Ideal,
     JoinSemilattice,
+    ideal_completion,
     ideals,
     validate_poset,
 )
@@ -331,6 +332,33 @@ def test_enumeration_output_guard_stops_before_building_mappings(monkeypatch):
     assert exc.value.cap == ENUMERATION_OUTPUT_GUARD
     assert exc.value.size == ENUMERATION_OUTPUT_GUARD + 1
     assert built == []
+
+
+def test_output_cap_message_gives_no_override_advice():
+    with pytest.raises(SizeGuardExceeded) as exc:
+        enumerate_mappings(m_n(10), chain_s(20, "d"))
+    cap = ENUMERATION_OUTPUT_GUARD
+    assert str(exc.value) == f"enumerate_mappings output: size {cap + 1} exceeds guard {cap}"
+
+
+def test_ideal_scans_run_once_per_value_and_guard(monkeypatch):
+    from cxtcat import order
+
+    scans = []
+    real = order.kernels.ideal_masks
+    monkeypatch.setattr(order.kernels, "ideal_masks", lambda *a: scans.append(1) or real(*a))
+    S, T = chain_s(3), diamond_s()
+    for _ in range(3):
+        ms = enumerate_mappings(S, T)
+        for m in ms[:4]:
+            idl_on_morphism(m)
+        ideal_completion(S)
+        ideal_completion(T)
+    assert len(scans) == 2
+    assert isinstance(ideals(T), tuple) and ideals(T) is ideals(T)
+    assert ideals(T, scan_guard=0) == ideals(T) and len(scans) == 2  # principal family only
+    ideal_completion(T, scan_guard=8)
+    assert len(scans) == 3
 
 
 def test_enumeration_is_sorted_and_unique():

@@ -11,6 +11,7 @@ from cxtcat.corpus import (
     m3_poset,
     random_join_semilattice,
     random_lattice,
+    random_meet_semilattice,
     random_poset,
 )
 from cxtcat.errors import SizeGuardExceeded, ValidationError
@@ -35,11 +36,13 @@ from cxtcat.order import (
     join_irreducibles,
     join_primes,
     k_semilattice,
+    lattice_from_sets,
     meet_irreducibles,
     meet_primes,
     order_isomorphism,
     powerset_lattice,
     powerset_members,
+    principal_ideal,
     theorem_3_6_isos,
     up_set,
     validate_poset,
@@ -132,6 +135,25 @@ def test_up_set_matches_scan_oracle():
 def test_unknown_element_in_cone():
     with pytest.raises(ValidationError):
         down_set(diamond_poset(), ["nope"])
+
+
+def pair_scan_cone(P, xs, down):
+    """Reference cone: scan the ``leq`` pairs for every element."""
+    return frozenset(
+        y for y in P.elements if any(((y, x) if down else (x, y)) in P.leq for x in xs)
+    )
+
+
+@given(st.integers(0, 10**6), st.integers(0, 8))
+@settings(max_examples=40, deadline=None)
+def test_cones_match_the_pair_scan(seed, n):
+    rng = random.Random(seed)
+    P = random_poset(rng, n)
+    xs = [x for x in P.elements if rng.random() < 0.4]
+    assert down_set(P, xs) == pair_scan_cone(P, xs, down=True)
+    assert up_set(P, xs) == pair_scan_cone(P, xs, down=False)
+    for x in P.elements:
+        assert principal_ideal(P, x) == pair_scan_cone(P, [x], down=True)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +308,39 @@ def test_filter_lattice_diamond():
     L = flt_lattice(S)
     assert len(L.elements) == 4
     assert order_isomorphism(L.poset, diamond_poset()) is not None
+
+
+def direct_filter_lattice(S):
+    """Reference filter lattice, built on the filters themselves: the join of
+    two filters is the up-set of the meet of their least members."""
+    S = S.dual() if isinstance(S, JoinSemilattice) else S
+    P = S.poset
+    fam = [f.members for f in filters(S)]
+    least = {m: next(x for x in m if all(P.le(x, y) for y in m)) for m in fam}
+
+    def join_of(a, b):
+        g = S.meet(least[a], least[b])
+        return frozenset(y for y in P.elements if P.le(g, y))
+
+    lat, _ = lattice_from_sets(fam, join_of, lambda a, b: a & b)
+    return lat
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_filter_lattice_matches_the_direct_builder(seed):
+    M = random_meet_semilattice(random.Random(seed), 6)
+    for S in (M, M.dual()):
+        assert flt_lattice(S) == direct_filter_lattice(S)
+
+
+def test_filter_lattice_is_memoized_on_the_value():
+    S = MeetSemilattice.from_poset(diamond_poset())
+    L = flt_lattice(S)
+    assert flt_lattice(S) is L
+    assert flt_lattice(S, scan_guard=0) == L and flt_lattice(S, scan_guard=0) is not L
+    J = S.dual()
+    assert flt_lattice(J) is flt_lattice(J) and flt_lattice(J) == ideal_completion(J)
 
 
 # ---------------------------------------------------------------------------
@@ -500,3 +555,235 @@ def test_covers_of_fixed_orders():
     for P in (chain_poset(1), chain_poset(4), diamond_poset(), m3_poset()):
         assert P.covers() == cubic_covers(P)
     assert chain_poset(3).covers() == [("c0", "c1"), ("c1", "c2")]
+
+
+# ---------------------------------------------------------------------------
+# bounded-order validation: the law, message and witness of each fault
+
+
+EMPTY = FinitePoset((), frozenset())
+D = diamond_poset()
+JT = JoinSemilattice.from_poset(D).join_table
+MT = MeetSemilattice.from_poset(D).meet_table
+
+
+def antichain(*xs):
+    return validate_poset(xs, [(x, x) for x in xs])
+
+
+def below(top, *xs):
+    """``xs`` pairwise incomparable under ``top``: a top but no meets."""
+    return validate_poset((*xs, top), [(x, x) for x in (*xs, top)] + [(x, top) for x in xs])
+
+
+def above(bot, *xs):
+    """``xs`` pairwise incomparable over ``bot``: a bottom but no joins."""
+    return validate_poset((bot, *xs), [(x, x) for x in (bot, *xs)] + [(bot, x) for x in xs])
+
+
+def bowtie():
+    """bot < a, b < c, d < top: a and b have two minimal upper bounds."""
+    els = ("bot", "a", "b", "c", "d", "top")
+    leq = {(x, x) for x in els} | {("bot", x) for x in els} | {(x, "top") for x in els}
+    leq |= {(x, y) for x in "ab" for y in "cd"}
+    return validate_poset(els, leq)
+
+
+def edit(table, *cells):
+    rows = [list(r) for r in table]
+    for i, j, v in cells:
+        rows[i][j] = v
+    return tuple(map(tuple, rows))
+
+
+# Several faults in one input report the first in validation order: the
+# unit before the table, the join table before the meet table, and table
+# entries row by row.
+FAULTS = {
+    "join-empty": (
+        lambda: JoinSemilattice(EMPTY, "x", ()),
+        ("join:bottom", "join-semilattice needs a least element", None),
+    ),
+    "join-unknown-bottom": (
+        lambda: JoinSemilattice(D, "zz", JT),
+        ("unknown-element", "unknown element 'zz'", {"element": "zz"}),
+    ),
+    "join-wrong-bottom": (
+        lambda: JoinSemilattice(D, "a", JT),
+        ("join:bottom", "'a' is not below every element", {"element": "a"}),
+    ),
+    "join-shape": (
+        lambda: JoinSemilattice(D, "bot", JT[:3]),
+        ("join:table", "join table has wrong shape", None),
+    ),
+    "join-ragged": (
+        lambda: JoinSemilattice(D, "bot", JT[:3] + (JT[3][:2],)),
+        ("join:table", "join table has wrong shape", None),
+    ),
+    "join-unknown-entry": (
+        lambda: JoinSemilattice(D, "bot", edit(JT, (1, 2, "zz"))),
+        ("unknown-element", "join('a','b') = 'zz' is not an element",
+         {"pair": ["a", "b"], "value": "zz"}),
+    ),
+    "join-wrong-bound": (
+        lambda: JoinSemilattice(D, "bot", edit(JT, (1, 2, "bot"))),
+        ("join:bound", "join('a','b') = 'bot' is not the required bound",
+         {"pair": ["a", "b"], "value": "bot"}),
+    ),
+    "join-bound-before-unknown": (
+        lambda: JoinSemilattice(D, "bot", edit(JT, (1, 2, "a"), (2, 1, "zz"))),
+        ("join:bound", "join('a','b') = 'a' is not the required bound",
+         {"pair": ["a", "b"], "value": "a"}),
+    ),
+    "join-bottom-before-shape": (
+        lambda: JoinSemilattice(D, "top", JT[:1]),
+        ("join:bottom", "'top' is not below every element", {"element": "top"}),
+    ),
+    "join-from-empty": (
+        lambda: JoinSemilattice.from_poset(EMPTY),
+        ("join:bottom", "poset has no least element", None),
+    ),
+    "join-from-antichain": (
+        lambda: JoinSemilattice.from_poset(antichain("x", "y")),
+        ("join:bottom", "poset has no least element", None),
+    ),
+    "join-from-no-join": (
+        lambda: JoinSemilattice.from_poset(above("0", "x", "y")),
+        ("join:bound", "join of 'x' and 'y' does not exist", {"pair": ["x", "y"]}),
+    ),
+    "join-from-bowtie": (
+        lambda: JoinSemilattice.from_poset(bowtie()),
+        ("join:bound", "join of 'a' and 'b' does not exist", {"pair": ["a", "b"]}),
+    ),
+    "meet-empty": (
+        lambda: MeetSemilattice(EMPTY, "x", ()),
+        ("meet:top", "meet-semilattice needs a greatest element", None),
+    ),
+    "meet-unknown-top": (
+        lambda: MeetSemilattice(D, "zz", MT),
+        ("unknown-element", "unknown element 'zz'", {"element": "zz"}),
+    ),
+    "meet-wrong-top": (
+        lambda: MeetSemilattice(D, "b", MT),
+        ("meet:top", "'b' is not above every element", {"element": "b"}),
+    ),
+    "meet-shape": (
+        lambda: MeetSemilattice(D, "top", MT[:2]),
+        ("meet:table", "meet table has wrong shape", None),
+    ),
+    "meet-unknown-entry": (
+        lambda: MeetSemilattice(D, "top", edit(MT, (2, 1, "zz"))),
+        ("unknown-element", "meet('b','a') = 'zz' is not an element",
+         {"pair": ["b", "a"], "value": "zz"}),
+    ),
+    "meet-wrong-bound": (
+        lambda: MeetSemilattice(D, "top", edit(MT, (1, 2, "top"))),
+        ("meet:bound", "meet('a','b') = 'top' is not the required bound",
+         {"pair": ["a", "b"], "value": "top"}),
+    ),
+    "meet-top-before-bound": (
+        lambda: MeetSemilattice(D, "bot", edit(MT, (1, 2, "top"))),
+        ("meet:top", "'bot' is not above every element", {"element": "bot"}),
+    ),
+    "meet-from-empty": (
+        lambda: MeetSemilattice.from_poset(EMPTY),
+        ("meet:top", "poset has no greatest element", None),
+    ),
+    "meet-from-antichain": (
+        lambda: MeetSemilattice.from_poset(antichain("x", "y")),
+        ("meet:top", "poset has no greatest element", None),
+    ),
+    "meet-from-no-meet": (
+        lambda: MeetSemilattice.from_poset(below("1", "x", "y")),
+        ("meet:bound", "meet of 'x' and 'y' does not exist", {"pair": ["x", "y"]}),
+    ),
+    "meet-from-bowtie": (
+        lambda: MeetSemilattice.from_poset(bowtie()),
+        ("meet:bound", "meet of 'c' and 'd' does not exist", {"pair": ["c", "d"]}),
+    ),
+    "lattice-empty": (
+        lambda: FiniteLattice(EMPTY, "x", "y", (), ()),
+        ("lattice:bounds", "lattice cannot be empty", None),
+    ),
+    "lattice-unknown-bottom": (
+        lambda: FiniteLattice(D, "zz", "top", JT, MT),
+        ("unknown-element", "unknown element 'zz'", {"element": "zz"}),
+    ),
+    "lattice-unknown-both": (
+        lambda: FiniteLattice(D, "yy", "zz", JT, MT),
+        ("unknown-element", "unknown element 'yy'", {"element": "yy"}),
+    ),
+    "lattice-wrong-bottom": (
+        lambda: FiniteLattice(D, "a", "top", JT, MT),
+        ("lattice:bounds", "bottom is not least", None),
+    ),
+    "lattice-wrong-top": (
+        lambda: FiniteLattice(D, "bot", "a", JT, MT),
+        ("lattice:bounds", "top is not greatest", None),
+    ),
+    "lattice-wrong-both": (
+        lambda: FiniteLattice(D, "top", "bot", JT, MT),
+        ("lattice:bounds", "bottom is not least", None),
+    ),
+    "lattice-join-shape": (
+        lambda: FiniteLattice(D, "bot", "top", (), MT),
+        ("join:table", "join table has wrong shape", None),
+    ),
+    "lattice-meet-shape": (
+        lambda: FiniteLattice(D, "bot", "top", JT, MT[:3]),
+        ("meet:table", "meet table has wrong shape", None),
+    ),
+    "lattice-unknown-entry": (
+        lambda: FiniteLattice(D, "bot", "top", JT, edit(MT, (3, 3, "zz"))),
+        ("unknown-element", "meet('top','top') = 'zz' is not an element",
+         {"pair": ["top", "top"], "value": "zz"}),
+    ),
+    "lattice-wrong-join": (
+        lambda: FiniteLattice(D, "bot", "top", edit(JT, (2, 1, "a")), MT),
+        ("join:bound", "join('b','a') = 'a' is not the required bound",
+         {"pair": ["b", "a"], "value": "a"}),
+    ),
+    "lattice-wrong-meet": (
+        lambda: FiniteLattice(D, "bot", "top", JT, edit(MT, (0, 3, "top"))),
+        ("meet:bound", "meet('bot','top') = 'top' is not the required bound",
+         {"pair": ["bot", "top"], "value": "top"}),
+    ),
+    "lattice-join-before-meet": (
+        lambda: FiniteLattice(D, "bot", "top", edit(JT, (3, 0, "a")), edit(MT, (0, 1, "zz"))),
+        ("join:bound", "join('top','bot') = 'a' is not the required bound",
+         {"pair": ["top", "bot"], "value": "a"}),
+    ),
+    "lattice-swapped-tables": (
+        lambda: FiniteLattice(D, "bot", "top", MT, JT),
+        ("join:bound", "join('bot','a') = 'bot' is not the required bound",
+         {"pair": ["bot", "a"], "value": "bot"}),
+    ),
+    "lattice-from-empty": (
+        lambda: FiniteLattice.from_poset(EMPTY),
+        ("lattice:bounds", "poset lacks bottom or top", None),
+    ),
+    "lattice-from-no-bottom": (
+        lambda: FiniteLattice.from_poset(below("1", "x", "y")),
+        ("lattice:bounds", "poset lacks bottom or top", None),
+    ),
+    "lattice-from-no-top": (
+        lambda: FiniteLattice.from_poset(above("0", "x", "y")),
+        ("lattice:bounds", "poset lacks bottom or top", None),
+    ),
+    "lattice-from-antichain": (
+        lambda: FiniteLattice.from_poset(antichain("x", "y")),
+        ("lattice:bounds", "poset lacks bottom or top", None),
+    ),
+    "lattice-from-no-joins": (
+        lambda: FiniteLattice.from_poset(bowtie()),
+        ("join:bound", "join of 'a' and 'b' does not exist", {"pair": ["a", "b"]}),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAULTS))
+def test_bounded_order_faults(name):
+    build, (law, message, witness) = FAULTS[name]
+    with pytest.raises(ValidationError) as exc:
+        build()
+    assert (exc.value.law, str(exc.value), exc.value.witness) == (law, message, witness)

@@ -1,10 +1,12 @@
 import random
+from itertools import combinations
 from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cxtcat.canon import set_id
 from cxtcat.corpus import (
     chain_poset,
     diamond_poset,
@@ -28,6 +30,7 @@ from cxtcat.topology import (
     lemma_6_16_check,
     locale_points,
     lower_set_locale,
+    lower_sets,
     open_set_lattice,
     scott_base_and_coherence,
     scott_topology,
@@ -49,6 +52,24 @@ def upper_sets_oracle(L):
         if all(y in U for x in U for y in els if L.le(x, y)):
             out.add(frozenset(U))
     return out
+
+
+def lower_sets_by_names(S):
+    """Independent scan of all subsets, by element name, for downward closure."""
+    els = S.elements
+    out = []
+    for r in range(len(els) + 1):
+        for sub in combinations(els, r):
+            if all(y in sub for x in sub for y in els if S.le(y, x)):
+                out.append(frozenset(sub))
+    return sorted(out, key=set_id)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_lower_sets_match_the_name_scan(seed):
+    S = random_meet_semilattice(random.Random(seed), 6)
+    assert lower_sets(S) == lower_sets_by_names(S)
 
 
 # ---------------------------------------------------------------------------
