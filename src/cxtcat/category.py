@@ -15,7 +15,7 @@ from typing import Iterable
 from .canon import fresh_id, pair_id, set_id
 from .context import FormalContext, SemLattice, make_context, sem_lattice
 from .errors import SizeGuardExceeded, ValidationError
-from .mappings import ApproximableMapping
+from .mappings import ApproximableMapping, validate_am
 from .order import FiniteLattice, JoinSemilattice, closed_family, lattice_from_sets
 
 LEFT_TAG = "l:"
@@ -47,8 +47,7 @@ def bang(P: FormalContext) -> ApproximableMapping:
     """The unique mapping into the terminal context's singleton semilattice."""
     src = sem_lattice(P).semilattice
     tgt = sem_lattice(terminal()).semilattice
-    pairs = frozenset((x, tgt.bottom) for x in src.elements)
-    return ApproximableMapping(src, tgt, pairs)
+    return ApproximableMapping(src, tgt, (tgt.bottom,) * len(src.elements))
 
 
 @dataclass(frozen=True)
@@ -106,22 +105,12 @@ class ProductContext:
         return {o: untag(o) for o in self.context.objects}
 
     def proj_left(self) -> ApproximableMapping:
-        pairs = frozenset(
-            (z, x)
-            for z in self.sem.elements
-            for x in self.left_sem.elements
-            if self.left_sem.intents[x] <= self.left_sem.intents[self.decompose(z)[0]]
-        )
-        return ApproximableMapping(self.sem.semilattice, self.left_sem.semilattice, pairs)
+        values = tuple(self.decompose(z)[0] for z in self.sem.elements)
+        return ApproximableMapping(self.sem.semilattice, self.left_sem.semilattice, values)
 
     def proj_right(self) -> ApproximableMapping:
-        pairs = frozenset(
-            (z, y)
-            for z in self.sem.elements
-            for y in self.right_sem.elements
-            if self.right_sem.intents[y] <= self.right_sem.intents[self.decompose(z)[1]]
-        )
-        return ApproximableMapping(self.sem.semilattice, self.right_sem.semilattice, pairs)
+        values = tuple(self.decompose(z)[1] for z in self.sem.elements)
+        return ApproximableMapping(self.sem.semilattice, self.right_sem.semilattice, values)
 
     def pair(self, m_left: ApproximableMapping, m_right: ApproximableMapping) -> ApproximableMapping:
         """The mediating mapping of the product cone."""
@@ -132,15 +121,8 @@ class ProductContext:
             or m_right.target != self.right_sem.semilattice
         ):
             raise ValidationError("cone legs do not land in the factors", law="product:cone")
-        mls = {(a, b) for a, b in m_left.pairs}
-        mrs = {(a, b) for a, b in m_right.pairs}
-        pairs = set()
-        for z in m_left.source.elements:
-            for w in self.sem.elements:
-                x, y = self.decompose(w)
-                if (z, x) in mls and (z, y) in mrs:
-                    pairs.add((z, w))
-        return ApproximableMapping(m_left.source, self.sem.semilattice, frozenset(pairs))
+        values = tuple(map(self.combine, m_left.values, m_right.values))
+        return ApproximableMapping(m_left.source, self.sem.semilattice, values)
 
 
 def product(P: FormalContext, Q: FormalContext) -> ProductContext:
@@ -217,7 +199,7 @@ class TensorContext:
                 p1, p2 = self._projections(y)
                 if p1 & ap <= lset and p2 & aq <= rset:
                     pairs.add((x, y))
-        return ApproximableMapping(prod.sem.semilattice, self.sem.semilattice, frozenset(pairs))
+        return validate_am(prod.sem.semilattice, self.sem.semilattice, pairs)
 
     def iso_minus(self) -> ApproximableMapping:
         prod = product(self.left, self.right)
@@ -229,7 +211,7 @@ class TensorContext:
                 lx, rx = prod.decompose(x)
                 if prod.left_sem.intents[lx] <= p1 and prod.right_sem.intents[rx] <= p2:
                     pairs.add((y, x))
-        return ApproximableMapping(self.sem.semilattice, prod.sem.semilattice, frozenset(pairs))
+        return validate_am(self.sem.semilattice, prod.sem.semilattice, pairs)
 
 
 def tensor(P: FormalContext, Q: FormalContext) -> TensorContext:
@@ -342,6 +324,17 @@ class FunctionSpaceContext:
     def decode(self, name: str) -> frozenset[tuple[str, str]]:
         return frozenset(self.attr_pairs[a] for a in self.sem[1][name])
 
+    @cached_property
+    def _concept_of_values(self) -> dict[tuple[str, ...], str]:
+        """Each concept keyed by its value table: for every left-factor
+        element, the join of the right-factor elements paired with it."""
+        left, right = self.left_sem.elements, self.right_sem.semilattice
+        out = {}
+        for w in self.sem[0].elements:
+            pairs = self.decode(w)
+            out[tuple(right.join_all(z for y, z in pairs if y == x) for x in left)] = w
+        return out
+
     def literal_context(self, guard: int = LITERAL_OBJECT_GUARD) -> FormalContext:
         """The context with one object per finite attribute set."""
         attrs = self.attributes
@@ -396,17 +389,12 @@ def curry(
     _check_curry_interfaces(m.source, prod, fs)
     if m.target != fs.right_sem.semilattice:
         raise ValidationError("mapping target is not the function space codomain", law="curry:interface")
-    fs_sem, fs_names = fs.sem
-    src = prod.left_sem
-    pairs = set()
-    for x in src.elements:
-        for w in fs_sem.elements:
-            if all(
-                (prod.combine(x, y), z) in m.pairs
-                for (y, z) in (fs.attr_pairs[a] for a in fs_names[w])
-            ):
-                pairs.add((x, w))
-    return ApproximableMapping(src.semilattice, fs_sem, frozenset(pairs))
+    right = fs.left_sem.elements  # the product's right factor, keyed in this order
+    values = tuple(
+        fs._concept_of_values[tuple(m.apply(prod.combine(x, y)) for y in right)]
+        for x in prod.left_sem.elements
+    )
+    return ApproximableMapping(prod.left_sem.semilattice, fs.sem[0], values)
 
 
 def uncurry(
@@ -414,18 +402,12 @@ def uncurry(
 ) -> ApproximableMapping:
     """Inverse transpose, back onto the product."""
     _check_curry_interfaces(None, prod, fs)
-    fs_sem, fs_names = fs.sem
-    if m.source != prod.left_sem.semilattice or m.target != fs_sem:
+    if m.source != prod.left_sem.semilattice or m.target != fs.sem[0]:
         raise ValidationError("mapping is not over the expected transpose", law="curry:interface")
     tgt = fs.right_sem.semilattice
-    decoded = {w: {fs.attr_pairs[a] for a in fs_names[w]} for w in fs_sem.elements}
-    pairs = set()
-    for xy in prod.sem.elements:
-        x, y = prod.decompose(xy)
-        for w in fs_sem.elements:
-            if (x, w) not in m.pairs:
-                continue
-            for (y2, z) in decoded[w]:
-                if y2 == y:
-                    pairs.add((xy, z))
-    return ApproximableMapping(prod.sem.semilattice, tgt, frozenset(pairs))
+    images = {x: fs.decode(w) for x, w in zip(m.source.elements, m.values)}
+    values = tuple(
+        tgt.join_all(z for y2, z in images[x] if y2 == y)
+        for x, y in map(prod.decompose, prod.sem.elements)
+    )
+    return ApproximableMapping(prod.sem.semilattice, tgt, values)

@@ -9,6 +9,7 @@ an answer, not a failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -25,6 +26,7 @@ from .order import (
     JoinSemilattice,
     MeetSemilattice,
     compacts,
+    flt_lattice,
     ideal_completion,
 )
 from .topology import (
@@ -35,7 +37,6 @@ from .topology import (
     scott_topology,
     specialization_order,
 )
-from .order import flt_lattice
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -278,7 +279,7 @@ def cmd_topology(args) -> int:
     L = FiniteLattice.from_poset(poset)
     T = scott_topology(L, guard=args.guard)
     if args.report == "points":
-        loc = Locale(FiniteLattice.from_poset(poset))
+        loc = Locale(L)
         from .topology import locale_points
 
         for p in locale_points(loc):
@@ -412,10 +413,15 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """Built once per process; ``parse_args`` returns a fresh namespace."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

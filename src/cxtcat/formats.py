@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 from .context import FormalContext, make_context
 from .errors import FormatError
 from .logic import InformationSystem
-from .mappings import ApproximableMapping
+from .mappings import ApproximableMapping, validate_am
 from .order import FinitePoset, JoinSemilattice, validate_poset
 from .topology import TopSpace
 
@@ -231,7 +231,7 @@ def load_mapping(text: str) -> ApproximableMapping:
     doc = _load(text, "mapping")
     src = _field(doc, "source", semilattice_from_doc)
     tgt = _field(doc, "target", semilattice_from_doc)
-    return ApproximableMapping(src, tgt, frozenset(_field(doc, "pairs", _pairs)))
+    return validate_am(src, tgt, _field(doc, "pairs", _pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,16 @@
 """Approximable mappings and the completion/compacts functors.
 
 A morphism between join-semilattices with least element is a relation whose
-images are ideals, varying monotonically.  Relational composition and the
-greater-or-equal identities make these a category; the ideal-completion and
-compacts constructions extend to an equivalence with lattices and monotone
-suprema-preserving functions.
+images are ideals, varying monotonically; on finite carriers every ideal is
+principal, so it is held as the monotone map to their generators.  The
+ideal-completion and compacts constructions extend to an equivalence with
+lattices and monotone suprema-preserving functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from . import kernels
@@ -17,13 +18,13 @@ from .canon import pair_set_id, set_id
 from .errors import SizeGuardExceeded, ValidationError
 from .order import (
     FiniteLattice,
+    FinitePoset,
     JoinSemilattice,
     SUBSET_SCAN_GUARD,
     _bits,
     compacts,
     down_set,
     ideal_completion,
-    ideals,
     is_order_iso,
     k_semilattice,
     principal_ideal,
@@ -41,71 +42,57 @@ ENUMERATION_OUTPUT_GUARD = 1 << 15
 
 @dataclass(frozen=True)
 class ApproximableMapping:
-    """Relation between join-semilattices satisfying the three mapping axioms."""
+    """Approximable mapping held as the monotone map ``f`` whose value at
+    each source element generates its image ideal ``down(f(a))``; ``values``
+    lists ``f`` in source order.  The relation so defined meets am1 and am2
+    always, and am3 exactly when ``f`` is monotone.  Relations from outside
+    enter through ``validate_am``."""
 
     source: JoinSemilattice
     target: JoinSemilattice
-    pairs: frozenset[tuple[str, str]]
+    values: tuple[str, ...]
 
     def __post_init__(self):
-        src, tgt = self.source, self.target
-        sidx, tidx = src.poset.index, tgt.poset.index
-        # image[i]: mask over target indices of what source element i reaches
-        image = [0] * src.poset.n
-        unknown = []
-        for a, b in self.pairs:
-            i, j = sidx.get(a), tidx.get(b)
-            if i is None or j is None:
-                unknown.append((a, b))
-            else:
-                image[i] |= 1 << j
-        if unknown:
-            a, b = min(unknown)
+        breach = _table_breach(self.source.poset, self.target.poset, self.values, "am:table")
+        if breach:
+            a, a2 = breach
+            b = self.apply(a)
             raise ValidationError(
-                f"pair ({a!r}, {b!r}) references unknown elements",
-                law="unknown-element",
-                witness={"pair": [a, b]},
+                f"({a2!r}, {b!r}) missing although {a!r} <= {a2!r} and {b!r} <= {b!r}",
+                law="am3",
+                witness={"from": [a, b], "missing": [a2, b]},
             )
-        bottom = 1 << tidx[tgt.bottom]
-        for a, img in zip(src.elements, image):
-            if not img & bottom:
-                raise ValidationError(
-                    f"{a!r} does not reach the target bottom",
-                    law="am1",
-                    witness={"element": a},
-                )
-        n, join = tgt.poset.n, tgt.join_flat
-        for a, img in zip(src.elements, image):
-            members = list(_bits(img))
-            for x, j in enumerate(members):
-                row = j * n
-                for k in members[x + 1 :]:
-                    if not img >> join[row + k] & 1:
-                        b, b2 = _am2_witness(tgt, img)
-                        raise ValidationError(
-                            f"images of {a!r} miss the join of {b!r} and {b2!r}",
-                            law="am2",
-                            witness={"element": a, "pair": [b, b2]},
-                        )
-        up, down = src.poset.up_masks, tgt.poset.down_masks
-        for i, img in enumerate(image):
-            below = 0
-            for j in _bits(img):
-                below |= down[j]
-            for i2 in _bits(up[i]):
-                if below & ~image[i2]:
-                    a, b, a2, b2 = _am3_witness(self, image)
-                    raise ValidationError(
-                        f"({a2!r}, {b2!r}) missing although {a!r} <= {a2!r} and {b2!r} <= {b!r}",
-                        law="am3",
-                        witness={"from": [a, b], "missing": [a2, b2]},
-                    )
 
-    def image_ideal(self, a: str) -> frozenset[str]:
-        return frozenset(b for x, b in self.pairs if x == a)
+    def apply(self, x: str) -> str:
+        return self.values[self.source.poset.index[x]]
+
+    @cached_property
+    def pairs(self) -> frozenset[tuple[str, str]]:
+        """The relation: each source element with everything below its value."""
+        T = self.target.poset
+        return frozenset(
+            (a, b) for a, v in zip(self.source.elements, self.values) for b in principal_ideal(T, v)
+        )
 
     def canonical_id(self) -> str:
         return pair_set_id(self.pairs)
+
+
+def _table_breach(P: FinitePoset, Q: FinitePoset, values, law: str) -> tuple[str, str] | None:
+    """Check a value table from ``P`` into ``Q``: its length (``law``) and
+    members, then return the first ``(a, b)`` in index order with ``a <= b``
+    but not ``values[a] <= values[b]``, or None when it is monotone."""
+    if len(values) != P.n:
+        raise ValidationError("value table has wrong length", law=law)
+    Q.check_members(values)
+    idx, up = Q.index, Q.up_masks
+    f = [idx[v] for v in values]
+    for i, cone in enumerate(P.up_masks):
+        above = up[f[i]]
+        for j in _bits(cone):
+            if not above >> f[j] & 1:
+                return P.elements[i], P.elements[j]
+    return None
 
 
 def _am2_witness(T: JoinSemilattice, img: int) -> tuple[str, str]:
@@ -119,13 +106,12 @@ def _am2_witness(T: JoinSemilattice, img: int) -> tuple[str, str]:
     )
 
 
-def _am3_witness(m: ApproximableMapping, image: list[int]) -> tuple[str, str, str, str]:
+def _am3_witness(S: FinitePoset, T: FinitePoset, pairs, image) -> tuple[str, str, str, str]:
     """Least ``(a, b, a2, b2)`` by name with ``(a, b)`` related, ``a <= a2``,
     ``b2 <= b`` and ``(a2, b2)`` not related."""
-    S, T = m.source.poset, m.target.poset
     return min(
         (a, b, S.elements[i2], T.elements[k])
-        for a, b in m.pairs
+        for a, b in pairs
         for i2 in _bits(S.up_masks[S.index[a]])
         for k in _bits(T.down_masks[T.index[b]] & ~image[i2])
     )
@@ -134,12 +120,68 @@ def _am3_witness(m: ApproximableMapping, image: list[int]) -> tuple[str, str, st
 def validate_am(
     source: JoinSemilattice, target: JoinSemilattice, pairs: Iterable[tuple[str, str]]
 ) -> ApproximableMapping:
-    return ApproximableMapping(source, target, frozenset(tuple(p) for p in pairs))
+    """The mapping given by a relation of name pairs: unknown elements, am1,
+    am2 and am3 are checked on index masks, the first breach is reported
+    with its witness, and each value is read off its image ideal."""
+    pairs = frozenset(tuple(p) for p in pairs)
+    S, T = source.poset, target.poset
+    # image[i]: mask over target indices of what source element i reaches
+    image = [0] * S.n
+    unknown = []
+    for a, b in pairs:
+        i, j = S.index.get(a), T.index.get(b)
+        if i is None or j is None:
+            unknown.append((a, b))
+        else:
+            image[i] |= 1 << j
+    if unknown:
+        a, b = min(unknown)
+        raise ValidationError(
+            f"pair ({a!r}, {b!r}) references unknown elements",
+            law="unknown-element",
+            witness={"pair": [a, b]},
+        )
+    bottom = 1 << T.index[target.bottom]
+    for a, img in zip(S.elements, image):
+        if not img & bottom:
+            raise ValidationError(
+                f"{a!r} does not reach the target bottom",
+                law="am1",
+                witness={"element": a},
+            )
+    n, join = T.n, target.join_flat
+    for a, img in zip(S.elements, image):
+        members = list(_bits(img))
+        for x, j in enumerate(members):
+            row = j * n
+            for k in members[x + 1 :]:
+                if not img >> join[row + k] & 1:
+                    b, b2 = _am2_witness(target, img)
+                    raise ValidationError(
+                        f"images of {a!r} miss the join of {b!r} and {b2!r}",
+                        law="am2",
+                        witness={"element": a, "pair": [b, b2]},
+                    )
+    up, down = S.up_masks, T.down_masks
+    for i, img in enumerate(image):
+        below = 0
+        for j in _bits(img):
+            below |= down[j]
+        for i2 in _bits(up[i]):
+            if below & ~image[i2]:
+                a, b, a2, b2 = _am3_witness(S, T, pairs, image)
+                raise ValidationError(
+                    f"({a2!r}, {b2!r}) missing although {a!r} <= {a2!r} and {b2!r} <= {b!r}",
+                    law="am3",
+                    witness={"from": [a, b], "missing": [a2, b2]},
+                )
+    # each image is an ideal now: its generator is the member whose down-cone it is
+    values = tuple(next(T.elements[j] for j in _bits(img) if down[j] == img) for img in image)
+    return ApproximableMapping(source, target, values)
 
 
 def identity_mapping(S: JoinSemilattice) -> ApproximableMapping:
-    pairs = frozenset((a, b) for a in S.elements for b in S.elements if S.le(b, a))
-    return ApproximableMapping(S, S, pairs)
+    return ApproximableMapping(S, S, S.elements)
 
 
 def compose(m1: ApproximableMapping, m2: ApproximableMapping) -> ApproximableMapping:
@@ -149,14 +191,7 @@ def compose(m1: ApproximableMapping, m2: ApproximableMapping) -> ApproximableMap
             "composition mismatch: target of the first is not source of the second",
             law="compose:interface",
         )
-    mid: dict[str, set[str]] = {}
-    for r, t in m2.pairs:
-        mid.setdefault(r, set()).add(t)
-    pairs = set()
-    for s, r in m1.pairs:
-        for t in mid.get(r, ()):
-            pairs.add((s, t))
-    return ApproximableMapping(m1.source, m2.target, frozenset(pairs))
+    return ApproximableMapping(m1.source, m2.target, tuple(m2.apply(v) for v in m1.values))
 
 
 @dataclass(frozen=True)
@@ -175,17 +210,14 @@ class ScottFunction:
 
     def __post_init__(self):
         src, tgt = self.source, self.target
-        if len(self.values) != len(src.elements):
-            raise ValidationError("value table has wrong length", law="scott:table")
-        tgt.poset.check_members(self.values)
-        for a in src.elements:
-            for b in src.elements:
-                if src.le(a, b) and not tgt.le(self.apply(a), self.apply(b)):
-                    raise ValidationError(
-                        f"not monotone on ({a!r}, {b!r})",
-                        law="scott:monotone",
-                        witness={"pair": [a, b]},
-                    )
+        breach = _table_breach(src.poset, tgt.poset, self.values, "scott:table")
+        if breach:
+            a, b = breach
+            raise ValidationError(
+                f"not monotone on ({a!r}, {b!r})",
+                law="scott:monotone",
+                witness={"pair": [a, b]},
+            )
         if src.poset.n <= SCOTT_CHECK_CAP:
             P = src.poset
             for mask in kernels.directed_masks(P.up_masks):
@@ -219,28 +251,26 @@ def compose_functions(f1: ScottFunction, f2: ScottFunction) -> ScottFunction:
 
 
 def idl_on_morphism(m: ApproximableMapping) -> ScottFunction:
-    """Send an ideal to everything reachable from its members."""
+    """Send an ideal ``down(a)`` to everything reachable from it, ``down(f(a))``."""
     src_l = ideal_completion(m.source)
     tgt_l = ideal_completion(m.target)
-    src_members = {set_id(i.members): i.members for i in ideals(m.source)}
-    values = []
-    for e in src_l.elements:
-        img = frozenset(b for a, b in m.pairs if a in src_members[e])
-        values.append(set_id(img))
-    return ScottFunction(src_l, tgt_l, tuple(values))
+    S, T = m.source.poset, m.target.poset
+    image = {
+        set_id(principal_ideal(S, a)): set_id(principal_ideal(T, v))
+        for a, v in zip(S.elements, m.values)
+    }
+    return ScottFunction(src_l, tgt_l, tuple(image[e] for e in src_l.elements))
 
 
 def k_on_morphism(f: ScottFunction, guard: int = SUBSET_SCAN_GUARD) -> ApproximableMapping:
-    """Relate compacts to the compacts below their image."""
+    """Relate compacts to the compacts below their image, whose join is the value."""
     src_s = k_semilattice(f.source, guard)
     tgt_s = k_semilattice(f.target, guard)
-    pairs = frozenset(
-        (a, b)
+    values = tuple(
+        tgt_s.join_all(b for b in tgt_s.elements if f.target.le(b, f.apply(a)))
         for a in src_s.elements
-        for b in tgt_s.elements
-        if f.target.le(b, f.apply(a))
     )
-    return ApproximableMapping(src_s, tgt_s, pairs)
+    return ApproximableMapping(src_s, tgt_s, values)
 
 
 def eta(L: FiniteLattice, guard: int = SUBSET_SCAN_GUARD) -> ScottFunction:
@@ -268,76 +298,54 @@ def epsilon(S: JoinSemilattice) -> ApproximableMapping:
 
 
 def _epsilon_raw(S: JoinSemilattice) -> ApproximableMapping:
+    """``a`` goes to its principal ideal, a compact of the completion."""
     kidl = k_semilattice(ideal_completion(S))
-    members = {set_id(i.members): i.members for i in ideals(S)}
-    pairs = frozenset(
-        (a, e)
-        for a in S.elements
-        for e in kidl.elements
-        if members[e] <= principal_ideal(S.poset, a)
-    )
-    return ApproximableMapping(S, kidl, pairs)
+    values = tuple(set_id(principal_ideal(S.poset, a)) for a in S.elements)
+    return ApproximableMapping(S, kidl, values)
 
 
 def epsilon_inverse(S: JoinSemilattice) -> ApproximableMapping:
+    """Built as a relation and validated, so the counit check in ``epsilon``
+    composes a value-table mapping with an independently checked one."""
     kidl = k_semilattice(ideal_completion(S))
-    pairs = frozenset(
+    pairs = (
         (set_id(principal_ideal(S.poset, b)), a)
         for b in S.elements
         for a in S.elements
         if S.le(a, b)
     )
-    return ApproximableMapping(kidl, S, pairs)
+    return validate_am(kidl, S, pairs)
 
 
 # ---------------------------------------------------------------------------
 # exhaustive enumeration
 
 
-def ideal_assignment(m: ApproximableMapping) -> dict[str, frozenset[str]]:
-    """The monotone map into the target's ideals encoded by a mapping."""
-    return {a: m.image_ideal(a) for a in m.source.elements}
-
-
 def enumerate_mappings(
     S: JoinSemilattice, T: JoinSemilattice, guard: int = ENUMERATION_GUARD
 ) -> list[ApproximableMapping]:
-    """All approximable mappings, via monotone assignments into the ideals of
-    the target; ordered by canonical pair-set encoding.
+    """All approximable mappings, as the monotone maps into the target;
+    ordered by canonical pair-set encoding.
 
-    Raises ``SizeGuardExceeded`` when ``|S| * |Idl T|`` passes ``guard``, or
-    as soon as the search finds more than ``ENUMERATION_OUTPUT_GUARD``
+    Raises ``SizeGuardExceeded`` when ``|S| * |T|`` passes ``guard``, or as
+    soon as the search finds more than ``ENUMERATION_OUTPUT_GUARD``
     mappings, before any of them is built.
     """
-    tgt_ideals = [i.members for i in ideals(T)]
-    if len(S.elements) * len(tgt_ideals) > guard:
-        raise SizeGuardExceeded(
-            "enumerate_mappings", len(S.elements) * len(tgt_ideals), guard
-        )
-    # target: ideals under inclusion
-    tgt_up = [
-        sum(1 << j for j, J in enumerate(tgt_ideals) if I <= J)
-        for I in tgt_ideals
-    ]
+    P, Q = S.poset, T.poset
+    if P.n * Q.n > guard:
+        raise SizeGuardExceeded("enumerate_mappings", P.n * Q.n, guard)
     # source in a linear extension (by cone size, ties by canonical order)
-    P = S.poset
     order = sorted(range(P.n), key=lambda i: (P.down_masks[i].bit_count(), i))
     preds = [
-        [j for j in range(pos) if P.le(P.elements[order[j]], P.elements[order[pos]])]
+        [j for j in range(pos) if P.down_masks[order[pos]] >> order[j] & 1]
         for pos in range(P.n)
     ]
-    picks = kernels.monotone_maps(P.n, preds, tgt_up, ENUMERATION_OUTPUT_GUARD)
+    picks = kernels.monotone_maps(P.n, preds, Q.up_masks, ENUMERATION_OUTPUT_GUARD)
     if len(picks) > ENUMERATION_OUTPUT_GUARD:
         raise SizeGuardExceeded(
             "enumerate_mappings output", len(picks), ENUMERATION_OUTPUT_GUARD
         )
-    out = []
-    for pick in picks:
-        pairs = frozenset(
-            (P.elements[order[pos]], b)
-            for pos, t in enumerate(pick)
-            for b in tgt_ideals[t]
-        )
-        out.append(ApproximableMapping(S, T, pairs))
+    pos = sorted(range(P.n), key=order.__getitem__)  # where each source index is picked
+    out = [ApproximableMapping(S, T, tuple(Q.elements[pick[p]] for p in pos)) for pick in picks]
     out.sort(key=lambda m: m.canonical_id())
     return out

@@ -361,6 +361,11 @@ class MeetSemilattice:
     def dual(self) -> JoinSemilattice:
         return JoinSemilattice(self.poset.dual(), self.top, self.meet_table)
 
+    @cached_property
+    def _dual(self) -> JoinSemilattice:
+        """``dual()``, kept so that every filter query shares its memos."""
+        return self.dual()
+
 
 @dataclass(frozen=True)
 class FiniteLattice:
@@ -648,8 +653,10 @@ def _build_ideal_completion(S: JoinSemilattice, scan_guard: int) -> FiniteLattic
     return lat
 
 
-def _as_meet_semilattice(S: MeetSemilattice | JoinSemilattice) -> MeetSemilattice:
-    return S.dual() if isinstance(S, JoinSemilattice) else S
+def _join_dual(S: MeetSemilattice | JoinSemilattice) -> JoinSemilattice:
+    """The join-semilattice whose ideals are the filters of ``S``; a
+    join-semilattice stands for its dual, whose dual is ``S`` again."""
+    return S if isinstance(S, JoinSemilattice) else S._dual
 
 
 def filters(
@@ -659,25 +666,20 @@ def filters(
 
     A join-semilattice is accepted too and is dualized first.
     """
-    S = _as_meet_semilattice(S)
-    P = S.poset
-    dual_ideals = ideals(S.dual(), scan_guard)
-    return [Filter(P, i.members) for i in dual_ideals]
+    P = S.poset.dual() if isinstance(S, JoinSemilattice) else S.poset
+    return [Filter(P, i.members) for i in ideals(_join_dual(S), scan_guard)]
 
 
 def flt_lattice(
     S: MeetSemilattice | JoinSemilattice, scan_guard: int = IDEAL_SCAN_GUARD
 ) -> FiniteLattice:
-    """Lattice of filters under inclusion, memoized on ``S`` per scan guard.
+    """Lattice of filters under inclusion.
 
     By order duality it is the ideal completion of the dual join-semilattice:
     the filters of ``S`` are the ideals of its dual, with the same member
-    sets, names and bounds.
+    sets, names and bounds.  The completion is memoized on that dual.
     """
-    memo = _memo(S, "_flt_lattice")
-    if scan_guard not in memo:
-        memo[scan_guard] = ideal_completion(_as_meet_semilattice(S).dual(), scan_guard)
-    return memo[scan_guard]
+    return ideal_completion(_join_dual(S), scan_guard)
 
 
 def lattice_from_sets(

@@ -26,11 +26,64 @@ from cxtcat.corpus import (
     random_context_with_sem_at_most,
 )
 from cxtcat.errors import SizeGuardExceeded, ValidationError
-from cxtcat.mappings import compose, enumerate_mappings, identity_mapping
+from cxtcat.mappings import compose, enumerate_mappings, identity_mapping, validate_am
 from cxtcat.order import closed_family, order_isomorphism
+
+from test_mappings import assert_checked_relation
 
 
 C2 = chain_context(2)
+C3 = chain_context(3)
+
+
+# The relational builders that the value-table builders replaced, kept as
+# oracles: each assembles the pair relation by its definition.
+
+
+def relational_pair(prod, m_left, m_right):
+    """``(z, w)`` for every product concept ``w`` whose factors both legs
+    relate ``z`` to."""
+    return frozenset(
+        (z, w)
+        for z in m_left.source.elements
+        for w in prod.sem.elements
+        if (z, prod.decompose(w)[0]) in m_left.pairs
+        and (z, prod.decompose(w)[1]) in m_right.pairs
+    )
+
+
+def relational_curry(m, prod, fs):
+    """``(x, w)`` when ``m`` relates ``(x, y)`` to ``z`` for every pair
+    ``(y, z)`` of the function-space concept ``w``."""
+    fs_sem, fs_names = fs.sem
+    return frozenset(
+        (x, w)
+        for x in prod.left_sem.elements
+        for w in fs_sem.elements
+        if all(
+            (prod.combine(x, y), z) in m.pairs
+            for y, z in (fs.attr_pairs[a] for a in fs_names[w])
+        )
+    )
+
+
+def relational_uncurry(m, prod, fs):
+    """``((x, y), z)`` when ``m`` relates ``x`` to a concept holding ``(y, z)``."""
+    out = set()
+    for xy in prod.sem.elements:
+        x, y = prod.decompose(xy)
+        for w in fs.sem[0].elements:
+            if (x, w) in m.pairs:
+                out.update((xy, z) for y2, z in fs.decode(w) if y2 == y)
+    return frozenset(out)
+
+
+def seeded_triples():
+    """The two chain3 triples of ``laws prop5.10 --max-sem 3`` and seeded
+    triples of contexts with at most four concepts."""
+    rng = random.Random(17)
+    ctxs = [random_context_with_sem_at_most(rng, 4) for _ in range(6)]
+    return [(C3, C3, C3), (C3, C2, C3)] + [tuple(rng.sample(ctxs, 3)) for _ in range(4)]
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +202,33 @@ def test_pair_source_mismatch():
     )[0]
     with pytest.raises(ValidationError):
         prod.pair(mP, mQ)
+
+
+def test_pair_matches_the_relational_oracle():
+    for P, Q, R in seeded_triples():
+        prod = product(P, Q)
+        semR = sem_lattice(R).semilattice
+        for mP in enumerate_mappings(semR, prod.left_sem.semilattice)[:6]:
+            for mQ in enumerate_mappings(semR, prod.right_sem.semilattice)[:6]:
+                med = prod.pair(mP, mQ)
+                want = relational_pair(prod, mP, mQ)
+                assert med.pairs == want
+                assert validate_am(semR, prod.sem.semilattice, want) == med
+
+
+def test_every_category_builder_yields_a_checked_relation():
+    for P, Q, R in seeded_triples():
+        prod, fs, tens = product(P, Q), funcspace(Q, R), tensor(P, Q)
+        semR = sem_lattice(R).semilattice
+        built = [bang(P), bang(terminal()), prod.proj_left(), prod.proj_right()]
+        built += [tens.iso_plus(), tens.iso_minus()]
+        mP = enumerate_mappings(semR, prod.left_sem.semilattice)[-1]
+        mQ = enumerate_mappings(semR, prod.right_sem.semilattice)[-1]
+        built.append(prod.pair(mP, mQ))
+        for m in enumerate_mappings(prod.sem.semilattice, semR)[::7]:
+            built += [curry(m, prod, fs), uncurry(curry(m, prod, fs), prod, fs)]
+        for m in built:
+            assert_checked_relation(m)
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +403,20 @@ def test_curry_uncurry_inverse_on_all_two_chain_mappings():
     assert {curry(m, prod, fs).canonical_id() for m in homs_prod} == {
         m.canonical_id() for m in homs_curry
     }
+
+
+def test_curry_and_uncurry_match_the_relational_oracles():
+    for P, Q, R in seeded_triples():
+        prod, fs = product(P, Q), funcspace(Q, R)
+        semP, semR = sem_lattice(P).semilattice, sem_lattice(R).semilattice
+        for m in enumerate_mappings(prod.sem.semilattice, semR):
+            want = relational_curry(m, prod, fs)
+            assert curry(m, prod, fs).pairs == want
+            assert validate_am(semP, fs.sem[0], want) == curry(m, prod, fs)
+        for m in enumerate_mappings(semP, fs.sem[0]):
+            want = relational_uncurry(m, prod, fs)
+            assert uncurry(m, prod, fs).pairs == want
+            assert validate_am(prod.sem.semilattice, semR, want) == uncurry(m, prod, fs)
 
 
 def test_eval_mapping():

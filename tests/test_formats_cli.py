@@ -412,6 +412,31 @@ def test_laws_failure_prints_witness(monkeypatch, capsys):
     assert doc["ok"] is False and doc["law"] == "thm3.6"
 
 
+def test_parser_is_built_once_and_keeps_no_state_between_calls(monkeypatch, tmp_path, capsys):
+    from cxtcat import cli
+    from cxtcat.corpus import DEFAULT_SEED
+    from cxtcat.laws import LawReport
+
+    built, runs = [], []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    monkeypatch.setattr(
+        cli, "run_law", lambda name, seed, max_sem: runs.append((name, seed, max_sem)) or LawReport(name, True)
+    )
+    cli._parser.cache_clear()
+    f = tmp_path / "chain.json"
+    f.write_text(formats.dump_poset(chain_poset(2)))
+    assert main(["laws", "prop5.10", "--seed", "4", "--max-sem", "3"]) == 0
+    assert main(["laws", "prop5.10"]) == 0
+    assert main(["validate", str(f)]) == 0
+    assert main(["laws", "thm3.6", "--max-sem", "0"]) == 2
+    assert main(["compacts", str(f)]) == 0
+    assert main(["laws", "thm3.6", "--seed", "9"]) == 0
+    assert runs == [("prop5.10", 4, 3), ("prop5.10", DEFAULT_SEED, None), ("thm3.6", 9, None)]
+    assert capsys.readouterr().out.splitlines()[-3:] == ["c0", "c1", "thm3.6: PASS"]
+    assert built == [1]
+
+
 def test_validate_reports_order_shape(tmp_path, capsys):
     f = tmp_path / "lat.json"
     f.write_text(formats.dump_poset(diamond_poset()))
@@ -444,6 +469,11 @@ _VALID_DOCUMENTS = [
     formats.dump_infosys(close_entailment(["p", "q"], [({"p"}, "q")])),
     formats.dump_space(scott_topology(FiniteLattice.from_poset(chain_poset(2)))),
     "p |- q\nT |- p\n",
+    formats.dump_mapping(
+        enumerate_mappings(
+            JoinSemilattice.from_poset(chain_poset(2)), JoinSemilattice.from_poset(diamond_poset())
+        )[4]
+    ),
 ]
 _NOISE = st.sampled_from(list(b'{}[]",:019-.\nXB aT|e\\\x00\xff'))
 

@@ -10,6 +10,7 @@ from cxtcat.corpus import chain_poset, diamond_poset, random_join_semilattice
 from cxtcat.errors import SizeGuardExceeded, ValidationError
 from cxtcat.mappings import (
     ENUMERATION_OUTPUT_GUARD,
+    ApproximableMapping,
     ScottFunction,
     compose,
     compose_functions,
@@ -17,7 +18,6 @@ from cxtcat.mappings import (
     epsilon,
     epsilon_inverse,
     eta,
-    ideal_assignment,
     identity_function,
     identity_mapping,
     idl_on_morphism,
@@ -72,6 +72,22 @@ def definitional_am_check(S, T, pairs):
                 if (a2, b2) not in pairs:
                     return "am3", {"from": [a, b], "missing": [a2, b2]}
     return None
+
+
+def assert_checked_relation(m):
+    """``m.pairs`` satisfies the mapping axioms by their definitions, and
+    the relation entry reads ``m`` back off it."""
+    assert definitional_am_check(m.source, m.target, m.pairs) is None
+    assert validate_am(m.source, m.target, m.pairs) == m
+
+
+def relational_compose(m1, m2):
+    """The relational composite of two mappings, by its definition: the
+    oracle for ``compose`` on value tables."""
+    mid = {}
+    for r, t in m2.pairs:
+        mid.setdefault(r, set()).add(t)
+    return frozenset((s, t) for s, r in m1.pairs for t in mid.get(r, ()))
 
 
 def engine_verdict(S, T, pairs):
@@ -164,6 +180,79 @@ def test_mask_engine_agrees_with_the_definitional_scan():
     assert set(laws) == {None, "unknown-element", "am1", "am2", "am3"}
 
 
+# (source, target, value table, (law, message, witness) or None), recorded
+# with the name-pair monotonicity loop that the mask routine replaced.
+SCOTT_FAULTS = [
+    ("chain3", "chain3", ("c0", "c1"), ("scott:table", "value table has wrong length", None)),
+    ("chain3", "chain3", ("c0", "c1", "c2", "c2"), ("scott:table", "value table has wrong length", None)),
+    ("chain3", "chain3", (), ("scott:table", "value table has wrong length", None)),
+    ("chain3", "chain3", ("c0", "zz", "c1"), ("unknown-element", "unknown element 'zz'", {"element": "zz"})),
+    ("chain3", "chain3", ("zz", "c2", "c0"), ("unknown-element", "unknown element 'zz'", {"element": "zz"})),
+    ("chain3", "chain3", ("c2", "c1", "c0"), ("scott:monotone", "not monotone on ('c0', 'c1')", {"pair": ["c0", "c1"]})),
+    ("chain3", "chain3", ("c0", "c2", "c1"), ("scott:monotone", "not monotone on ('c1', 'c2')", {"pair": ["c1", "c2"]})),
+    ("diamond", "diamond", ("top", "a", "b", "bot"), ("scott:monotone", "not monotone on ('bot', 'a')", {"pair": ["bot", "a"]})),
+    ("diamond", "diamond", ("bot", "b", "a", "a"), ("scott:monotone", "not monotone on ('a', 'top')", {"pair": ["a", "top"]})),
+    ("diamond", "chain2", ("c0", "c1", "c0", "c0"), ("scott:monotone", "not monotone on ('a', 'top')", {"pair": ["a", "top"]})),
+    ("chain2", "diamond", ("a", "b"), ("scott:monotone", "not monotone on ('c0', 'c1')", {"pair": ["c0", "c1"]})),
+    ("m3", "m3", ("1", "0", "0", "0", "1"), ("scott:monotone", "not monotone on ('0', 'z')", {"pair": ["0", "z"]})),
+    ("m3", "m3", ("0", "x", "y", "z", "0"), ("scott:monotone", "not monotone on ('z', '1')", {"pair": ["z", "1"]})),
+    ("m3", "chain2", ("c0", "c1", "c1", "c1", "c0"), ("scott:monotone", "not monotone on ('z', '1')", {"pair": ["z", "1"]})),
+    ("chain2", "m3", ("x", "bot"), ("unknown-element", "unknown element 'bot'", {"element": "bot"})),
+    ("chain3", "diamond", ("bot", "a", "top"), None),
+]
+
+
+def fault_lattices():
+    # M3 with its atoms indexed z, y, x: index order and name order differ
+    return {
+        "chain2": FiniteLattice.from_poset(chain_poset(2)),
+        "chain3": FiniteLattice.from_poset(chain_poset(3)),
+        "diamond": FiniteLattice.from_poset(diamond_poset()),
+        "m3": FiniteLattice.from_poset(reversed_m3().poset),
+    }
+
+
+def reversed_m3():
+    els = ("0", "z", "y", "x", "1")
+    leq = {(e, e) for e in els} | {("0", e) for e in els} | {(e, "1") for e in els}
+    return JoinSemilattice.from_poset(validate_poset(els, leq))
+
+
+@pytest.mark.parametrize("src, tgt, values, want", SCOTT_FAULTS)
+def test_scott_function_faults(src, tgt, values, want):
+    L = fault_lattices()
+    try:
+        ScottFunction(L[src], L[tgt], values)
+    except ValidationError as exc:
+        assert (exc.law, str(exc), exc.witness) == want
+    else:
+        assert want is None
+
+
+def test_value_table_faults():
+    """A short, long, unknown-valued or non-monotone table is refused.  A
+    non-monotone one breaks am3 at the first comparable pair, in index
+    order, whose values are not comparable."""
+    C2, D, M = chain_s(2), diamond_s(), reversed_m3()
+    cases = [
+        (C2, D, ("bot",), "am:table", None),
+        (C2, D, ("bot", "a", "top"), "am:table", None),
+        (C2, D, ("bot", "zz"), "unknown-element", {"element": "zz"}),
+        (C2, C2, ("c1", "c0"), "am3", {"from": ["c0", "c1"], "missing": ["c1", "c1"]}),
+        (D, C2, ("c0", "c1", "c1", "c0"), "am3", {"from": ["a", "c1"], "missing": ["top", "c1"]}),
+        (M, M, ("1", "0", "0", "0", "1"), "am3", {"from": ["0", "1"], "missing": ["z", "1"]}),
+        (M, M, ("0", "x", "y", "z", "0"), "am3", {"from": ["z", "x"], "missing": ["1", "x"]}),
+    ]
+    for S, T, values, law, witness in cases:
+        with pytest.raises(ValidationError) as exc:
+            ApproximableMapping(S, T, values)
+        assert (exc.value.law, exc.value.witness) == (law, witness)
+        if law == "am3":
+            # the relation the table stands for breaks am3 too
+            relation = {(a, b) for a, v in zip(S.elements, values) for b in T.elements if T.le(b, v)}
+            assert definitional_am_check(S, T, relation)[0] == "am3"
+
+
 def test_am3_witness():
     S, T = chain_s(2), chain_s(2, "d")
     pairs = {("c0", "d0"), ("c1", "d0"), ("c0", "d1")}  # c1 must reach d1
@@ -175,7 +264,7 @@ def test_am3_witness():
 def test_images_are_ideals_and_assignment_monotone():
     S, T = chain_s(2), diamond_s()
     for m in enumerate_mappings(S, T):
-        assign = ideal_assignment(m)
+        assign = {a: frozenset(b for x, b in m.pairs if x == a) for a in S.elements}
         for a in S.elements:
             Ideal(T.poset, assign[a])
             for b in S.elements:
@@ -183,8 +272,37 @@ def test_images_are_ideals_and_assignment_monotone():
                     assert assign[a] <= assign[b]
 
 
+def test_every_mapping_builder_yields_a_checked_relation():
+    rng = random.Random(11)
+    for _ in range(12):
+        S, R, T = (random_join_semilattice(rng, 5) for _ in range(3))
+        homs = enumerate_mappings(S, R)
+        for m in homs:
+            assert_checked_relation(m)
+        m1, m2 = rng.choice(homs), rng.choice(enumerate_mappings(R, T))
+        for m in (
+            identity_mapping(S),
+            compose(m1, m2),
+            k_on_morphism(idl_on_morphism(m1)),
+            epsilon(S),
+            epsilon_inverse(S),
+        ):
+            assert_checked_relation(m)
+
+
 # ---------------------------------------------------------------------------
 # composition
+
+
+def test_compose_matches_the_relational_composite():
+    rng = random.Random(3)
+    for _ in range(15):
+        S, R, T = (random_join_semilattice(rng, 5) for _ in range(3))
+        for m1 in rng.choices(enumerate_mappings(S, R), k=3):
+            for m2 in rng.choices(enumerate_mappings(R, T), k=3):
+                comp = compose(m1, m2)
+                assert comp.pairs == relational_compose(m1, m2)
+                assert validate_am(S, T, relational_compose(m1, m2)) == comp
 
 
 def test_identity_laws():

@@ -18,6 +18,7 @@ from cxtcat.errors import ValidationError
 from cxtcat.order import (
     FiniteLattice,
     MeetSemilattice,
+    filters,
     flt_lattice,
     up_set,
 )
@@ -310,6 +311,27 @@ def test_cor617_diamond():
     assert r.ok
     assert len(r.scott_space.points) == 4
     assert r.as_dict()["open_counts"] == [6, 6, 6]
+
+
+def test_filter_queries_share_one_ideal_scan_per_guard(monkeypatch):
+    """The lemma, the locale and the spaces of cor. 6.17 all read the
+    filters of one semilattice, given as a meet- or a join-semilattice (the
+    locale's check against the filter lattice is stated for the meet form)."""
+    from cxtcat import order
+
+    scans = []
+    real = order.kernels.ideal_masks
+    monkeypatch.setattr(order.kernels, "ideal_masks", lambda *a: scans.append(1) or real(*a))
+    M = MeetSemilattice.from_poset(diamond_poset())
+    for S in (M, M.dual()):
+        scans.clear()
+        lemma_6_16_check(S)
+        corollary_6_17_spaces(S, flt_lattice(S), lower_set_locale(S, verify=S is M))
+        filters(S)
+        assert len(scans) == 1
+        filters(S, scan_guard=8)
+        flt_lattice(S, scan_guard=8)
+        assert len(scans) == 2
 
 
 def test_cor617_precondition_failure():
