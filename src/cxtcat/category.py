@@ -305,11 +305,7 @@ class FunctionSpaceContext:
 
     @cached_property
     def _lattice(self) -> tuple[FiniteLattice, dict[str, frozenset[str]]]:
-        return lattice_from_sets(
-            closed_family(self.closure, self.attributes),
-            lambda a, b: self.closure(a | b),
-            lambda a, b: a & b,
-        )
+        return lattice_from_sets(closed_family(self.closure, self.attributes))
 
     @cached_property
     def sem(self) -> tuple[JoinSemilattice, dict[str, frozenset[str]]]:

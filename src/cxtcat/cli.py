@@ -101,11 +101,11 @@ def cmd_validate(args) -> int:
         poset = formats.load_poset(text)
         shape = "poset"
         try:
-            FiniteLattice.from_poset(poset)
+            FiniteLattice(poset)
             shape = "lattice"
         except CxtcatError:
             try:
-                JoinSemilattice.from_poset(poset)
+                JoinSemilattice(poset)
                 shape = "join-semilattice"
             except CxtcatError:
                 pass
@@ -142,7 +142,7 @@ def cmd_concepts(args) -> int:
 
 
 def cmd_idl(args) -> int:
-    S = JoinSemilattice.from_poset(formats.load_poset(_read(args.file)))
+    S = JoinSemilattice(formats.load_poset(_read(args.file)))
     lat = ideal_completion(S)
     _write(args.output, formats.dump_poset(lat.poset))
     print(f"ideals: {len(lat.elements)}", file=sys.stderr)
@@ -150,7 +150,7 @@ def cmd_idl(args) -> int:
 
 
 def cmd_compacts(args) -> int:
-    L = FiniteLattice.from_poset(formats.load_poset(_read(args.file)))
+    L = FiniteLattice(formats.load_poset(_read(args.file)))
     K = compacts(L, guard=args.guard)
     for x in K.elements:
         print(x)
@@ -247,7 +247,7 @@ def cmd_convert(args) -> int:
         else:
             raise FormatError(f"cannot convert sequents to {to!r}")
     elif kind == "poset":
-        S = JoinSemilattice.from_poset(formats.load_poset(text))
+        S = JoinSemilattice(formats.load_poset(text))
         if to == "context":
             _write(args.output, _dump_context(context_of_semilattice(S), args.format))
         else:
@@ -270,13 +270,13 @@ def cmd_rz(args) -> int:
 def cmd_topology(args) -> int:
     poset = formats.load_poset(_read(args.file))
     if args.report == "stone":
-        S = MeetSemilattice.from_poset(poset)
+        S = MeetSemilattice(poset)
         lemma = lemma_6_16_check(S)
         rep = corollary_6_17_spaces(S, flt_lattice(S), lower_set_locale(S))
         doc = {"lemma6.16": lemma.as_dict(), "cor6.17": rep.as_dict()}
         print(json.dumps(doc, indent=2, sort_keys=True))
         return EXIT_OK if lemma.ok and rep.ok else EXIT_FAIL
-    L = FiniteLattice.from_poset(poset)
+    L = FiniteLattice(poset)
     T = scott_topology(L, guard=args.guard)
     if args.report == "points":
         loc = Locale(L)

@@ -10,8 +10,7 @@ intent closure; both code paths exist and are tested against each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import and_
+from functools import cached_property
 from typing import Iterable
 
 from . import kernels
@@ -152,18 +151,16 @@ def is_closed(P: FormalContext, ys: Iterable[str]) -> bool:
 
 
 def _concept_tables(P: FormalContext, max_closed: int):
-    """Closed intents of ``P`` on masks, with their order, bottom and joins.
+    """Closed intents of ``P`` on masks, ordered by inclusion.
 
     Every intent is an intersection of object rows (the empty intersection
     is the full attribute set), so the family grows one row at a time and
-    the guard stops it as soon as it passes ``max_closed``.  The join of two
-    intents is the intent whose extent is the intersection of their extents;
-    the least intent is the intersection of them all.  Names are made once
-    per intent, and elements are sorted by name.
+    the guard stops it as soon as it passes ``max_closed``.  The intents
+    form a closure system, so their order is a lattice and its bounds are
+    read off it.  Names are made once per intent, and elements are sorted
+    by name.
 
-    Returns ``(poset, bottom, join_table, intents, masks, name_of)``:
-    ``intents`` decodes names to attribute sets, ``masks`` lists the intent
-    masks in element order and ``name_of`` maps each mask to its name.
+    Returns ``(poset, intents)``: ``intents`` decodes names to attribute sets.
     """
     fam = {P.full_attr_mask}
     for r in P.rows:
@@ -172,15 +169,9 @@ def _concept_tables(P: FormalContext, max_closed: int):
             raise SizeGuardExceeded("closed attribute sets", len(fam), max_closed)
     sets = {m: P.attrs_of_mask(m) for m in fam}
     named = sorted((set_id(ys), m) for m, ys in sets.items())
-    masks = [m for _, m in named]
-    name_of = {m: n for n, m in named}
-    exts = [sum(1 << o for o, r in enumerate(P.rows) if r & m == m) for m in masks]
-    name_of_ext = {e: n for e, (n, _) in zip(exts, named)}
     leq = frozenset((a, b) for a, ma in named for b, mb in named if ma & mb == ma)
     poset = FinitePoset(tuple(n for n, _ in named), leq)
-    join = tuple(tuple(name_of_ext[ea & eb] for eb in exts) for ea in exts)
-    intents = {n: sets[m] for n, m in named}
-    return poset, name_of[reduce(and_, masks)], join, intents, masks, name_of
+    return poset, {n: sets[m] for n, m in named}
 
 
 @dataclass(frozen=True)
@@ -245,16 +236,14 @@ class ConceptLattice:
 
 def sem_lattice(P: FormalContext, max_closed: int = CLOSED_SET_GUARD) -> SemLattice:
     """Join-semilattice of closures of finite attribute subsets."""
-    poset, bottom, join, intents, _, _ = _concept_tables(P, max_closed)
-    return SemLattice(P, JoinSemilattice(poset, bottom, join), intents)
+    poset, intents = _concept_tables(P, max_closed)
+    return SemLattice(P, JoinSemilattice(poset), intents)
 
 
 def alg_lattice(P: FormalContext, max_closed: int = CLOSED_SET_GUARD) -> ConceptLattice:
     """Lattice of all finitarily-closed attribute sets; meets are intersections."""
-    poset, bottom, join, intents, masks, name_of = _concept_tables(P, max_closed)
-    meet = tuple(tuple(name_of[a & b] for b in masks) for a in masks)
-    top = name_of[P.full_attr_mask]
-    return ConceptLattice(P, FiniteLattice(poset, bottom, top, join, meet), intents)
+    poset, intents = _concept_tables(P, max_closed)
+    return ConceptLattice(P, FiniteLattice(poset), intents)
 
 
 def context_of_semilattice(S: JoinSemilattice) -> FormalContext:

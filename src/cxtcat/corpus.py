@@ -120,10 +120,10 @@ def random_join_semilattice(rng: random.Random, max_n: int) -> JoinSemilattice:
             names = {s: set_id(str(x) for x in s) for s in fam}
             els = tuple(sorted(names.values()))
             leq = {(names[a], names[b]) for a in fam for b in fam if a <= b}
-            return JoinSemilattice.from_poset(validate_poset(els, leq))
+            return JoinSemilattice(validate_poset(els, leq))
         P = random_poset(rng, rng.randint(1, max_n))
         try:
-            return JoinSemilattice.from_poset(P)
+            return JoinSemilattice(P)
         except Exception:
             return None
 
@@ -142,7 +142,7 @@ def random_lattice(rng: random.Random, max_n: int) -> FiniteLattice:
             return L if len(L.elements) <= max_n else None
         P = random_poset(rng, rng.randint(1, max_n))
         try:
-            return FiniteLattice.from_poset(P)
+            return FiniteLattice(P)
         except Exception:
             return None
 

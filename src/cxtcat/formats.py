@@ -215,7 +215,7 @@ def semilattice_doc(S: JoinSemilattice) -> dict:
 def semilattice_from_doc(doc: Mapping, where: str = "") -> JoinSemilattice:
     """The semilattice of an ``{elements, leq}`` object found at ``where``."""
     P = validate_poset(_field(doc, "elements", _names, where), _field(doc, "leq", _pairs, where))
-    return JoinSemilattice.from_poset(P)
+    return JoinSemilattice(P)
 
 
 def dump_mapping(m: ApproximableMapping) -> str:

@@ -7,8 +7,8 @@ ideals, Scott opens, compact elements), and monotone-map enumeration.
 Conventions: a subset of an ``n``-element universe is an ``int`` with bit
 ``i`` set for member ``i``.  ``rows[o]`` is the attribute mask of object
 ``o``.  ``up[i]``/``down[i]`` are the strict-and-reflexive upper/lower cones
-of element ``i`` as masks.  ``join`` is a row-major flattened ``n*n`` table
-of element indices.
+of element ``i`` as masks.  ``join[i][j]`` is the index of the join of
+elements ``i`` and ``j``.
 """
 
 
@@ -96,7 +96,7 @@ def compact_mask(up: list[int], down: list[int], join: list[int]) -> int:
         for i in range(n):
             if d >> i & 1:
                 covered |= down[i]
-                sup = i if sup < 0 else join[sup * n + i]
+                sup = i if sup < 0 else join[sup][i]
         compact &= ~(down[sup] & ~covered)
     return compact
 
@@ -114,7 +114,7 @@ def scott_open_masks(up: list[int], down: list[int], join: list[int]) -> list[in
             sup = -1
             for i in range(n):
                 if d >> i & 1:
-                    sup = i if sup < 0 else join[sup * n + i]
+                    sup = i if sup < 0 else join[sup][i]
             directed.append((d, sup))
     out = []
     for u in range(1 << n):

@@ -302,8 +302,8 @@ def law_thm6_7(seed: int | None = None, max_sem: int | None = None) -> LawReport
     rep = LawReport("thm6.7", True)
     ctxs = corpus(50, lambda r: random_context(r, 4, 4), seed)
     for n in range(1, 5):
-        ctxs.append(context_of_semilattice(JoinSemilattice.from_poset(chain_poset(n))))
-    ctxs.append(context_of_semilattice(JoinSemilattice.from_poset(diamond_poset())))
+        ctxs.append(context_of_semilattice(JoinSemilattice(chain_poset(n))))
+    ctxs.append(context_of_semilattice(JoinSemilattice(diamond_poset())))
     for P in ctxs:
         r = theorem_6_7_check(P)
         if not r.ok:
@@ -319,9 +319,9 @@ def law_cor6_17(seed: int | None = None, max_sem: int | None = None) -> LawRepor
     rep = LawReport("cor6.17", True)
     sls = corpus(12, lambda r: random_meet_semilattice(r, 5), seed)
     sls.extend(
-        JoinSemilattice.from_poset(chain_poset(n)).dual() for n in range(1, 5)
+        JoinSemilattice(chain_poset(n)).dual() for n in range(1, 5)
     )
-    sls.append(JoinSemilattice.from_poset(diamond_poset()).dual())
+    sls.append(JoinSemilattice(diamond_poset()).dual())
     for S in sls:
         if not lemma_6_16_check(S).ok:
             return rep.fail(

@@ -266,7 +266,7 @@ def lindenbaum(system: CcpSystem) -> LindenbaumAlgebra:
     """Quotient by inter-derivability: classes are closures, the order is
     entailment (reverse inclusion of closures), meets join the antecedents."""
     lat, classes = elements(system)
-    return LindenbaumAlgebra(system, lat.as_join_semilattice().dual(), classes)
+    return LindenbaumAlgebra(system, MeetSemilattice(lat.poset.dual()), classes)
 
 
 def semilattice_to_ccp(S: MeetSemilattice) -> CcpSystem:
@@ -287,12 +287,7 @@ def elements(
     system: InformationSystem | CcpSystem,
 ) -> tuple[FiniteLattice, dict[str, frozenset[str]]]:
     """All deductively closed proposition sets, as a lattice under inclusion."""
-    cl = system.closure
-    return lattice_from_sets(
-        closed_family(cl, system.propositions),
-        lambda a, b: cl(a | b),
-        lambda a, b: a & b,
-    )
+    return lattice_from_sets(closed_family(system.closure, system.propositions))
 
 
 def context_to_is(P: FormalContext) -> InformationSystem:

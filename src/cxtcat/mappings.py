@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Iterable
 
 from . import kernels
-from .canon import pair_set_id, set_id
+from .canon import pair_id, pair_set_id, set_id
 from .errors import SizeGuardExceeded, ValidationError
 from .order import (
     FiniteLattice,
@@ -97,12 +97,12 @@ def _table_breach(P: FinitePoset, Q: FinitePoset, values, law: str) -> tuple[str
 
 def _am2_witness(T: JoinSemilattice, img: int) -> tuple[str, str]:
     """Least ``(b, b2)`` by name inside ``img`` whose join ``img`` misses."""
-    names, n, join = T.elements, T.poset.n, T.join_flat
+    names, join = T.elements, T.join_table
     return min(
         (names[j], names[k])
         for j in _bits(img)
         for k in _bits(img)
-        if not img >> join[j * n + k] & 1
+        if not img >> join[j][k] & 1
     )
 
 
@@ -149,13 +149,13 @@ def validate_am(
                 law="am1",
                 witness={"element": a},
             )
-    n, join = T.n, target.join_flat
+    join = target.join_table
     for a, img in zip(S.elements, image):
         members = list(_bits(img))
         for x, j in enumerate(members):
-            row = j * n
+            row = join[j]
             for k in members[x + 1 :]:
-                if not img >> join[row + k] & 1:
+                if not img >> row[k] & 1:
                     b, b2 = _am2_witness(target, img)
                     raise ValidationError(
                         f"images of {a!r} miss the join of {b!r} and {b2!r}",
@@ -346,6 +346,18 @@ def enumerate_mappings(
             "enumerate_mappings output", len(picks), ENUMERATION_OUTPUT_GUARD
         )
     pos = sorted(range(P.n), key=order.__getitem__)  # where each source index is picked
-    out = [ApproximableMapping(S, T, tuple(Q.elements[pick[p]] for p in pos)) for pick in picks]
-    out.sort(key=lambda m: m.canonical_id())
-    return out
+    # Sort by canonical id without building it.  The id joins the sorted pair
+    # ids, none a prefix of another, so of two mappings the one holding the
+    # lowest-ranked pair they do not share comes first; a pair list that is a
+    # prefix of another sorts after it, as "," < "}".  Pair (i, j) of rank r
+    # among all N = |S|*|T| pairs is bit N-1-r, and the key is minus the
+    # mapping's pair mask; pm[i][v] holds the bits of the pairs (i, b), b <= v.
+    ranked = sorted(
+        (pair_id(a, b), i, j) for i, a in enumerate(P.elements) for j, b in enumerate(Q.elements)
+    )
+    bit = [[0] * Q.n for _ in range(P.n)]
+    for r, (_, i, j) in enumerate(ranked):
+        bit[i][j] = 1 << (len(ranked) - 1 - r)
+    pm = [[sum(row[b] for b in _bits(down)) for down in Q.down_masks] for row in bit]
+    picks.sort(key=lambda pick: -sum(pm[i][pick[p]] for i, p in enumerate(pos)))
+    return [ApproximableMapping(S, T, tuple(Q.elements[pick[p]] for p in pos)) for pick in picks]

@@ -195,16 +195,6 @@ def up_set(P: FinitePoset, xs: Iterable[str]) -> frozenset[str]:
     return _cone_union(P, xs, P.up_masks)
 
 
-def _bound_index(cones: list[int], i: int, j: int) -> int | None:
-    """The element whose cone is the intersection of the cones of ``i`` and
-    ``j``: their join on up-cones, their meet on down-cones."""
-    common = cones[i] & cones[j]
-    for k in _bits(common):
-        if cones[k] == common:
-            return k
-    return None
-
-
 def _unit(P: FinitePoset, cones: list[int]) -> str | None:
     """The element whose cone is everything: the least element on up-cones,
     the greatest on down-cones."""
@@ -215,84 +205,70 @@ def _unit(P: FinitePoset, cones: list[int]) -> str | None:
     return None
 
 
-def _make_table(P: FinitePoset, cones: list[int], kind: str) -> tuple[tuple[str, ...], ...]:
-    rows = []
-    for i, a in enumerate(P.elements):
-        row = []
-        for j, b in enumerate(P.elements):
-            k = _bound_index(cones, i, j)
-            if k is None:
-                raise ValidationError(
-                    f"{kind} of {a!r} and {b!r} does not exist",
-                    law=f"{kind}:bound",
-                    witness={"pair": [a, b]},
-                )
-            row.append(P.elements[k])
-        rows.append(tuple(row))
-    return tuple(rows)
+def _bound_table(P: FinitePoset, cones: list[int], kind: str) -> tuple[tuple[int, ...], ...]:
+    """The binary bounds of ``P`` as rows of element indices: entry ``[i][j]``
+    is the element whose cone is the intersection of the cones of ``i`` and
+    ``j``, their join on up-cones and their meet on down-cones.
+
+    Cones are distinct by antisymmetry, so one lookup in the table from cone
+    to index both finds a bound and shows that it exists.  The first pair in
+    row order without one is reported.
+    """
+    at = {cone: k for k, cone in enumerate(cones)}
+    try:
+        return tuple(tuple([at[ci & cj] for cj in cones]) for ci in cones)
+    except KeyError:
+        i, j = next(
+            (i, j)
+            for i, ci in enumerate(cones)
+            for j, cj in enumerate(cones)
+            if ci & cj not in at
+        )
+        a, b = P.elements[i], P.elements[j]
+        raise ValidationError(
+            f"{kind} of {a!r} and {b!r} does not exist",
+            law=f"{kind}:bound",
+            witness={"pair": [a, b]},
+        ) from None
+
+
+def _bound(P: FinitePoset, table, a: str, b: str) -> str:
+    idx = P.index
+    return P.elements[table[idx[a]][idx[b]]]
 
 
 def _fold(P: FinitePoset, table, unit: str, xs: Iterable[str]) -> str:
     """Fold ``xs`` through a bound table from its unit: a join of all from
     the bottom, a meet of all from the top."""
     idx = P.index
-    out = unit
+    k = idx[unit]
     for x in xs:
-        out = table[idx[out]][idx[x]]
-    return out
+        k = table[k][idx[x]]
+    return P.elements[k]
 
 
-def _check_table(P: FinitePoset, table, kind: str, cones: list[int]) -> None:
-    """Verify a binary-bound table in O(n^2): the entry for (a, b) is the
-    required bound exactly when its cone is the intersection of theirs."""
-    n = P.n
-    if len(table) != n or any(len(row) != n for row in table):
-        raise ValidationError(f"{kind} table has wrong shape", law=f"{kind}:table")
-    idx = P.index
-    for i, a in enumerate(P.elements):
-        for j, b in enumerate(P.elements):
-            v = table[i][j]
-            if v not in idx:
-                raise ValidationError(
-                    f"{kind}({a!r},{b!r}) = {v!r} is not an element",
-                    law="unknown-element",
-                    witness={"pair": [a, b], "value": v},
-                )
-            if cones[idx[v]] != cones[i] & cones[j]:
-                raise ValidationError(
-                    f"{kind}({a!r},{b!r}) = {v!r} is not the required bound",
-                    law=f"{kind}:bound",
-                    witness={"pair": [a, b], "value": v},
-                )
+# The three bounded structures below hold their poset as their only field.
+# Units and bound tables are read off the order when a value is built and
+# kept in the instance ``__dict__`` (as ``_memo`` keeps its caches), so
+# equality and hashing see the poset alone.
 
 
 @dataclass(frozen=True)
 class JoinSemilattice:
-    """Poset with a least element in which every pair has a least upper bound."""
+    """Poset with a least element in which every pair has a least upper bound.
+
+    ``bottom`` names the least element; ``join_table[i][j]`` is the index of
+    the join of the elements with indices ``i`` and ``j``.
+    """
 
     poset: FinitePoset
-    bottom: str
-    join_table: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
         P = self.poset
-        if P.n == 0:
-            raise ValidationError("join-semilattice needs a least element", law="join:bottom")
-        P.check_members([self.bottom])
-        if P.up_masks[P.index[self.bottom]] != (1 << P.n) - 1:
-            raise ValidationError(
-                f"{self.bottom!r} is not below every element",
-                law="join:bottom",
-                witness={"element": self.bottom},
-            )
-        _check_table(P, self.join_table, "join", P.up_masks)
-
-    @classmethod
-    def from_poset(cls, P: FinitePoset) -> JoinSemilattice:
         bottom = _unit(P, P.up_masks)
         if bottom is None:
             raise ValidationError("poset has no least element", law="join:bottom")
-        return cls(P, bottom, _make_table(P, P.up_masks, "join"))
+        self.__dict__.update(bottom=bottom, join_table=_bound_table(P, P.up_masks, "join"))
 
     @property
     def elements(self) -> tuple[str, ...]:
@@ -302,47 +278,28 @@ class JoinSemilattice:
         return self.poset.le(a, b)
 
     def join(self, a: str, b: str) -> str:
-        idx = self.poset.index
-        return self.join_table[idx[a]][idx[b]]
+        return _bound(self.poset, self.join_table, a, b)
 
     def join_all(self, xs: Iterable[str]) -> str:
         return _fold(self.poset, self.join_table, self.bottom, xs)
 
     def dual(self) -> MeetSemilattice:
-        return MeetSemilattice(self.poset.dual(), self.bottom, self.join_table)
-
-    @cached_property
-    def join_flat(self) -> list[int]:
-        return _flat_table(self.poset, self.join_table)
+        return MeetSemilattice(self.poset.dual())
 
 
 @dataclass(frozen=True)
 class MeetSemilattice:
-    """Dual presentation: poset with a top and a greatest-lower-bound table."""
+    """Dual presentation: poset with a top in which every pair has a greatest
+    lower bound; ``top`` and ``meet_table`` as for ``JoinSemilattice``."""
 
     poset: FinitePoset
-    top: str
-    meet_table: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
         P = self.poset
-        if P.n == 0:
-            raise ValidationError("meet-semilattice needs a greatest element", law="meet:top")
-        P.check_members([self.top])
-        if P.down_masks[P.index[self.top]] != (1 << P.n) - 1:
-            raise ValidationError(
-                f"{self.top!r} is not above every element",
-                law="meet:top",
-                witness={"element": self.top},
-            )
-        _check_table(P, self.meet_table, "meet", P.down_masks)
-
-    @classmethod
-    def from_poset(cls, P: FinitePoset) -> MeetSemilattice:
         top = _unit(P, P.down_masks)
         if top is None:
             raise ValidationError("poset has no greatest element", law="meet:top")
-        return cls(P, top, _make_table(P, P.down_masks, "meet"))
+        self.__dict__.update(top=top, meet_table=_bound_table(P, P.down_masks, "meet"))
 
     @property
     def elements(self) -> tuple[str, ...]:
@@ -352,14 +309,13 @@ class MeetSemilattice:
         return self.poset.le(a, b)
 
     def meet(self, a: str, b: str) -> str:
-        idx = self.poset.index
-        return self.meet_table[idx[a]][idx[b]]
+        return _bound(self.poset, self.meet_table, a, b)
 
     def meet_all(self, xs: Iterable[str]) -> str:
         return _fold(self.poset, self.meet_table, self.top, xs)
 
     def dual(self) -> JoinSemilattice:
-        return JoinSemilattice(self.poset.dual(), self.top, self.meet_table)
+        return JoinSemilattice(self.poset.dual())
 
     @cached_property
     def _dual(self) -> JoinSemilattice:
@@ -369,37 +325,23 @@ class MeetSemilattice:
 
 @dataclass(frozen=True)
 class FiniteLattice:
-    """Finite lattice: join and meet tables plus bottom and top.
+    """Finite lattice: bottom, top, and join and meet tables of indices.
 
     Binary bounds together with bottom and top give finite completeness.
     """
 
     poset: FinitePoset
-    bottom: str
-    top: str
-    join_table: tuple[tuple[str, ...], ...]
-    meet_table: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
         P = self.poset
-        if P.n == 0:
-            raise ValidationError("lattice cannot be empty", law="lattice:bounds")
-        P.check_members([self.bottom, self.top])
-        full = (1 << P.n) - 1
-        if P.up_masks[P.index[self.bottom]] != full:
-            raise ValidationError("bottom is not least", law="lattice:bounds")
-        if P.down_masks[P.index[self.top]] != full:
-            raise ValidationError("top is not greatest", law="lattice:bounds")
-        _check_table(P, self.join_table, "join", P.up_masks)
-        _check_table(P, self.meet_table, "meet", P.down_masks)
-
-    @classmethod
-    def from_poset(cls, P: FinitePoset) -> FiniteLattice:
         bottom, top = _unit(P, P.up_masks), _unit(P, P.down_masks)
         if bottom is None or top is None:
             raise ValidationError("poset lacks bottom or top", law="lattice:bounds")
-        return cls(
-            P, bottom, top, _make_table(P, P.up_masks, "join"), _make_table(P, P.down_masks, "meet")
+        self.__dict__.update(
+            bottom=bottom,
+            top=top,
+            join_table=_bound_table(P, P.up_masks, "join"),
+            meet_table=_bound_table(P, P.down_masks, "meet"),
         )
 
     @property
@@ -410,12 +352,10 @@ class FiniteLattice:
         return self.poset.le(a, b)
 
     def join(self, a: str, b: str) -> str:
-        idx = self.poset.index
-        return self.join_table[idx[a]][idx[b]]
+        return _bound(self.poset, self.join_table, a, b)
 
     def meet(self, a: str, b: str) -> str:
-        idx = self.poset.index
-        return self.meet_table[idx[a]][idx[b]]
+        return _bound(self.poset, self.meet_table, a, b)
 
     def join_all(self, xs: Iterable[str]) -> str:
         return _fold(self.poset, self.join_table, self.bottom, xs)
@@ -424,25 +364,10 @@ class FiniteLattice:
         return _fold(self.poset, self.meet_table, self.top, xs)
 
     def dual(self) -> FiniteLattice:
-        return FiniteLattice(
-            self.poset.dual(), self.top, self.bottom, self.meet_table, self.join_table
-        )
+        return FiniteLattice(self.poset.dual())
 
     def as_join_semilattice(self) -> JoinSemilattice:
-        return JoinSemilattice(self.poset, self.bottom, self.join_table)
-
-    def as_meet_semilattice(self) -> MeetSemilattice:
-        return MeetSemilattice(self.poset, self.top, self.meet_table)
-
-    @cached_property
-    def join_flat(self) -> list[int]:
-        return _flat_table(self.poset, self.join_table)
-
-
-def _flat_table(P: FinitePoset, table: tuple[tuple[str, ...], ...]) -> list[int]:
-    """A bound table as element indices, row-major: entry ``(i, j)`` at ``i * n + j``."""
-    idx = P.index
-    return [idx[v] for row in table for v in row]
+        return JoinSemilattice(self.poset)
 
 
 @dataclass(frozen=True)
@@ -567,7 +492,7 @@ def compacts(L: FiniteLattice, guard: int = SUBSET_SCAN_GUARD) -> FinitePoset:
     if guard not in memo:
         P = L.poset
         _guard("compacts", P.n, guard)
-        mask = kernels.compact_mask(P.up_masks, P.down_masks, L.join_flat)
+        mask = kernels.compact_mask(P.up_masks, P.down_masks, L.join_table)
         memo[guard] = P.restrict(P.set_of(mask))
     return memo[guard]
 
@@ -629,26 +554,14 @@ def ideal_completion(S: JoinSemilattice, scan_guard: int = IDEAL_SCAN_GUARD) -> 
 
 
 def _build_ideal_completion(S: JoinSemilattice, scan_guard: int) -> FiniteLattice:
-    P = S.poset
     fam = [i.members for i in ideals(S, scan_guard)]
-    by_set = {m: set_id(m) for m in fam}
-    gen = {}
-    for m in fam:
-        mx = [x for x in m if all(P.le(y, x) for y in m)]
-        gen[m] = mx[0]
-
-    def join_of(a: frozenset, b: frozenset) -> frozenset:
-        return frozenset(principal_ideal(P, S.join(gen[a], gen[b])))
-
-    def meet_of(a: frozenset, b: frozenset) -> frozenset:
-        return a & b
-
-    lat, _ = lattice_from_sets(fam, join_of, meet_of)
-    if set(lat.elements) != set(by_set.values()):
+    lat, _ = lattice_from_sets(fam)
+    names = {set_id(m) for m in fam}
+    if set(lat.elements) != names:
         raise ValidationError(
             "ideal completion elements are not the ideals' names",
             law="ideal:completion",
-            witness={"extra": sorted(set(lat.elements) ^ set(by_set.values()))},
+            witness={"extra": sorted(set(lat.elements) ^ names)},
         )
     return lat
 
@@ -684,51 +597,20 @@ def flt_lattice(
 
 def lattice_from_sets(
     family: Iterable[frozenset[str]],
-    join_of: Callable[[frozenset, frozenset], frozenset],
-    meet_of: Callable[[frozenset, frozenset], frozenset],
 ) -> tuple[FiniteLattice, dict[str, frozenset[str]]]:
-    """Build a lattice over a family of sets ordered by inclusion.
+    """Build the lattice of a family of sets ordered by inclusion.
 
-    ``join_of``/``meet_of`` must land inside the family.  They are called
-    once for each incomparable pair: of two comparable sets the larger is
-    the join and the smaller the meet, and the tables are symmetric.  The
-    lattice checks every entry against the cones.  Returns the lattice and
-    the decoding table from canonical element names back to the sets.
+    Its bounds are read off the inclusion order, so the family must form a
+    lattice under it, as a closure system or a family closed under unions
+    and intersections does.  Returns the lattice and the decoding table from
+    canonical element names back to the sets.
     """
     fam = sorted(set(family), key=set_id)
-    names = [set_id(m) for m in fam]
-    index = {m: i for i, m in enumerate(fam)}
-    n = len(fam)
-    leq = set()
-    jt = [[""] * n for _ in range(n)]
-    mt = [[""] * n for _ in range(n)]
-    for i, a in enumerate(fam):
-        leq.add((names[i], names[i]))
-        jt[i][i] = mt[i][i] = names[i]
-        for j in range(i + 1, n):
-            b = fam[j]
-            if a <= b:
-                leq.add((names[i], names[j]))
-                jn, mn = j, i
-            elif b <= a:
-                leq.add((names[j], names[i]))
-                jn, mn = i, j
-            else:
-                jn, mn = index.get(join_of(a, b)), index.get(meet_of(a, b))
-                if jn is None or mn is None:
-                    raise ValidationError(
-                        "family not closed under its own bounds",
-                        law="lattice:closure",
-                        witness={"pair": [names[i], names[j]]},
-                    )
-            jt[i][j] = jt[j][i] = names[jn]
-            mt[i][j] = mt[j][i] = names[mn]
-    poset = FinitePoset(tuple(names), frozenset(leq))
-    bottom, top = _unit(poset, poset.up_masks), _unit(poset, poset.down_masks)
-    if bottom is None or top is None:
-        raise ValidationError("set family lacks bottom or top", law="lattice:bounds")
-    lat = FiniteLattice(poset, bottom, top, tuple(map(tuple, jt)), tuple(map(tuple, mt)))
-    return lat, dict(zip(names, fam))
+    names = tuple(set_id(m) for m in fam)
+    leq = frozenset(
+        (names[i], names[j]) for i, a in enumerate(fam) for j, b in enumerate(fam) if a <= b
+    )
+    return FiniteLattice(FinitePoset(names, leq)), dict(zip(names, fam))
 
 
 def k_semilattice(L: FiniteLattice, guard: int = SUBSET_SCAN_GUARD) -> JoinSemilattice:
@@ -736,7 +618,7 @@ def k_semilattice(L: FiniteLattice, guard: int = SUBSET_SCAN_GUARD) -> JoinSemil
     per guard."""
     memo = _memo(L, "_k_semilattice")
     if guard not in memo:
-        memo[guard] = JoinSemilattice.from_poset(compacts(L, guard))
+        memo[guard] = JoinSemilattice(compacts(L, guard))
     return memo[guard]
 
 
@@ -796,7 +678,7 @@ def powerset_lattice(base: Iterable[str], guard: int = POWERSET_GUARD) -> Finite
     fam = []
     for m in range(1 << len(base)):
         fam.append(frozenset(x for i, x in enumerate(base) if m >> i & 1))
-    lat, _ = lattice_from_sets(fam, lambda a, b: a | b, lambda a, b: a & b)
+    lat, _ = lattice_from_sets(fam)
     return lat
 
 

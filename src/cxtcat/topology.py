@@ -18,8 +18,10 @@ from .errors import SizeGuardExceeded, ValidationError
 from .order import (
     FiniteLattice,
     FinitePoset,
+    JoinSemilattice,
     MeetSemilattice,
     SUBSET_SCAN_GUARD,
+    _join_dual,
     compacts,
     down_set,
     filters,
@@ -152,7 +154,7 @@ def scott_topology(L: FiniteLattice, guard: int = SCOTT_GUARD) -> TopSpace:
     P = L.poset
     if P.n > guard:
         raise SizeGuardExceeded("scott_topology", P.n, guard)
-    masks = kernels.scott_open_masks(P.up_masks, P.down_masks, L.join_flat)
+    masks = kernels.scott_open_masks(P.up_masks, P.down_masks, L.join_table)
     if sorted(masks) != _cone_closed_masks(P.up_masks):
         raise ValidationError(
             "scott opens of a finite lattice are not the upper sets",
@@ -180,7 +182,7 @@ def specialization_order(T: TopSpace) -> FinitePoset:
 
 
 def open_set_lattice(T: TopSpace) -> tuple[FiniteLattice, dict[str, frozenset[str]]]:
-    return lattice_from_sets(T.opens, lambda a, b: a | b, lambda a, b: a & b)
+    return lattice_from_sets(T.opens)
 
 
 @dataclass(frozen=True)
@@ -245,20 +247,28 @@ def _cone_closed_masks(cones: list[int]) -> list[int]:
     ]
 
 
-def lower_sets(S: MeetSemilattice, guard: int = SUBSET_SCAN_GUARD) -> list[frozenset[str]]:
-    P = S.poset
+def lower_sets(
+    S: MeetSemilattice | JoinSemilattice, guard: int = SUBSET_SCAN_GUARD
+) -> list[frozenset[str]]:
+    """The lower sets of a meet-semilattice: the upper sets of its dual.
+
+    A join-semilattice is accepted too and stands for its dual, as in
+    ``order.filters``.
+    """
+    P = _join_dual(S).poset
     if P.n > guard:
         raise SizeGuardExceeded("lower_sets", P.n, guard)
-    return sorted(map(P.set_of, _cone_closed_masks(P.down_masks)), key=set_id)
+    return sorted(map(P.set_of, _cone_closed_masks(P.up_masks)), key=set_id)
 
 
 def lower_set_locale(
-    S: MeetSemilattice, guard: int = SUBSET_SCAN_GUARD, verify: bool = True
+    S: MeetSemilattice | JoinSemilattice, guard: int = SUBSET_SCAN_GUARD, verify: bool = True
 ) -> Locale:
     """Locale of all lower sets; checked against the Scott opens of the
-    filter lattice when ``verify`` is set."""
+    filter lattice when ``verify`` is set.  A join-semilattice stands for
+    its dual."""
     fam = lower_sets(S, guard)
-    lat, decode = lattice_from_sets(fam, lambda a, b: a | b, lambda a, b: a & b)
+    lat, decode = lattice_from_sets(fam)
     loc = Locale(lat)
     if verify:
         flt = flt_lattice(S)
@@ -303,8 +313,9 @@ class Lemma616Report:
         }
 
 
-def lemma_6_16_check(S: MeetSemilattice) -> Lemma616Report:
-    """Meet-primes of the lower-set locale are exactly the filter complements."""
+def lemma_6_16_check(S: MeetSemilattice | JoinSemilattice) -> Lemma616Report:
+    """Meet-primes of the lower-set locale are exactly the filter complements.
+    A join-semilattice stands for its dual."""
     loc = lower_set_locale(S, verify=False)
     universe = frozenset(S.elements)
     complements = sorted(set_id(universe - f.members) for f in filters(S))
@@ -381,15 +392,16 @@ def _image_space_check(
 
 
 def corollary_6_17_spaces(
-    S: MeetSemilattice, L: FiniteLattice, loc: Locale
+    S: MeetSemilattice | JoinSemilattice, L: FiniteLattice, loc: Locale
 ) -> Cor617Report:
     """Build the Scott space, the filter space, and the point space, and
     verify the point bijections carry opens onto opens.
 
     Preconditions: the dual of ``S`` must be isomorphic to the compacts of
-    ``L``, and ``loc`` to the Scott open-set lattice of ``L``.
+    ``L``, and ``loc`` to the Scott open-set lattice of ``L``.  A
+    join-semilattice stands for its dual.
     """
-    phi = order_isomorphism(S.poset.dual(), compacts(L))
+    phi = order_isomorphism(_join_dual(S).poset, compacts(L))
     if phi is None:
         raise ValidationError(
             "dual of the semilattice is not isomorphic to the compacts",

@@ -172,7 +172,7 @@ def test_criterion_10_topology_suite():
         for n in (1, 2, 3):
             from cxtcat.order import MeetSemilattice
 
-            S = MeetSemilattice.from_poset(chain_poset(n))
+            S = MeetSemilattice(chain_poset(n))
             assert lemma_6_16_check(S).ok
 
 

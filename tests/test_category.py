@@ -1,5 +1,4 @@
 import random
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -328,21 +327,20 @@ def test_funcspace_concepts_are_every_closure():
         assert fs.sem[0] == fs.concepts()[0].as_join_semilattice()
 
 
-def test_funcspace_table_calls_closure_once_per_incomparable_pair(monkeypatch):
+def test_funcspace_calls_closure_only_to_enumerate_the_closed_family(monkeypatch):
+    """The bounds of the function space are read off inclusion, so the
+    closure runs only while ``closed_family`` enumerates the concepts."""
     calls = []
     real = FunctionSpaceContext.closure
     monkeypatch.setattr(
         FunctionSpaceContext, "closure", lambda self, attrs: calls.append(1) or real(self, attrs)
     )
     fs = funcspace(chain_context(5), chain_context(5))
-    closed = fs.sem[1].values()
-    assert len(closed) == 126
-    incomparable = sum(
-        1 for a, b in combinations(closed, 2) if not (a <= b or b <= a)
-    )
-    assert incomparable == 2709
-    # 505 calls enumerate the closed family, one per incomparable pair fills the table
-    assert len(calls) <= 505 + incomparable
+    assert len(fs.sem[1]) == 126
+    assert len(calls) == 505
+    calls.clear()
+    closed_family(fs.closure, fs.attributes)
+    assert len(calls) == 505
 
 
 def test_funcspace_closure_of_empty_is_constant_bottom():

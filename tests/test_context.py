@@ -190,14 +190,14 @@ def test_alg_elements_are_meets_of_closures_above(seed):
 
 
 def test_context_of_singleton():
-    S = JoinSemilattice.from_poset(chain_poset(1))
+    S = JoinSemilattice(chain_poset(1))
     C = context_of_semilattice(S)
     assert C.objects == C.attributes == ("c0",)
     assert C.incidence == {("c0", "c0")}
 
 
 def test_context_of_two_chain_incidence():
-    S = JoinSemilattice.from_poset(
+    S = JoinSemilattice(
         chain_poset(2).__class__(("0", "1"), frozenset({("0", "0"), ("1", "1"), ("0", "1")}))
     )
     C = context_of_semilattice(S)
@@ -205,7 +205,7 @@ def test_context_of_two_chain_incidence():
 
 
 def test_greater_equal_context_closure_is_principal_cone():
-    S = JoinSemilattice.from_poset(diamond_poset())
+    S = JoinSemilattice(diamond_poset())
     C = context_of_semilattice(S)
     for X in subsets(S.elements):
         want = frozenset(

@@ -109,7 +109,7 @@ def test_context_json_round_trip_sorted():
 
 
 def test_mapping_json_round_trip():
-    S = JoinSemilattice.from_poset(chain_poset(2))
+    S = JoinSemilattice(chain_poset(2))
     m = enumerate_mappings(S, S)[1]
     text = formats.dump_mapping(m)
     back = formats.load_mapping(text)
@@ -122,7 +122,7 @@ def test_infosys_json_round_trip():
 
 
 def test_space_json_round_trip():
-    T = scott_topology(FiniteLattice.from_poset(diamond_poset()))
+    T = scott_topology(FiniteLattice(diamond_poset()))
     back = formats.load_space(formats.dump_space(T))
     assert set(back.points) == set(T.points) and back.opens == T.opens
     assert formats.dump_space(back) == formats.dump_space(T)
@@ -467,11 +467,11 @@ _VALID_DOCUMENTS = [
     formats.dump_poset(chain_poset(3)),
     formats.dump_poset(diamond_poset()),
     formats.dump_infosys(close_entailment(["p", "q"], [({"p"}, "q")])),
-    formats.dump_space(scott_topology(FiniteLattice.from_poset(chain_poset(2)))),
+    formats.dump_space(scott_topology(FiniteLattice(chain_poset(2)))),
     "p |- q\nT |- p\n",
     formats.dump_mapping(
         enumerate_mappings(
-            JoinSemilattice.from_poset(chain_poset(2)), JoinSemilattice.from_poset(diamond_poset())
+            JoinSemilattice(chain_poset(2)), JoinSemilattice(diamond_poset())
         )[4]
     ),
 ]

@@ -201,11 +201,11 @@ def test_semilattice_round_trip(seed):
 
 def test_semilattice_to_ccp_examples():
     P2 = validate_poset(("0", "1"), {("0", "0"), ("1", "1"), ("0", "1")})
-    M = MeetSemilattice.from_poset(P2)
+    M = MeetSemilattice(P2)
     C = semilattice_to_ccp(M)
     assert C.holds({"0"}, {"1"})
     assert not C.holds({"1"}, {"0"})
-    MD = MeetSemilattice.from_poset(diamond_poset())
+    MD = MeetSemilattice(diamond_poset())
     CD = semilattice_to_ccp(MD)
     assert CD.holds({"a", "b"}, {"bot"})
 
@@ -395,7 +395,7 @@ def test_thm67_empty_set_case():
 
 def test_thm67_greater_equal_contexts():
     for n in range(1, 5):
-        S = JoinSemilattice.from_poset(chain_poset(n))
+        S = JoinSemilattice(chain_poset(n))
         assert theorem_6_7_check(context_of_semilattice(S)).ok
-    S = JoinSemilattice.from_poset(diamond_poset())
+    S = JoinSemilattice(diamond_poset())
     assert theorem_6_7_check(context_of_semilattice(S)).ok

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cxtcat.context import make_context, sem_lattice
 from cxtcat.corpus import chain_poset, diamond_poset, random_join_semilattice
 from cxtcat.errors import SizeGuardExceeded, ValidationError
 from cxtcat.mappings import (
@@ -35,18 +36,18 @@ from cxtcat.order import (
 
 
 def chain_s(n, pfx="c"):
-    return JoinSemilattice.from_poset(chain_poset(n, pfx))
+    return JoinSemilattice(chain_poset(n, pfx))
 
 
 def diamond_s():
-    return JoinSemilattice.from_poset(diamond_poset())
+    return JoinSemilattice(diamond_poset())
 
 
 def m_n(n):
     """Bottom, ``n`` pairwise incomparable atoms and a top."""
     els = ("0",) + tuple(f"x{i}" for i in range(n)) + ("1",)
     leq = {(e, e) for e in els} | {("0", e) for e in els} | {(e, "1") for e in els}
-    return JoinSemilattice.from_poset(validate_poset(els, leq))
+    return JoinSemilattice(validate_poset(els, leq))
 
 
 def definitional_am_check(S, T, pairs):
@@ -147,7 +148,7 @@ def test_am2_witness_is_the_least_failing_pair():
     # index order z, y, x differs from name order, and every pair of atoms fails
     els = ("0", "z", "y", "x", "1")
     leq = {(e, e) for e in els} | {("0", e) for e in els} | {(e, "1") for e in els}
-    T = JoinSemilattice.from_poset(validate_poset(els, leq))
+    T = JoinSemilattice(validate_poset(els, leq))
     S = chain_s(2)
     pairs = {("c0", "0"), ("c1", "0"), ("c1", "z"), ("c1", "y"), ("c1", "x")}
     with pytest.raises(ValidationError) as exc:
@@ -205,17 +206,17 @@ SCOTT_FAULTS = [
 def fault_lattices():
     # M3 with its atoms indexed z, y, x: index order and name order differ
     return {
-        "chain2": FiniteLattice.from_poset(chain_poset(2)),
-        "chain3": FiniteLattice.from_poset(chain_poset(3)),
-        "diamond": FiniteLattice.from_poset(diamond_poset()),
-        "m3": FiniteLattice.from_poset(reversed_m3().poset),
+        "chain2": FiniteLattice(chain_poset(2)),
+        "chain3": FiniteLattice(chain_poset(3)),
+        "diamond": FiniteLattice(diamond_poset()),
+        "m3": FiniteLattice(reversed_m3().poset),
     }
 
 
 def reversed_m3():
     els = ("0", "z", "y", "x", "1")
     leq = {(e, e) for e in els} | {("0", e) for e in els} | {(e, "1") for e in els}
-    return JoinSemilattice.from_poset(validate_poset(els, leq))
+    return JoinSemilattice(validate_poset(els, leq))
 
 
 @pytest.mark.parametrize("src, tgt, values, want", SCOTT_FAULTS)
@@ -368,20 +369,20 @@ def test_idl_on_step_up_two_chain():
 
 
 def test_k_on_identity_is_geq():
-    L = FiniteLattice.from_poset(diamond_poset())
+    L = FiniteLattice(diamond_poset())
     m = k_on_morphism(identity_function(L))
     assert m == identity_mapping(m.source)
 
 
 def test_k_on_constant_bottom():
-    L = FiniteLattice.from_poset(diamond_poset())
+    L = FiniteLattice(diamond_poset())
     f = ScottFunction(L, L, tuple("bot" for _ in L.elements))
     m = k_on_morphism(f)
     assert m.pairs == frozenset((a, "bot") for a in L.elements)
 
 
 def test_scott_function_rejects_non_monotone():
-    L = FiniteLattice.from_poset(chain_poset(2))
+    L = FiniteLattice(chain_poset(2))
     with pytest.raises(ValidationError):
         ScottFunction(L, L, ("c1", "c0"))
 
@@ -391,9 +392,9 @@ def test_scott_function_rejects_non_monotone():
 
 
 def test_eta_singleton_and_two_chain():
-    L1 = FiniteLattice.from_poset(chain_poset(1))
+    L1 = FiniteLattice(chain_poset(1))
     assert eta(L1).values == ("{c0}",)
-    L2 = FiniteLattice.from_poset(chain_poset(2))
+    L2 = FiniteLattice(chain_poset(2))
     assert eta(L2).values == ("{c0}", "{c0,c1}")
 
 
@@ -483,6 +484,30 @@ def test_enumeration_is_sorted_and_unique():
     ms = enumerate_mappings(chain_s(2), diamond_s())
     ids = [m.canonical_id() for m in ms]
     assert ids == sorted(ids) and len(set(ids)) == len(ids)
+
+
+def escaping_sem(rng):
+    """The concept semilattice, of at most 7 elements, of a random context
+    whose attribute names hold the characters that ``pair_id`` escapes;
+    every concept name holds commas too."""
+    attrs = rng.sample(["a", "a(", "a)", "a\\", "b)", "b"], 4)
+    while True:
+        objects = [f"o{i}" for i in range(rng.randint(2, 5))]
+        incidence = [(o, a) for o in objects for a in attrs if rng.random() < 0.5]
+        S = sem_lattice(make_context(objects, attrs, incidence)).semilattice
+        if len(S.elements) <= 7:
+            return S
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_enumeration_order_is_the_canonical_id_order(seed):
+    """The sort key read off the value tables orders a hom-set as the
+    canonical ids, the oracle, do."""
+    rng = random.Random(seed)
+    S, T = escaping_sem(rng), escaping_sem(rng)
+    ms = enumerate_mappings(S, T)
+    assert ms == sorted(ms, key=lambda m: m.canonical_id())
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from cxtcat.topology import (
 
 
 def diamond_lattice():
-    return FiniteLattice.from_poset(diamond_poset())
+    return FiniteLattice(diamond_poset())
 
 
 def upper_sets_oracle(L):
@@ -78,12 +78,12 @@ def test_lower_sets_match_the_name_scan(seed):
 
 
 def test_scott_singleton():
-    L = FiniteLattice.from_poset(chain_poset(1))
+    L = FiniteLattice(chain_poset(1))
     assert scott_topology(L).opens == {frozenset(), frozenset({"c0"})}
 
 
 def test_scott_two_chain():
-    L = FiniteLattice.from_poset(chain_poset(2))
+    L = FiniteLattice(chain_poset(2))
     assert scott_topology(L).opens == {
         frozenset(),
         frozenset({"c1"}),
@@ -158,8 +158,8 @@ def test_monotone_iff_continuous_small():
     """All functions between lattices of size <= 3 (they are the chains):
     order and topology agree."""
     for nL, nM in ((2, 2), (2, 3), (3, 2), (3, 3)):
-        L = FiniteLattice.from_poset(chain_poset(nL))
-        M = FiniteLattice.from_poset(chain_poset(nM, "d"))
+        L = FiniteLattice(chain_poset(nL))
+        M = FiniteLattice(chain_poset(nM, "d"))
         TL, TM = scott_topology(L), scott_topology(M)
         for values in iproduct(M.elements, repeat=nL):
             f = dict(zip(L.elements, values))
@@ -174,7 +174,7 @@ def test_monotone_iff_continuous_small():
 @settings(max_examples=30, deadline=None)
 def test_monotone_iff_continuous_size_four_samples(seed):
     rng = random.Random(seed)
-    L = FiniteLattice.from_poset(diamond_poset())
+    L = FiniteLattice(diamond_poset())
     M = random_lattice(rng, 4)
     TL, TM = scott_topology(L), scott_topology(M)
     for _ in range(5):
@@ -199,7 +199,7 @@ def test_scott_opens_form_a_spectral_locale(seed):
 
 
 def test_base_two_chain():
-    L = FiniteLattice.from_poset(chain_poset(2))
+    L = FiniteLattice(chain_poset(2))
     r = scott_base_and_coherence(L)
     assert r.ok
     assert set(r.base) == {frozenset({"c0", "c1"}), frozenset({"c1"})}
@@ -226,19 +226,19 @@ def test_diamond_intersection_compact():
 
 def test_locale_rejects_m3():
     with pytest.raises(ValidationError) as exc:
-        Locale(FiniteLattice.from_poset(m3_poset()))
+        Locale(FiniteLattice(m3_poset()))
     assert exc.value.law == "locale:distributivity"
 
 
 def test_lower_set_locale_sizes():
-    S2 = MeetSemilattice.from_poset(chain_poset(2))
+    S2 = MeetSemilattice(chain_poset(2))
     assert len(lower_set_locale(S2).elements) == 3
-    SD = MeetSemilattice.from_poset(diamond_poset())
+    SD = MeetSemilattice(diamond_poset())
     assert len(lower_set_locale(SD).elements) == 6
 
 
 def test_lower_set_locale_singleton():
-    S = MeetSemilattice.from_poset(chain_poset(1))
+    S = MeetSemilattice(chain_poset(1))
     loc = lower_set_locale(S)
     assert len(loc.elements) == 2
 
@@ -251,7 +251,7 @@ def test_lower_set_locale_matches_scott_opens(seed):
 
 
 def test_locale_points_of_three_chain():
-    S = MeetSemilattice.from_poset(chain_poset(2))
+    S = MeetSemilattice(chain_poset(2))
     loc = lower_set_locale(S)
     pts = locale_points(loc)
     assert len(pts) == 2
@@ -260,13 +260,13 @@ def test_locale_points_of_three_chain():
 
 
 def test_two_element_locale_has_one_point():
-    S = MeetSemilattice.from_poset(chain_poset(1))
+    S = MeetSemilattice(chain_poset(1))
     loc = lower_set_locale(S)
     assert len(locale_points(loc)) == 1
 
 
 def test_point_validation():
-    loc = lower_set_locale(MeetSemilattice.from_poset(chain_poset(2)))
+    loc = lower_set_locale(MeetSemilattice(chain_poset(2)))
     L = loc.lattice
     with pytest.raises(ValidationError):
         LocalePoint(L, L.top, frozenset(L.elements))
@@ -291,7 +291,7 @@ def test_lower_set_locales_are_spectral(seed):
 
 
 def test_cor617_two_chain():
-    S = MeetSemilattice.from_poset(chain_poset(2))
+    S = MeetSemilattice(chain_poset(2))
     r = corollary_6_17_spaces(S, flt_lattice(S), lower_set_locale(S))
     assert r.ok
     assert len(r.scott_space.points) == 2
@@ -299,14 +299,14 @@ def test_cor617_two_chain():
 
 
 def test_cor617_singleton():
-    S = MeetSemilattice.from_poset(chain_poset(1))
+    S = MeetSemilattice(chain_poset(1))
     r = corollary_6_17_spaces(S, flt_lattice(S), lower_set_locale(S))
     assert r.ok
     assert len(r.scott_space.points) == 1
 
 
 def test_cor617_diamond():
-    S = MeetSemilattice.from_poset(diamond_poset())
+    S = MeetSemilattice(diamond_poset())
     r = corollary_6_17_spaces(S, flt_lattice(S), lower_set_locale(S))
     assert r.ok
     assert len(r.scott_space.points) == 4
@@ -322,7 +322,7 @@ def test_filter_queries_share_one_ideal_scan_per_guard(monkeypatch):
     scans = []
     real = order.kernels.ideal_masks
     monkeypatch.setattr(order.kernels, "ideal_masks", lambda *a: scans.append(1) or real(*a))
-    M = MeetSemilattice.from_poset(diamond_poset())
+    M = MeetSemilattice(diamond_poset())
     for S in (M, M.dual()):
         scans.clear()
         lemma_6_16_check(S)
@@ -334,9 +334,23 @@ def test_filter_queries_share_one_ideal_scan_per_guard(monkeypatch):
         assert len(scans) == 2
 
 
+@given(st.integers(0, 10**6))
+@settings(max_examples=15, deadline=None)
+def test_a_join_semilattice_stands_for_its_dual(seed):
+    """The lemma, the locale and the spaces of cor. 6.17 read a
+    join-semilattice as its dual meet-semilattice, as ``filters`` does."""
+    for M in (MeetSemilattice(diamond_poset()), random_meet_semilattice(random.Random(seed), 5)):
+        results = []
+        for S in (M, M.dual()):
+            loc = lower_set_locale(S)
+            results.append((lemma_6_16_check(S), loc, corollary_6_17_spaces(S, flt_lattice(S), loc)))
+        assert results[0] == results[1]
+        assert results[0][0].ok and results[0][2].ok
+
+
 def test_cor617_precondition_failure():
-    S = MeetSemilattice.from_poset(diamond_poset())
-    wrong = FiniteLattice.from_poset(chain_poset(2))
+    S = MeetSemilattice(diamond_poset())
+    wrong = FiniteLattice(chain_poset(2))
     with pytest.raises(ValidationError):
         corollary_6_17_spaces(S, wrong, lower_set_locale(S))
 
@@ -359,7 +373,7 @@ def test_constant_map_frame_hom():
 
 
 def test_discontinuous_map_witness():
-    L = FiniteLattice.from_poset(chain_poset(2))
+    L = FiniteLattice(chain_poset(2))
     T = scott_topology(L)
     r = frame_hom_of_continuous({"c0": "c1", "c1": "c0"}, T, T)
     assert not r.continuous
