@@ -21,6 +21,7 @@ from .order import (
     FiniteLattice,
     FinitePoset,
     JoinSemilattice,
+    _by_construction,
     powerset_lattice,
     powerset_members,
 )
@@ -156,9 +157,10 @@ def _concept_tables(P: FormalContext, max_closed: int):
     Every intent is an intersection of object rows (the empty intersection
     is the full attribute set), so the family grows one row at a time and
     the guard stops it as soon as it passes ``max_closed``.  The intents
-    form a closure system, so their order is a lattice and its bounds are
-    read off it.  Names are made once per intent, and elements are sorted
-    by name.
+    form a closure system, so their inclusion order is a lattice by
+    construction: its cones are built from the attribute columns and
+    nothing re-checks them.  Names are made once per intent, and elements
+    are sorted by name.
 
     Returns ``(poset, intents)``: ``intents`` decodes names to attribute sets.
     """
@@ -169,9 +171,20 @@ def _concept_tables(P: FormalContext, max_closed: int):
             raise SizeGuardExceeded("closed attribute sets", len(fam), max_closed)
     sets = {m: P.attrs_of_mask(m) for m in fam}
     named = sorted((set_id(ys), m) for m, ys in sets.items())
-    leq = frozenset((a, b) for a, ma in named for b, mb in named if ma & mb == ma)
-    poset = FinitePoset(tuple(n for n, _ in named), leq)
+    cones = kernels.inclusion_cones([m for _, m in named], len(P.attributes))
+    poset = FinitePoset._from_masks(tuple(n for n, _ in named), *cones)
     return poset, {n: sets[m] for n, m in named}
+
+
+def _check_closed(P: FormalContext, intents: dict[str, frozenset[str]], law: str, what: str):
+    """Every intent is its own closure, compared as attribute masks."""
+    rows, full = P.rows, P.full_attr_mask
+    for name, members in intents.items():
+        m = P.attr_mask(members)
+        if kernels.closure_mask(rows, full, m) != m:
+            raise ValidationError(
+                f"{what} {name} is not closed", law=law, witness={"element": name}
+            )
 
 
 @dataclass(frozen=True)
@@ -184,11 +197,7 @@ class SemLattice:
     intents: dict[str, frozenset[str]]
 
     def __post_init__(self):
-        for name, members in self.intents.items():
-            if attr_closure(self.context, members) != members:
-                raise ValidationError(
-                    f"element {name} is not closed", law="sem:closed", witness={"element": name}
-                )
+        _check_closed(self.context, self.intents, "sem:closed", "element")
 
     @property
     def elements(self) -> tuple[str, ...]:
@@ -215,11 +224,7 @@ class ConceptLattice:
     intents: dict[str, frozenset[str]]
 
     def __post_init__(self):
-        for name, members in self.intents.items():
-            if attr_closure(self.context, members) != members:
-                raise ValidationError(
-                    f"concept {name} is not closed", law="alg:closed", witness={"element": name}
-                )
+        _check_closed(self.context, self.intents, "alg:closed", "concept")
 
     @property
     def elements(self) -> tuple[str, ...]:
@@ -237,13 +242,13 @@ class ConceptLattice:
 def sem_lattice(P: FormalContext, max_closed: int = CLOSED_SET_GUARD) -> SemLattice:
     """Join-semilattice of closures of finite attribute subsets."""
     poset, intents = _concept_tables(P, max_closed)
-    return SemLattice(P, JoinSemilattice(poset), intents)
+    return SemLattice(P, _by_construction(JoinSemilattice, poset), intents)
 
 
 def alg_lattice(P: FormalContext, max_closed: int = CLOSED_SET_GUARD) -> ConceptLattice:
     """Lattice of all finitarily-closed attribute sets; meets are intersections."""
     poset, intents = _concept_tables(P, max_closed)
-    return ConceptLattice(P, FiniteLattice(poset), intents)
+    return ConceptLattice(P, _by_construction(FiniteLattice, poset), intents)
 
 
 def context_of_semilattice(S: JoinSemilattice) -> FormalContext:

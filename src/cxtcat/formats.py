@@ -15,7 +15,7 @@ from .context import FormalContext, make_context
 from .errors import FormatError
 from .logic import InformationSystem
 from .mappings import ApproximableMapping, validate_am
-from .order import FinitePoset, JoinSemilattice, validate_poset
+from .order import FinitePoset, JoinSemilattice, _bits, validate_poset
 from .topology import TopSpace
 
 VERSION = 1
@@ -112,12 +112,18 @@ def detect_kind(text: str) -> str:
 # posets / semilattices
 
 
+def _sorted_leq(P: FinitePoset) -> list[list[str]]:
+    """The order as ``[a, b]`` pairs sorted by name, read off the up-masks."""
+    els = P.elements
+    return [
+        [els[i], b]
+        for i in sorted(range(P.n), key=els.__getitem__)
+        for b in sorted([els[j] for j in _bits(P.up_masks[i])])
+    ]
+
+
 def dump_poset(P: FinitePoset) -> str:
-    return _doc(
-        "poset",
-        elements=sorted(P.elements),
-        leq=sorted([a, b] for a, b in P.leq),
-    )
+    return _doc("poset", elements=sorted(P.elements), leq=_sorted_leq(P))
 
 
 def load_poset(text: str) -> FinitePoset:
@@ -208,7 +214,7 @@ def _cxt_count(lines: list[str], number: int) -> int:
 def semilattice_doc(S: JoinSemilattice) -> dict:
     return {
         "elements": sorted(S.elements),
-        "leq": sorted([a, b] for a, b in S.poset.leq),
+        "leq": _sorted_leq(S.poset),
     }
 
 

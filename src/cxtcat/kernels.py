@@ -29,6 +29,35 @@ def closure_mask(rows: list[int], full: int, y: int) -> int:
     return c
 
 
+def inclusion_cones(sets: list[int], width: int) -> tuple[list[int], list[int]]:
+    """Up- and down-cones of a family of distinct sets under inclusion.
+
+    ``sets[i]`` is a mask over ``width`` points; cone bit ``j`` stands for
+    ``sets[j]``.  The column of a point is the mask of the sets containing
+    it.  The sets above ``s`` are those in the column of every point of
+    ``s``, and the sets below it those outside the column of every other
+    point, so the work grows with |family|·width, not |family|².
+    """
+    full = (1 << len(sets)) - 1
+    cols = [0] * width
+    for i, s in enumerate(sets):
+        while s:
+            low = s & -s
+            cols[low.bit_length() - 1] |= 1 << i
+            s ^= low
+    up, down = [], []
+    for s in sets:
+        u = d = full
+        for p, col in enumerate(cols):
+            if s >> p & 1:
+                u &= col
+            else:
+                d &= ~col
+        up.append(u)
+        down.append(d)
+    return up, down
+
+
 def closed_masks_powerset(rows: list[int], n_attrs: int) -> list[int]:
     """All closed attribute masks, by scanning the full powerset.
 

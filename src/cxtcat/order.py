@@ -30,22 +30,46 @@ POWERSET_GUARD = 10
 # core types
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class FinitePoset:
-    """A finite partial order; element order fixes canonical enumeration."""
+    """A finite partial order held as index masks.
+
+    ``up_masks[i]`` has bit ``j`` set when element ``i`` is below element
+    ``j``; element order fixes canonical enumeration.  Equality and hashing
+    read ``elements`` and ``up_masks``; ``leq``, the relation as name
+    pairs, is derived from them on first read.
+
+    ``FinitePoset(elements, leq)`` checks every axiom.  ``_from_masks``
+    takes masks that are a partial order by construction (inclusion of
+    distinct sets, a dual, a restriction) and checks nothing.
+    """
 
     elements: tuple[str, ...]
-    leq: frozenset[tuple[str, str]]
+    up_masks: tuple[int, ...]
 
-    def __post_init__(self):
-        seen = set()
-        for x in self.elements:
-            if x in seen:
+    def __init__(self, elements: tuple[str, ...], leq: Iterable[tuple[str, str]]):
+        # The checks keep the name dataclasses give them, as on the other
+        # order types, so that per-layer benchmarks count them alike.
+        self.__dict__["elements"] = elements
+        self.__post_init__(leq)
+
+    def __post_init__(self, leq):
+        pairs = leq if isinstance(leq, frozenset) else frozenset(leq)
+        index: dict[str, int] = {}
+        for i, x in enumerate(self.elements):
+            if x in index:
                 raise ValidationError(
                     f"duplicate element {x!r}", law="poset:elements", witness={"element": x}
                 )
-            seen.add(x)
-        unknown = [(a, b) for a, b in self.leq if a not in seen or b not in seen]
+            index[x] = i
+        up = [0] * len(index)
+        unknown = []
+        for a, b in pairs:
+            i, j = index.get(a), index.get(b)
+            if i is None or j is None:
+                unknown.append((a, b))
+            else:
+                up[i] |= 1 << j
         if unknown:
             a, b = min(unknown)
             raise ValidationError(
@@ -53,12 +77,18 @@ class FinitePoset:
                 law="unknown-element",
                 witness={"pair": [a, b]},
             )
-        for x in self.elements:
-            if (x, x) not in self.leq:
+        els = self.elements
+        for i, x in enumerate(els):
+            if not up[i] >> i & 1:
                 raise ValidationError(
                     f"reflexivity fails at {x!r}", law="poset:reflexivity", witness={"pair": [x, x]}
                 )
-        cycles = [(a, b) for a, b in self.leq if a != b and (b, a) in self.leq]
+        cycles = [
+            (els[i], els[j])
+            for i, cone in enumerate(up)
+            for j in _bits(cone & ~(1 << i))
+            if up[j] >> i & 1
+        ]
         if cycles:
             a, b = min(cycles)
             raise ValidationError(
@@ -66,18 +96,31 @@ class FinitePoset:
                 law="poset:antisymmetry",
                 witness={"pair": [a, b]},
             )
-        up = self.up_masks
         for i, cone in enumerate(up):
             for j in _bits(cone):
                 missing = up[j] & ~cone
                 if missing:
-                    a, b = self.elements[i], self.elements[j]
-                    c = self.elements[(missing & -missing).bit_length() - 1]
+                    a, b = els[i], els[j]
+                    c = els[(missing & -missing).bit_length() - 1]
                     raise ValidationError(
                         f"transitivity fails: {a!r} <= {b!r} <= {c!r} but not {a!r} <= {c!r}",
                         law="poset:transitivity",
                         witness={"pair": [a, c], "via": b},
                     )
+        self.__dict__.update(up_masks=tuple(up), index=index, leq=pairs)
+
+    @classmethod
+    def _from_masks(
+        cls, elements: tuple[str, ...], up: Iterable[int], down: Iterable[int] | None = None
+    ) -> FinitePoset:
+        P = object.__new__(cls)
+        P.__dict__.update(elements=elements, up_masks=tuple(up))
+        if down is not None:
+            P.__dict__["down_masks"] = tuple(down)
+        return P
+
+    def __repr__(self) -> str:
+        return f"FinitePoset(elements={self.elements!r}, leq={self.leq!r})"
 
     @property
     def n(self) -> int:
@@ -88,23 +131,26 @@ class FinitePoset:
         return {x: i for i, x in enumerate(self.elements)}
 
     @cached_property
-    def up_masks(self) -> list[int]:
-        idx = self.index
+    def down_masks(self) -> tuple[int, ...]:
         masks = [0] * self.n
-        for a, b in self.leq:
-            masks[idx[a]] |= 1 << idx[b]
-        return masks
+        for i, cone in enumerate(self.up_masks):
+            for j in _bits(cone):
+                masks[j] |= 1 << i
+        return tuple(masks)
 
     @cached_property
-    def down_masks(self) -> list[int]:
-        idx = self.index
-        masks = [0] * self.n
-        for a, b in self.leq:
-            masks[idx[b]] |= 1 << idx[a]
-        return masks
+    def leq(self) -> frozenset[tuple[str, str]]:
+        els = self.elements
+        return frozenset(
+            (a, els[j]) for a, cone in zip(els, self.up_masks) for j in _bits(cone)
+        )
 
     def le(self, a: str, b: str) -> bool:
-        return (a, b) in self.leq
+        idx = self.index
+        try:
+            return self.up_masks[idx[a]] >> idx[b] & 1 == 1
+        except KeyError:
+            return False
 
     def check_members(self, xs: Iterable[str]) -> None:
         for x in xs:
@@ -124,19 +170,28 @@ class FinitePoset:
         return frozenset(x for i, x in enumerate(self.elements) if mask >> i & 1)
 
     def dual(self) -> FinitePoset:
-        return FinitePoset(self.elements, frozenset((b, a) for a, b in self.leq))
+        return FinitePoset._from_masks(self.elements, self.down_masks, self.up_masks)
 
     def restrict(self, members: Iterable[str]) -> FinitePoset:
+        """The induced order on ``members``: the masks of the kept elements,
+        with the dropped bits squeezed out."""
         keep = set(members)
         self.check_members(keep)
-        elems = tuple(x for x in self.elements if x in keep)
-        return FinitePoset(
-            elems, frozenset((a, b) for a, b in self.leq if a in keep and b in keep)
-        )
+        kept = [i for i, x in enumerate(self.elements) if x in keep]
+        at = {i: k for k, i in enumerate(kept)}
+        km = self.mask_of(keep)
+        up = []
+        for i in kept:
+            m = 0
+            for j in _bits(self.up_masks[i] & km):
+                m |= 1 << at[j]
+            up.append(m)
+        return FinitePoset._from_masks(tuple(self.elements[i] for i in kept), up)
 
     def minimal(self, xs: Iterable[str]) -> frozenset[str]:
-        xs = set(xs)
-        return frozenset(x for x in xs if all(not (self.le(y, x) and x != y) for y in xs))
+        xs = frozenset(xs)
+        m, idx, down = self.mask_of(xs), self.index, self.down_masks
+        return frozenset(x for x in xs if not down[idx[x]] & m & ~(1 << idx[x]))
 
     def covers(self) -> list[tuple[str, str]]:
         """Hasse edges (a, b): a < b with nothing strictly between, sorted.
@@ -248,9 +303,33 @@ def _fold(P: FinitePoset, table, unit: str, xs: Iterable[str]) -> str:
 
 
 # The three bounded structures below hold their poset as their only field.
-# Units and bound tables are read off the order when a value is built and
-# kept in the instance ``__dict__`` (as ``_memo`` keeps its caches), so
-# equality and hashing see the poset alone.
+# Units and bound tables are read off the order and kept in the instance
+# ``__dict__`` (as ``_memo`` keeps its caches), so equality and hashing see
+# the poset alone.  The constructors check that the bounds exist and so
+# build every table at once; ``_by_construction`` skips the check for
+# orders that have their bounds by construction, and a table is then filled
+# when it is first read.
+
+
+def _by_construction(cls, P: FinitePoset):
+    """``cls(P)`` for a ``P`` known to have the bounds of ``cls``: the
+    inclusion order of a closure system, or the dual of a checked structure.
+    The units are read now and nothing is checked."""
+    X = object.__new__(cls)
+    X.__dict__["poset"] = P
+    if cls is not MeetSemilattice:
+        X.__dict__["bottom"] = _unit(P, P.up_masks)
+    if cls is not JoinSemilattice:
+        X.__dict__["top"] = _unit(P, P.down_masks)
+    return X
+
+
+def _join_table(X) -> tuple[tuple[int, ...], ...]:
+    return _bound_table(X.poset, X.poset.up_masks, "join")
+
+
+def _meet_table(X) -> tuple[tuple[int, ...], ...]:
+    return _bound_table(X.poset, X.poset.down_masks, "meet")
 
 
 @dataclass(frozen=True)
@@ -268,7 +347,7 @@ class JoinSemilattice:
         bottom = _unit(P, P.up_masks)
         if bottom is None:
             raise ValidationError("poset has no least element", law="join:bottom")
-        self.__dict__.update(bottom=bottom, join_table=_bound_table(P, P.up_masks, "join"))
+        self.__dict__.update(bottom=bottom, join_table=_join_table(self))
 
     @property
     def elements(self) -> tuple[str, ...]:
@@ -280,11 +359,13 @@ class JoinSemilattice:
     def join(self, a: str, b: str) -> str:
         return _bound(self.poset, self.join_table, a, b)
 
+    join_table = cached_property(_join_table)
+
     def join_all(self, xs: Iterable[str]) -> str:
         return _fold(self.poset, self.join_table, self.bottom, xs)
 
     def dual(self) -> MeetSemilattice:
-        return MeetSemilattice(self.poset.dual())
+        return _by_construction(MeetSemilattice, self.poset.dual())
 
 
 @dataclass(frozen=True)
@@ -299,7 +380,7 @@ class MeetSemilattice:
         top = _unit(P, P.down_masks)
         if top is None:
             raise ValidationError("poset has no greatest element", law="meet:top")
-        self.__dict__.update(top=top, meet_table=_bound_table(P, P.down_masks, "meet"))
+        self.__dict__.update(top=top, meet_table=_meet_table(self))
 
     @property
     def elements(self) -> tuple[str, ...]:
@@ -311,11 +392,13 @@ class MeetSemilattice:
     def meet(self, a: str, b: str) -> str:
         return _bound(self.poset, self.meet_table, a, b)
 
+    meet_table = cached_property(_meet_table)
+
     def meet_all(self, xs: Iterable[str]) -> str:
         return _fold(self.poset, self.meet_table, self.top, xs)
 
     def dual(self) -> JoinSemilattice:
-        return JoinSemilattice(self.poset.dual())
+        return _by_construction(JoinSemilattice, self.poset.dual())
 
     @cached_property
     def _dual(self) -> JoinSemilattice:
@@ -340,8 +423,8 @@ class FiniteLattice:
         self.__dict__.update(
             bottom=bottom,
             top=top,
-            join_table=_bound_table(P, P.up_masks, "join"),
-            meet_table=_bound_table(P, P.down_masks, "meet"),
+            join_table=_join_table(self),
+            meet_table=_meet_table(self),
         )
 
     @property
@@ -357,6 +440,10 @@ class FiniteLattice:
     def meet(self, a: str, b: str) -> str:
         return _bound(self.poset, self.meet_table, a, b)
 
+    join_table = cached_property(_join_table)
+
+    meet_table = cached_property(_meet_table)
+
     def join_all(self, xs: Iterable[str]) -> str:
         return _fold(self.poset, self.join_table, self.bottom, xs)
 
@@ -364,10 +451,10 @@ class FiniteLattice:
         return _fold(self.poset, self.meet_table, self.top, xs)
 
     def dual(self) -> FiniteLattice:
-        return FiniteLattice(self.poset.dual())
+        return _by_construction(FiniteLattice, self.poset.dual())
 
     def as_join_semilattice(self) -> JoinSemilattice:
-        return JoinSemilattice(self.poset)
+        return _by_construction(JoinSemilattice, self.poset)
 
 
 @dataclass(frozen=True)
@@ -446,16 +533,30 @@ class ClosureOperator:
                 raise ValidationError(
                     f"not idempotent at {x!r}", law="closure:idempotent", witness={"element": x}
                 )
-        for a, b in sorted(self.leq_pairs()):
-            if not P.le(self.apply(a), self.apply(b)):
+        # a <= b must give c(a) <= c(b): the b that break it are the up-cone
+        # of a minus ``above[c(a)]``, the preimage of the up-cone of c(a).
+        # The least such pair by name is reported.
+        els, up = P.elements, P.up_masks
+        vals = [idx[v] for v in self.values]
+        preimage = [0] * P.n
+        for j, t in enumerate(vals):
+            preimage[t] |= 1 << j
+        above: dict[int, int] = {}
+        for i in sorted(range(P.n), key=els.__getitem__):
+            t = vals[i]
+            if t not in above:
+                m = 0
+                for s in _bits(up[t]):
+                    m |= preimage[s]
+                above[t] = m
+            bad = up[i] & ~above[t]
+            if bad:
+                a, b = els[i], min(els[j] for j in _bits(bad))
                 raise ValidationError(
                     f"not monotone on ({a!r}, {b!r})",
                     law="closure:monotone",
                     witness={"pair": [a, b]},
                 )
-
-    def leq_pairs(self):
-        return self.poset.leq
 
     def apply(self, x: str) -> str:
         return self.values[self.poset.index[x]]
@@ -600,17 +701,23 @@ def lattice_from_sets(
 ) -> tuple[FiniteLattice, dict[str, frozenset[str]]]:
     """Build the lattice of a family of sets ordered by inclusion.
 
-    Its bounds are read off the inclusion order, so the family must form a
-    lattice under it, as a closure system or a family closed under unions
-    and intersections does.  Returns the lattice and the decoding table from
-    canonical element names back to the sets.
+    The family must form a lattice under inclusion, as a closure system or a
+    family closed under unions and intersections does; nothing checks it, so
+    the units are read at once and the bound tables on first read.  Returns
+    the lattice and the decoding table from canonical element names back to
+    the sets.
     """
     fam = sorted(set(family), key=set_id)
     names = tuple(set_id(m) for m in fam)
-    leq = frozenset(
-        (names[i], names[j]) for i, a in enumerate(fam) for j, b in enumerate(fam) if a <= b
-    )
-    return FiniteLattice(FinitePoset(names, leq)), dict(zip(names, fam))
+    point = {p: k for k, p in enumerate(set().union(*fam))}
+    masks = []
+    for members in fam:
+        m = 0
+        for p in members:
+            m |= 1 << point[p]
+        masks.append(m)
+    P = FinitePoset._from_masks(names, *kernels.inclusion_cones(masks, len(point)))
+    return _by_construction(FiniteLattice, P), dict(zip(names, fam))
 
 
 def k_semilattice(L: FiniteLattice, guard: int = SUBSET_SCAN_GUARD) -> JoinSemilattice:

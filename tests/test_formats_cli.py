@@ -10,13 +10,42 @@ from hypothesis import strategies as st
 from cxtcat import formats
 from cxtcat.cli import main
 from cxtcat.context import make_context
-from cxtcat.corpus import chain_poset, diamond_poset, k2_context, random_context
+from cxtcat.corpus import (
+    chain_poset,
+    diamond_poset,
+    k2_context,
+    random_context,
+    random_join_semilattice,
+    random_poset,
+)
 from cxtcat.errors import FormatError
 from cxtcat.logic import close_entailment
 from cxtcat.mappings import enumerate_mappings
 from cxtcat.order import JoinSemilattice, validate_poset
 from cxtcat.topology import scott_topology
 from cxtcat.order import FiniteLattice
+
+
+# ---------------------------------------------------------------------------
+# posets
+
+
+@given(st.integers(0, 10**6), st.integers(0, 13))
+@settings(max_examples=60, deadline=None)
+def test_leq_is_written_in_name_order(seed, n):
+    """The writers read the order off the masks and give the bytes of the
+    sorted pair list, also when element order is not name order (random
+    posets from 11 elements, shuffled ones, duals)."""
+    rng = random.Random(seed)
+    P = random_poset(rng, n)
+    els = list(P.elements)
+    rng.shuffle(els)
+    S = random_join_semilattice(rng, 6)
+    for Q in (P, validate_poset(els, P.leq), P.dual(), S.poset, S.dual().poset):
+        pairs = sorted([a, b] for a, b in Q.leq)
+        want = formats._doc("poset", elements=sorted(Q.elements), leq=pairs)
+        assert formats.dump_poset(Q) == want
+    assert formats.semilattice_doc(S)["leq"] == sorted([a, b] for a, b in S.poset.leq)
 
 
 # ---------------------------------------------------------------------------

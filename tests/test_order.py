@@ -113,6 +113,106 @@ def test_empty_poset_is_legal():
     assert validate_poset([], []).n == 0
 
 
+def scanned_poset_fault(elements, pairs):
+    """Reference verdict of poset validation, by the definitions on name
+    pairs: ``(law, message, witness)`` of the first fault in the order
+    duplicates, unknown names, reflexivity, antisymmetry (least pair),
+    transitivity (``a``, then ``b``, then ``c`` in element order), or None."""
+    seen = set()
+    for x in elements:
+        if x in seen:
+            return ("poset:elements", f"duplicate element {x!r}", {"element": x})
+        seen.add(x)
+    rel = set(pairs)
+    unknown = sorted((a, b) for a, b in rel if a not in seen or b not in seen)
+    if unknown:
+        a, b = unknown[0]
+        return (
+            "unknown-element",
+            f"leq references unknown element in ({a!r}, {b!r})",
+            {"pair": [a, b]},
+        )
+    for x in elements:
+        if (x, x) not in rel:
+            return ("poset:reflexivity", f"reflexivity fails at {x!r}", {"pair": [x, x]})
+    cycles = sorted((a, b) for a, b in rel if a != b and (b, a) in rel)
+    if cycles:
+        a, b = cycles[0]
+        return ("poset:antisymmetry", f"antisymmetry fails at ({a!r}, {b!r})", {"pair": [a, b]})
+    for a in elements:
+        for b in elements:
+            for c in elements:
+                if (a, b) in rel and (b, c) in rel and (a, c) not in rel:
+                    return (
+                        "poset:transitivity",
+                        f"transitivity fails: {a!r} <= {b!r} <= {c!r} but not {a!r} <= {c!r}",
+                        {"pair": [a, c], "via": b},
+                    )
+    return None
+
+
+def _mutate(rng, kind, els, pairs):
+    """Break one axiom (or none) of the relation ``pairs`` on ``els``."""
+    if kind == "duplicate" and els:
+        els.append(rng.choice(els))
+    elif kind == "unknown":
+        x = rng.choice(els) if els else "zz"
+        pairs.add(rng.choice([("zz", x), (x, "zz"), ("zz", "zy")]))
+    elif kind == "irreflexive" and els:
+        x = rng.choice(els)
+        pairs.discard((x, x))
+    elif kind == "cycle" and len(els) > 1:
+        a, b = rng.sample(els, 2)
+        pairs |= {(a, b), (b, a)}
+    elif kind == "drop":
+        strict = sorted((a, c) for a, c in pairs if a != c)
+        implied = [(a, c) for a, c in strict if any((a, b) in strict and (b, c) in pairs for b in els)]
+        if strict:
+            pairs.discard(rng.choice(implied or strict))
+    elif kind == "add" and els:
+        pairs.add((rng.choice(els), rng.choice(els)))
+
+
+@given(
+    st.integers(0, 10**6),
+    st.integers(0, 8),
+    st.lists(
+        st.sampled_from(["duplicate", "unknown", "irreflexive", "cycle", "drop", "add"]),
+        max_size=3,
+    ),
+)
+@settings(max_examples=400, deadline=None)
+def test_poset_validation_matches_the_pair_scan(seed, n, mutations):
+    """Mask-based validation gives the pair scan's verdict, law, message
+    and witness on valid orders and on orders broken every way."""
+    rng = random.Random(seed)
+    P = random_poset(rng, n)
+    els = list(P.elements)
+    rng.shuffle(els)
+    pairs = set(P.leq)
+    for kind in mutations:
+        _mutate(rng, kind, els, pairs)
+    want = scanned_poset_fault(els, pairs)
+    for build in (lambda: validate_poset(els, pairs), lambda: FinitePoset(tuple(els), pairs)):
+        if want is None:
+            Q = build()
+            assert (Q.elements, Q.leq) == (tuple(els), pairs)
+            assert all(Q.le(a, b) == ((a, b) in pairs) for a in els for b in els)
+        else:
+            with pytest.raises(ValidationError) as exc:
+                build()
+            assert (exc.value.law, str(exc.value), exc.value.witness) == want
+
+
+def test_equality_reads_elements_and_order():
+    P = validate_poset(["a", "b"], [("a", "a"), ("b", "b"), ("a", "b")])
+    assert P == validate_poset(["a", "b"], {("b", "b"), ("a", "b"), ("a", "a")})
+    assert hash(P) == hash(validate_poset(("a", "b"), P.leq))
+    assert P != validate_poset(["b", "a"], P.leq)
+    assert P != validate_poset(["a", "b"], [("a", "a"), ("b", "b")])
+    assert P != P.dual() and P.dual().dual() == P
+
+
 # ---------------------------------------------------------------------------
 # cones
 
@@ -413,6 +513,36 @@ def test_closure_image_is_infima_closed_and_reproduces():
         assert L.meet(a, b) in image
     rebuilt = closure_from_system(L, image)
     assert rebuilt.values == op.values
+
+
+def scanned_monotone_fault(P, values):
+    """Reference monotonicity verdict: the least pair ``(a, b)`` of the
+    relation, as name pairs, whose values are not in it, or None."""
+    c = dict(zip(P.elements, values))
+    return next(([a, b] for a, b in sorted(P.leq) if (c[a], c[b]) not in P.leq), None)
+
+
+@given(st.integers(0, 10**6), st.integers(1, 12))
+@settings(max_examples=150, deadline=None)
+def test_closure_monotonicity_matches_the_pair_scan(seed, n):
+    """Inflationary, idempotent tables: each element goes to itself when it
+    is closed and otherwise to a closed element above it, so monotonicity
+    is all that can fail.  Element order is not name order from n = 11."""
+    rng = random.Random(seed)
+    P = random_poset(rng, n)
+    up = {x: [y for y in P.elements if P.le(x, y)] for x in P.elements}
+    closed = {x for x in P.elements if up[x] == [x] or rng.random() < 0.4}
+    values = tuple(
+        x if x in closed else rng.choice([y for y in up[x] if y in closed]) for x in P.elements
+    )
+    want = scanned_monotone_fault(P, values)
+    if want is None:
+        assert ClosureOperator(P, values).values == values
+    else:
+        with pytest.raises(ValidationError) as exc:
+            ClosureOperator(P, values)
+        assert (exc.value.law, exc.value.witness) == ("closure:monotone", {"pair": want})
+        assert str(exc.value) == f"not monotone on ({want[0]!r}, {want[1]!r})"
 
 
 def test_finite_extension_identity_and_constant():
