@@ -9,7 +9,7 @@ intent closure; both code paths exist and are tested against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable
 
@@ -239,16 +239,24 @@ class ConceptLattice:
         return hash((self.context, self.lattice))
 
 
+def _unchecked(cls, *values):
+    """``cls(*values)`` without the closedness check, for the intents of
+    ``_concept_tables``: intersections of object rows, closed by construction."""
+    X = object.__new__(cls)
+    X.__dict__.update(zip((f.name for f in fields(cls)), values))
+    return X
+
+
 def sem_lattice(P: FormalContext, max_closed: int = CLOSED_SET_GUARD) -> SemLattice:
     """Join-semilattice of closures of finite attribute subsets."""
     poset, intents = _concept_tables(P, max_closed)
-    return SemLattice(P, _by_construction(JoinSemilattice, poset), intents)
+    return _unchecked(SemLattice, P, _by_construction(JoinSemilattice, poset), intents)
 
 
 def alg_lattice(P: FormalContext, max_closed: int = CLOSED_SET_GUARD) -> ConceptLattice:
     """Lattice of all finitarily-closed attribute sets; meets are intersections."""
     poset, intents = _concept_tables(P, max_closed)
-    return ConceptLattice(P, _by_construction(FiniteLattice, poset), intents)
+    return _unchecked(ConceptLattice, P, _by_construction(FiniteLattice, poset), intents)
 
 
 def context_of_semilattice(S: JoinSemilattice) -> FormalContext:

@@ -6,24 +6,24 @@ be eliminated), so consequence relations become set-level closure engines.
 Entailment systems, their Lindenbaum semilattices, deductively closed
 models, and the minimal-upper-bound entailment over arbitrary finite posets
 live here.
+
+A system over ``n`` propositions is held as one closure table of ``2^n``
+ints: bit ``i`` of a mask stands for ``propositions[i]``, and
+``closure_masks[x]`` is the mask of everything the antecedent mask ``x``
+entails.  Names are read and written only at the edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
+from . import kernels
 from .canon import set_id
 from .context import FormalContext, alg_lattice, attr_closure
 from .errors import SizeGuardExceeded, ValidationError
-from .order import (
-    FiniteLattice,
-    FinitePoset,
-    MeetSemilattice,
-    closed_family,
-    lattice_from_sets,
-)
+from .order import FiniteLattice, FinitePoset, MeetSemilattice, _bits, lattice_from_sets
 
 # Entailment relations are materialized over the full powerset of
 # propositions; this caps the width.
@@ -33,205 +33,321 @@ SEQUENT_MATERIALIZE_GUARD = 10
 Entailment = frozenset[tuple[frozenset[str], str]]
 
 
-def _forward_chain(
-    start: frozenset[str], rules: Iterable[tuple[frozenset[str], frozenset[str]]]
-) -> frozenset[str]:
-    """Least superset of ``start`` closed under the given body/head rules."""
-    out = set(start)
-    changed = True
-    while changed:
-        changed = False
-        for body, head in rules:
-            if body <= out and not head <= out:
-                out |= head
-                changed = True
-    return frozenset(out)
+def _index(propositions: tuple[str, ...], law: str, stage: str) -> dict[str, int]:
+    index = {p: i for i, p in enumerate(propositions)}
+    if len(index) != len(propositions):
+        raise ValidationError("duplicate proposition", law=law)
+    if len(index) > PROPOSITION_GUARD:
+        raise SizeGuardExceeded(stage, len(index), PROPOSITION_GUARD)
+    return index
 
 
-@dataclass(frozen=True)
-class InformationSystem:
-    """Propositions with a finitary entailment relation (reflexive and cut-closed)."""
+def _masks(index: dict[str, int], *sides: Iterable[str]) -> list[int]:
+    """The mask of each side; the least unknown name on any side raises."""
+    out, unknown = [], []
+    for side in sides:
+        m = 0
+        for x in side:
+            i = index.get(x)
+            if i is None:
+                unknown.append(x)
+            else:
+                m |= 1 << i
+        out.append(m)
+    if unknown:
+        x = min(unknown)
+        raise ValidationError(
+            f"unknown proposition {x!r}", law="unknown-element", witness={"element": x}
+        )
+    return out
+
+
+def _set(props: tuple[str, ...], mask: int) -> frozenset[str]:
+    return frozenset(props[i] for i in _bits(mask))
+
+
+def _names(props: tuple[str, ...], mask: int) -> list[str]:
+    return sorted(props[i] for i in _bits(mask))
+
+
+def _least(props: tuple[str, ...], mask: int) -> str:
+    return min(props[i] for i in _bits(mask))
+
+
+def _chain(n: int, rules: Iterable[tuple[int, int]]) -> list[int]:
+    """Closure table of the Horn rules ``(body mask, head mask)`` over ``n``
+    propositions, filled from the top mask down.
+
+    When a rule has ``body ⊆ x`` and ``head ⊄ x``, the closure of ``x`` is
+    the closure of ``x | head``, a larger mask and so already filled; when
+    no rule fires, ``x`` is closed.
+    """
+    live = [(body, head) for body, head in rules if head & ~body]
+    cl = [0] * (1 << n)
+    for x in range(len(cl) - 1, -1, -1):
+        for body, head in live:
+            if body & x == body and head & ~x:
+                cl[x] = cl[x | head]
+                break
+        else:
+            cl[x] = x
+    return cl
+
+
+def _checked(props: tuple[str, ...], cl: Sequence[int]) -> tuple[int, ...]:
+    """``cl`` once it is reflexive (ISi) and closed under cut (ISii); the
+    first breach in antecedent-mask order raises with its witness, the least
+    offending atom by name."""
+    for x, c in enumerate(cl):
+        if x & ~c:
+            a = _least(props, x & ~c)
+            raise ValidationError(
+                f"reflexivity fails: {set_id(_names(props, x))} does not entail {a!r}",
+                law="infosys:ISi",
+                witness={"set": _names(props, x), "atom": a},
+            )
+    # With reflexivity, the cut rule is equivalent to monotonicity plus
+    # idempotence of the induced closure; witnesses are genuine cut breaches.
+    bits = [1 << i for i in range(len(props))]
+    for x, c in enumerate(cl):
+        for b in bits:
+            lost = c & ~cl[x | b]
+            if lost:
+                raise ValidationError(
+                    "cut fails under antecedent weakening",
+                    law="infosys:ISii",
+                    witness={
+                        "set": _names(props, x | b),
+                        "via": _names(props, x),
+                        "atom": _least(props, lost),
+                    },
+                )
+        lost = cl[c] & ~c
+        if lost:
+            raise ValidationError(
+                "cut fails: closure is not idempotent",
+                law="infosys:ISii",
+                witness={
+                    "set": _names(props, x),
+                    "via": _names(props, c),
+                    "atom": _least(props, lost),
+                },
+            )
+    return tuple(cl)
+
+
+class _MaskSystem:
+    """Names in, names out over ``propositions`` and ``closure_masks``."""
 
     propositions: tuple[str, ...]
-    entails: Entailment
+    closure_masks: tuple[int, ...]
 
-    def __post_init__(self):
-        props = set(self.propositions)
-        if len(props) != len(self.propositions):
-            raise ValidationError("duplicate proposition", law="infosys:propositions")
-        if len(props) > PROPOSITION_GUARD:
-            raise SizeGuardExceeded("information system", len(props), PROPOSITION_GUARD)
-        for xs, a in sorted(self.entails, key=lambda p: (set_id(p[0]), p[1])):
-            if a not in props or not xs <= props:
-                raise ValidationError(
-                    f"entailment ({set_id(xs)}, {a!r}) references unknown propositions",
-                    law="unknown-element",
-                    witness={"pair": [sorted(xs), a]},
-                )
-        cl = self.closure_table
-        for xs, members in cl.items():
-            for a in xs:
-                if a not in members:
-                    raise ValidationError(
-                        f"reflexivity fails: {set_id(frozenset(xs))} does not entail {a!r}",
-                        law="infosys:ISi",
-                        witness={"set": sorted(xs), "atom": a},
-                    )
-        # With reflexivity, the cut rule is equivalent to monotonicity plus
-        # idempotence of the induced closure; witnesses are genuine cut breaches.
-        for xs, members in cl.items():
-            for b in self.propositions:
-                bigger = frozenset(set(xs) | {b})
-                if not members <= cl[bigger]:
-                    a = sorted(members - cl[bigger])[0]
-                    raise ValidationError(
-                        "cut fails under antecedent weakening",
-                        law="infosys:ISii",
-                        witness={"set": sorted(bigger), "via": sorted(xs), "atom": a},
-                    )
-            closed = cl[frozenset(members)]
-            if not closed <= members:
-                a = sorted(closed - members)[0]
-                raise ValidationError(
-                    "cut fails: closure is not idempotent",
-                    law="infosys:ISii",
-                    witness={"set": sorted(xs), "via": sorted(members), "atom": a},
-                )
+    @cached_property
+    def index(self) -> dict[str, int]:
+        return {p: i for i, p in enumerate(self.propositions)}
+
+    def closure(self, xs: Iterable[str]) -> frozenset[str]:
+        """All propositions the conjunction of ``xs`` entails."""
+        (x,) = _masks(self.index, xs)
+        return _set(self.propositions, self.closure_masks[x])
+
+    def holds(self, xs: Iterable[str], ys: Iterable[str]) -> bool:
+        """Whether the conjunction of ``xs`` entails every member of ``ys``."""
+        x, y = _masks(self.index, xs, ys)
+        return self.closure_masks[x] & y == y
+
+
+@dataclass(frozen=True, init=False, repr=False)
+class InformationSystem(_MaskSystem):
+    """Propositions with a finitary entailment relation (reflexive and
+    cut-closed), held as its closure table.
+
+    Equality and hashing read ``propositions`` and ``closure_masks``;
+    ``entails`` (the relation as name pairs) and ``closure_table`` are
+    derived on first read.  ``InformationSystem(propositions, entails)``
+    checks the names and both laws; ``_from_table`` takes a table over names
+    valid by construction and still checks both laws.
+    """
+
+    propositions: tuple[str, ...]
+    closure_masks: tuple[int, ...]
+
+    def __init__(
+        self, propositions: tuple[str, ...], entails: Iterable[tuple[Iterable[str], str]]
+    ):
+        # The checks keep the name dataclasses give them, as on the order
+        # types, so that per-layer benchmarks count them alike.
+        self.__dict__["propositions"] = propositions
+        self.__post_init__(entails)
+
+    def __post_init__(self, entails):
+        index = _index(self.propositions, "infosys:propositions", "information system")
+        table = [0] * (1 << len(index))
+        unknown = []
+        for xs, a in entails:
+            try:
+                body, head = _masks(index, xs, (a,))
+            except ValidationError:
+                unknown.append((xs, a))
+                continue
+            table[body] |= head
+        if unknown:
+            xs, a = min(unknown, key=lambda p: (set_id(p[0]), p[1]))
+            raise ValidationError(
+                f"entailment ({set_id(xs)}, {a!r}) references unknown propositions",
+                law="unknown-element",
+                witness={"pair": [sorted(xs), a]},
+            )
+        self.__dict__["closure_masks"] = _checked(self.propositions, table)
+
+    @classmethod
+    def _from_table(cls, propositions: tuple[str, ...], table: Sequence[int]) -> InformationSystem:
+        S = object.__new__(cls)
+        S.__dict__.update(propositions=propositions, closure_masks=_checked(propositions, table))
+        return S
+
+    def __repr__(self) -> str:
+        entails = sorted((sorted(xs), a) for xs, a in self.entails)
+        return f"InformationSystem(propositions={self.propositions!r}, entails={entails!r})"
+
+    @cached_property
+    def entails(self) -> Entailment:
+        props = self.propositions
+        return frozenset(
+            (_set(props, x), props[i]) for x, c in enumerate(self.closure_masks) for i in _bits(c)
+        )
 
     @cached_property
     def closure_table(self) -> dict[frozenset[str], frozenset[str]]:
-        by_x: dict[frozenset[str], set[str]] = {}
-        for xs, a in self.entails:
-            by_x.setdefault(xs, set()).add(a)
-        out = {}
-        for m in range(1 << len(self.propositions)):
-            xs = frozenset(p for i, p in enumerate(self.propositions) if m >> i & 1)
-            out[xs] = frozenset(by_x.get(xs, set()))
-        return out
-
-    def closure(self, xs: Iterable[str]) -> frozenset[str]:
-        return self.closure_table[frozenset(xs)]
+        props = self.propositions
+        return {_set(props, x): _set(props, c) for x, c in enumerate(self.closure_masks)}
 
     def holds(self, xs: Iterable[str], a: str) -> bool:
-        return (frozenset(xs), a) in self.entails
+        return super().holds(xs, (a,))
 
 
 def close_entailment(
     propositions: Iterable[str], raw: Iterable[tuple[Iterable[str], str]]
 ) -> InformationSystem:
     """Least entailment relation containing ``raw``: saturate reflexivity and
-    cut by forward chaining on every antecedent set."""
+    cut by chaining the raw pairs, as rules, on every antecedent mask."""
     props = tuple(propositions)
-    pset = set(props)
-    if len(pset) > PROPOSITION_GUARD:
-        raise SizeGuardExceeded("close_entailment", len(pset), PROPOSITION_GUARD)
-    rules = []
+    index = _index(props, "infosys:propositions", "close_entailment")
+    heads: dict[int, int] = {}
     for xs, a in raw:
         xs = frozenset(xs)
-        if a not in pset or not xs <= pset:
+        try:
+            body, head = _masks(index, xs, (a,))
+        except ValidationError:
             raise ValidationError(
                 f"raw pair ({set_id(xs)}, {a!r}) references unknown propositions",
                 law="unknown-element",
                 witness={"pair": [sorted(xs), a]},
-            )
-        rules.append((xs, frozenset({a})))
-    pairs = set()
-    for m in range(1 << len(props)):
-        xs = frozenset(p for i, p in enumerate(props) if m >> i & 1)
-        for a in _forward_chain(xs, rules):
-            pairs.add((xs, a))
-    return InformationSystem(props, frozenset(pairs))
+            ) from None
+        heads[body] = heads.get(body, 0) | head
+    return InformationSystem._from_table(props, _chain(len(props), heads.items()))
 
 
-@dataclass(frozen=True)
-class CcpSystem:
+@dataclass(frozen=True, init=False, eq=False, repr=False)
+class CcpSystem(_MaskSystem):
     """Consequence relation of the conjunctive fragment, on set-encoded formulas.
 
-    Stores a generating set of sequents; derivability is decided by a
-    memoized closure engine.  Two systems are equal when they derive the same
-    sequents, regardless of the generators given.
+    Holds its generating sequents as ``rules``, ``(body mask, head mask)``
+    pairs with one rule per body (generators sharing a body are merged);
+    derivability reads one closure table, filled by chaining the rules on
+    first read.  Two systems are equal when they derive the same sequents,
+    regardless of the generators given.
     """
 
     propositions: tuple[str, ...]
-    generators: frozenset[tuple[frozenset[str], frozenset[str]]]
+    rules: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        props = set(self.propositions)
-        if len(props) != len(self.propositions):
-            raise ValidationError("duplicate proposition", law="ccp:propositions")
-        if len(props) > PROPOSITION_GUARD:
-            raise SizeGuardExceeded("ccp system", len(props), PROPOSITION_GUARD)
-        for xs, ys in self.generators:
-            if not xs <= props or not ys <= props:
-                raise ValidationError(
-                    "generator sequent references unknown propositions",
-                    law="unknown-element",
-                    witness={"pair": [sorted(xs), sorted(ys)]},
-                )
+    def __init__(
+        self,
+        propositions: tuple[str, ...],
+        generators: Iterable[tuple[Iterable[str], Iterable[str]]],
+    ):
+        self.__dict__["propositions"] = propositions
+        self.__post_init__(generators)
+
+    def __post_init__(self, generators):
+        index = _index(self.propositions, "ccp:propositions", "ccp system")
+        heads: dict[int, int] = {}
+        bad = []
+        for xs, ys in generators:
+            try:
+                body, head = _masks(index, xs, ys)
+            except ValidationError:
+                bad.append((sorted(xs), sorted(ys)))
+                continue
+            heads[body] = heads.get(body, 0) | head
+        if bad:
+            raise ValidationError(
+                "generator sequent references unknown propositions",
+                law="unknown-element",
+                witness={"pair": list(min(bad))},
+            )
+        self.__dict__["rules"] = tuple(sorted(heads.items()))
+
+    @classmethod
+    def _from_rules(cls, propositions: tuple[str, ...], heads: dict[int, int]) -> CcpSystem:
+        C = object.__new__(cls)
+        C.__dict__.update(propositions=propositions, rules=tuple(sorted(heads.items())))
+        return C
+
+    def __repr__(self) -> str:
+        gens = sorted((sorted(xs), sorted(ys)) for xs, ys in self.generators)
+        return f"CcpSystem(propositions={self.propositions!r}, generators={gens!r})"
 
     @cached_property
-    def _cache(self) -> dict[frozenset[str], frozenset[str]]:
-        return {}
+    def generators(self) -> frozenset[tuple[frozenset[str], frozenset[str]]]:
+        props = self.propositions
+        return frozenset((_set(props, body), _set(props, head)) for body, head in self.rules)
 
-    def closure(self, xs: Iterable[str]) -> frozenset[str]:
-        """All propositions derivable from the conjunction of ``xs``."""
-        key = frozenset(xs)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = _forward_chain(key, self.generators)
-            self._cache[key] = hit
-        return hit
-
-    def holds(self, xs: Iterable[str], ys: Iterable[str]) -> bool:
-        """Whether the sequent (antecedent conjunction, consequent conjunction) is derivable."""
-        return frozenset(ys) <= self.closure(xs)
+    @cached_property
+    def closure_masks(self) -> tuple[int, ...]:
+        return tuple(_chain(len(self.propositions), self.rules))
 
     def sequents(
         self, guard: int = SEQUENT_MATERIALIZE_GUARD
     ) -> frozenset[tuple[frozenset[str], frozenset[str]]]:
         """Materialize every derivable sequent; exponential, hence guarded."""
-        n = len(self.propositions)
-        if n > guard:
-            raise SizeGuardExceeded("ccp sequent materialization", n, guard)
+        props = self.propositions
+        if len(props) > guard:
+            raise SizeGuardExceeded("ccp sequent materialization", len(props), guard)
         out = set()
-        for m in range(1 << n):
-            xs = frozenset(p for i, p in enumerate(self.propositions) if m >> i & 1)
-            cx = sorted(self.closure(xs))
-            for k in range(1 << len(cx)):
-                out.add((xs, frozenset(c for i, c in enumerate(cx) if k >> i & 1)))
+        for x, c in enumerate(self.closure_masks):
+            xs, sub = _set(props, x), c
+            while True:
+                out.add((xs, _set(props, sub)))
+                if not sub:
+                    break
+                sub = (sub - 1) & c
         return frozenset(out)
 
     def __eq__(self, other):
         if not isinstance(other, CcpSystem):
             return NotImplemented
-        if self.propositions != other.propositions:
-            return False
-        for m in range(1 << len(self.propositions)):
-            xs = frozenset(p for i, p in enumerate(self.propositions) if m >> i & 1)
-            if self.closure(xs) != other.closure(xs):
-                return False
-        return True
+        return (
+            self.propositions == other.propositions
+            and self.closure_masks == other.closure_masks
+        )
 
     def __hash__(self):
         return hash(self.propositions)
 
 
 def is_to_ccp(system: InformationSystem) -> CcpSystem:
-    """A sequent holds when every consequent atom is entailed by the antecedent set."""
-    return CcpSystem(
-        system.propositions,
-        frozenset((xs, frozenset({a})) for xs, a in system.entails),
+    """A sequent holds when every consequent atom is entailed by the
+    antecedent set: one generator per antecedent, with its closure as head."""
+    return CcpSystem._from_rules(
+        system.propositions, {x: c for x, c in enumerate(system.closure_masks) if c}
     )
 
 
 def ccp_to_is(system: CcpSystem) -> InformationSystem:
     """Restrict the sequent relation to single-atom consequents."""
-    pairs = set()
-    for m in range(1 << len(system.propositions)):
-        xs = frozenset(p for i, p in enumerate(system.propositions) if m >> i & 1)
-        for a in system.closure(xs):
-            pairs.add((xs, a))
-    return InformationSystem(system.propositions, frozenset(pairs))
+    return InformationSystem._from_table(system.propositions, system.closure_masks)
 
 
 @dataclass(frozen=True)
@@ -286,8 +402,10 @@ def semilattice_to_ccp(S: MeetSemilattice) -> CcpSystem:
 def elements(
     system: InformationSystem | CcpSystem,
 ) -> tuple[FiniteLattice, dict[str, frozenset[str]]]:
-    """All deductively closed proposition sets, as a lattice under inclusion."""
-    return lattice_from_sets(closed_family(system.closure, system.propositions))
+    """All deductively closed proposition sets, as a lattice under inclusion:
+    the distinct values of the closure table."""
+    props = system.propositions
+    return lattice_from_sets(_set(props, c) for c in set(system.closure_masks))
 
 
 def context_to_is(P: FormalContext) -> InformationSystem:
@@ -296,12 +414,10 @@ def context_to_is(P: FormalContext) -> InformationSystem:
     attrs = P.attributes
     if len(attrs) > PROPOSITION_GUARD:
         raise SizeGuardExceeded("context_to_is", len(attrs), PROPOSITION_GUARD)
-    pairs = set()
-    for m in range(1 << len(attrs)):
-        xs = frozenset(a for i, a in enumerate(attrs) if m >> i & 1)
-        for a in attr_closure(P, xs):
-            pairs.add((xs, a))
-    return InformationSystem(attrs, frozenset(pairs))
+    rows, full = P.rows, P.full_attr_mask
+    return InformationSystem._from_table(
+        attrs, [kernels.closure_mask(rows, full, x) for x in range(1 << len(attrs))]
+    )
 
 
 # ---------------------------------------------------------------------------

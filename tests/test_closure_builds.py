@@ -8,8 +8,9 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cxtcat import context
 from cxtcat.canon import set_id
-from cxtcat.context import alg_lattice, sem_lattice
+from cxtcat.context import alg_lattice, attr_closure, sem_lattice
 from cxtcat.corpus import random_context, random_join_semilattice, random_poset
 from cxtcat.order import (
     FiniteLattice,
@@ -74,6 +75,23 @@ def test_concept_structures_match_the_inclusion_scan(seed):
     assert_same_order(alg.lattice.poset, naive)
     assert_like_eager(sem.semilattice, JoinSemilattice)
     assert_like_eager(alg.lattice, FiniteLattice)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_concept_intents_are_closed(seed):
+    """The intents are closed by construction, so neither build checks."""
+    P = random_context(random.Random(seed), 6, 5)
+    checked = context._check_closed
+    context._check_closed = None  # a call would raise TypeError
+    try:
+        sem, alg = sem_lattice(P), alg_lattice(P)
+    finally:
+        context._check_closed = checked
+    for X in (sem, alg):
+        assert set(X.intents) == set(X.elements)
+        for name, members in X.intents.items():
+            assert attr_closure(P, members) == members and set_id(members) == name
 
 
 @given(st.integers(0, 10**6), st.integers(0, 5))

@@ -9,6 +9,8 @@ from cxtcat import kernels
 from cxtcat.canon import set_id
 from cxtcat.context import (
     CLOSED_SET_GUARD,
+    ConceptLattice,
+    SemLattice,
     alg_lattice,
     alpha,
     approx_closure,
@@ -163,6 +165,24 @@ def test_sem_join_is_closure_of_union(seed):
 def test_alg_carrier_equals_sem_carrier():
     P = k2_context()
     assert alg_lattice(P).elements == sem_lattice(P).elements
+
+
+@pytest.mark.parametrize(
+    "cls, law, what",
+    [(SemLattice, "sem:closed", "element"), (ConceptLattice, "alg:closed", "concept")],
+)
+def test_public_constructors_check_that_intents_are_closed(cls, law, what):
+    P = make_context(["x", "y"], ["a", "b"], [("x", "a"), ("x", "b"), ("y", "a")])
+    built = sem_lattice(P) if cls is SemLattice else alg_lattice(P)
+    structure = getattr(built, "semilattice", None) or built.lattice
+    assert cls(P, structure, built.intents) == built
+    # {b} is not closed: the only object bearing b also bears a
+    bad = {**built.intents, "{a}": frozenset({"b"})}
+    with pytest.raises(ValidationError) as exc:
+        cls(P, structure, bad)
+    assert (exc.value.law, str(exc.value), exc.value.witness) == (
+        law, f"{what} {{a}} is not closed", {"element": "{a}"}
+    )
 
 
 @given(st.integers(0, 10**6))

@@ -17,6 +17,7 @@ from cxtcat.corpus import (
 )
 from cxtcat.errors import ValidationError
 from cxtcat.logic import (
+    CcpSystem,
     InformationSystem,
     ccp_to_is,
     close_entailment,
@@ -101,9 +102,33 @@ def test_closing_a_closed_relation_is_identity():
 
 def test_validation_builds_the_closure_table_that_closure_reads():
     s = close_entailment(["a", "b"], [({"a"}, "b")])
-    table = s.__dict__["closure_table"]  # cached by validation
-    assert s.closure_table is table and len(table) == 4
+    table = s.__dict__["closure_masks"]  # the table validation checked
+    assert table == (0b00, 0b11, 0b10, 0b11)  # indexed by antecedent mask
     assert s.closure({"a"}) == {"a", "b"}
+    table_reads = []
+
+    class Spy(tuple):
+        def __getitem__(self, x):
+            table_reads.append(x)
+            return tuple.__getitem__(self, x)
+
+    object.__setattr__(s, "closure_masks", Spy(table))
+    assert s.closure({"b"}) == {"b"} and table_reads == [0b10]
+
+
+def test_repr_shows_names_and_rebuilds_the_system():
+    s = close_entailment(["a", "b"], [({"a"}, "b")])
+    assert repr(s) == (
+        "InformationSystem(propositions=('a', 'b'), entails=[(['a'], 'a'), (['a'], 'b'),"
+        " (['a', 'b'], 'a'), (['a', 'b'], 'b'), (['b'], 'b')])"
+    )
+    c = is_to_ccp(s)
+    assert repr(c) == (
+        "CcpSystem(propositions=('a', 'b'), generators=[(['a'], ['a', 'b']),"
+        " (['a', 'b'], ['a', 'b']), (['b'], ['b'])])"
+    )
+    env = {"InformationSystem": InformationSystem, "CcpSystem": CcpSystem}
+    assert eval(repr(s), env) == s and eval(repr(c), env) == c
 
 
 def test_validation_rejects_broken_cut():
