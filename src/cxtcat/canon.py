@@ -20,10 +20,6 @@ def pair_id(first: str, second: str) -> str:
     return "(" + _esc(first) + "," + _esc(second) + ")"
 
 
-def pair_set_id(pairs: Iterable[tuple[str, str]]) -> str:
-    return set_id(pair_id(a, b) for a, b in pairs)
-
-
 def fresh_id(base: str, taken: Iterable[str], marker: str = "~") -> str:
     """``base``, suffix-escaped with ``marker`` until it avoids ``taken``."""
     used = set(taken)

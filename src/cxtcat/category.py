@@ -15,8 +15,8 @@ from typing import Iterable
 from .canon import fresh_id, pair_id, set_id
 from .context import FormalContext, SemLattice, make_context, sem_lattice
 from .errors import SizeGuardExceeded, ValidationError
-from .mappings import ApproximableMapping, validate_am
-from .order import FiniteLattice, JoinSemilattice, closed_family, lattice_from_sets
+from .mappings import ApproximableMapping, enumerate_mappings, validate_am
+from .order import FiniteLattice, JoinSemilattice, lattice_from_sets
 
 LEFT_TAG = "l:"
 RIGHT_TAG = "r:"
@@ -240,10 +240,10 @@ class FunctionSpaceContext:
 
     Objects are finite sets of such pairs; a set models a pair ``(a, b)``
     when ``b`` is below the join of the second components whose first
-    component is below ``a``.  Concept closure saturates a pair set under the
-    mapping axioms, and the concepts are its closed sets, enumerated by
-    ``order.closed_family``; the literal context over all finite attribute
-    sets is materialized on demand for cross-validation.
+    component is below ``a``.  The concepts are the enumerated approximable
+    mappings (Lemma 5.9), named by their pair sets.  ``closure`` saturates a
+    pair set under the mapping axioms by definition; ``lemma5.9`` checks the
+    concepts against its closed sets and against the literal context.
     """
 
     left: FormalContext
@@ -259,11 +259,7 @@ class FunctionSpaceContext:
 
     @cached_property
     def attributes(self) -> tuple[str, ...]:
-        return tuple(
-            pair_id(x, y)
-            for x in self.left_sem.elements
-            for y in self.right_sem.elements
-        )
+        return tuple(self.attr_pairs)
 
     @cached_property
     def attr_pairs(self) -> dict[str, tuple[str, str]]:
@@ -275,6 +271,12 @@ class FunctionSpaceContext:
 
     def closure(self, attrs: Iterable[str]) -> frozenset[str]:
         """Least mapping-axiom-closed attribute set containing ``attrs``."""
+        attrs = set(attrs)
+        if not attrs <= self.attr_pairs.keys():
+            a = min(attrs.difference(self.attr_pairs))
+            raise ValidationError(
+                f"unknown attribute {a!r}", law="unknown-element", witness={"element": a}
+            )
         sp, sq = self.left_sem.semilattice, self.right_sem.semilattice
         have: set[tuple[str, str]] = {self.attr_pairs[a] for a in attrs}
         for x in sp.elements:
@@ -304,12 +306,19 @@ class FunctionSpaceContext:
         return frozenset(pair_id(x, y) for x, y in have)
 
     @cached_property
+    def _mappings(self) -> dict[frozenset[str], ApproximableMapping]:
+        """The hom-set, each mapping keyed by its set of pair attributes."""
+        attr_of = {p: a for a, p in self.attr_pairs.items()}
+        homs = enumerate_mappings(self.left_sem.semilattice, self.right_sem.semilattice)
+        return {frozenset(attr_of[p] for p in m.pairs): m for m in homs}
+
+    @cached_property
     def _lattice(self) -> tuple[FiniteLattice, dict[str, frozenset[str]]]:
-        return lattice_from_sets(closed_family(self.closure, self.attributes))
+        return lattice_from_sets(self._mappings)
 
     @cached_property
     def sem(self) -> tuple[JoinSemilattice, dict[str, frozenset[str]]]:
-        """Concept semilattice over the closed pair sets, plus decoding."""
+        """Concept semilattice over the mappings' pair sets, plus decoding."""
         lat, names = self._lattice
         return lat.as_join_semilattice(), names
 
@@ -317,19 +326,18 @@ class FunctionSpaceContext:
         """The full concept lattice of the function space."""
         return self._lattice
 
+    def mapping(self, name: str) -> ApproximableMapping:
+        """The approximable mapping that a concept is."""
+        self.sem[0].poset.check_members((name,))
+        return self._mappings[self.sem[1][name]]
+
     def decode(self, name: str) -> frozenset[tuple[str, str]]:
-        return frozenset(self.attr_pairs[a] for a in self.sem[1][name])
+        return self.mapping(name).pairs
 
     @cached_property
     def _concept_of_values(self) -> dict[tuple[str, ...], str]:
-        """Each concept keyed by its value table: for every left-factor
-        element, the join of the right-factor elements paired with it."""
-        left, right = self.left_sem.elements, self.right_sem.semilattice
-        out = {}
-        for w in self.sem[0].elements:
-            pairs = self.decode(w)
-            out[tuple(right.join_all(z for y, z in pairs if y == x) for x in left)] = w
-        return out
+        """Each concept keyed by its mapping's value table."""
+        return {self._mappings[members].values: w for w, members in self.sem[1].items()}
 
     def literal_context(self, guard: int = LITERAL_OBJECT_GUARD) -> FormalContext:
         """The context with one object per finite attribute set."""
@@ -400,10 +408,7 @@ def uncurry(
     _check_curry_interfaces(None, prod, fs)
     if m.source != prod.left_sem.semilattice or m.target != fs.sem[0]:
         raise ValidationError("mapping is not over the expected transpose", law="curry:interface")
-    tgt = fs.right_sem.semilattice
-    images = {x: fs.decode(w) for x, w in zip(m.source.elements, m.values)}
     values = tuple(
-        tgt.join_all(z for y2, z in images[x] if y2 == y)
-        for x, y in map(prod.decompose, prod.sem.elements)
+        fs.mapping(m.apply(x)).apply(y) for x, y in map(prod.decompose, prod.sem.elements)
     )
-    return ApproximableMapping(prod.sem.semilattice, tgt, values)
+    return ApproximableMapping(prod.sem.semilattice, fs.right_sem.semilattice, values)

@@ -42,7 +42,7 @@ from .mappings import (
     idl_on_morphism,
     k_on_morphism,
 )
-from .order import JoinSemilattice, ideal_completion, theorem_3_6_isos
+from .order import JoinSemilattice, closed_family, ideal_completion, theorem_3_6_isos
 from .topology import (
     corollary_6_17_spaces,
     lemma_6_16_check,
@@ -165,9 +165,9 @@ def law_prop5_6(seed: int | None = None, max_sem: int | None = None) -> LawRepor
                     return rep.fail("closure is not computed sidewise", at=[x, y])
         pl, pr = prod.proj_left(), prod.proj_right()
         mediating = enumerate_mappings(sr.semilattice, prod.sem.semilattice)
-        by_cone: dict[tuple[str, str], list] = {}
+        by_cone: dict[tuple[tuple[str, ...], tuple[str, ...]], list] = {}
         for m in mediating:
-            key = (compose(m, pl).canonical_id(), compose(m, pr).canonical_id())
+            key = (compose(m, pl).values, compose(m, pr).values)
             by_cone.setdefault(key, []).append(m)
         for mP in enumerate_mappings(sr.semilattice, sp.semilattice):
             for mQ in enumerate_mappings(sr.semilattice, sq.semilattice):
@@ -177,7 +177,7 @@ def law_prop5_6(seed: int | None = None, max_sem: int | None = None) -> LawRepor
                         "pairing does not commute with projections",
                         legs=[sorted(mP.pairs), sorted(mQ.pairs)],
                     )
-                bucket = by_cone.get((mP.canonical_id(), mQ.canonical_id()), [])
+                bucket = by_cone.get((mP.values, mQ.values), [])
                 if len(bucket) != 1 or bucket[0] != med:
                     return rep.fail(
                         "mediating mapping is not unique",
@@ -219,7 +219,8 @@ def law_lemma5_9(seed: int | None = None, max_sem: int | None = None) -> LawRepo
     pairs = [(P, Q) for P in ctxs[:3] for Q in ctxs[:3]]
     for P, Q in pairs:
         fs = funcspace(P, Q)
-        carrier = {frozenset(fs.decode(e)) for e in fs.sem[0].elements}
+        closed = closed_family(fs.closure, fs.attributes)  # by definition, not the hom-set
+        carrier = {frozenset(map(fs.attr_pairs.__getitem__, s)) for s in closed}
         homs = {
             m.pairs
             for m in enumerate_mappings(
@@ -270,8 +271,8 @@ def law_prop5_10(seed: int | None = None, max_sem: int | None = None) -> LawRepo
             c = curry(m, prod, fs)
             if uncurry(c, prod, fs) != m:
                 return rep.fail("transpose round trip broke", pairs=sorted(m.pairs))
-            seen.add(c.canonical_id())
-        if seen != {m.canonical_id() for m in homs_curry}:
+            seen.add(c.values)
+        if seen != {m.values for m in homs_curry}:
             return rep.fail("transpose is not onto the exponential hom-set")
         for m in homs_curry:
             if curry(uncurry(m, prod, fs), prod, fs) != m:

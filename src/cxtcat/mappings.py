@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Iterable
 
 from . import kernels
-from .canon import pair_id, pair_set_id, set_id
+from .canon import pair_id, set_id
 from .errors import SizeGuardExceeded, ValidationError
 from .order import (
     FiniteLattice,
@@ -73,9 +73,6 @@ class ApproximableMapping:
         return frozenset(
             (a, b) for a, v in zip(self.source.elements, self.values) for b in principal_ideal(T, v)
         )
-
-    def canonical_id(self) -> str:
-        return pair_set_id(self.pairs)
 
 
 def _table_breach(P: FinitePoset, Q: FinitePoset, values, law: str) -> tuple[str, str] | None:
@@ -346,11 +343,11 @@ def enumerate_mappings(
             "enumerate_mappings output", len(picks), ENUMERATION_OUTPUT_GUARD
         )
     pos = sorted(range(P.n), key=order.__getitem__)  # where each source index is picked
-    # Sort by canonical id without building it.  The id joins the sorted pair
-    # ids, none a prefix of another, so of two mappings the one holding the
-    # lowest-ranked pair they do not share comes first; a pair list that is a
-    # prefix of another sorts after it, as "," < "}".  Pair (i, j) of rank r
-    # among all N = |S|*|T| pairs is bit N-1-r, and the key is minus the
+    # Sort by pair-set name (set_id of pair_ids) without building it.  It joins
+    # the sorted pair ids, none a prefix of another, so of two mappings the one
+    # holding the lowest-ranked pair they do not share comes first; a pair list
+    # that is a prefix of another sorts after it, as "," < "}".  Pair (i, j) of
+    # rank r among all N = |S|*|T| pairs is bit N-1-r, and the key is minus the
     # mapping's pair mask; pm[i][v] holds the bits of the pairs (i, b), b <= v.
     ranked = sorted(
         (pair_id(a, b), i, j) for i, a in enumerate(P.elements) for j, b in enumerate(Q.elements)

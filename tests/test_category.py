@@ -1,10 +1,11 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cxtcat.canon import set_id
+from cxtcat.canon import pair_id, set_id
 from cxtcat.category import (
     FunctionSpaceContext,
     bang,
@@ -18,17 +19,32 @@ from cxtcat.category import (
     terminal,
     uncurry,
 )
-from cxtcat.context import alpha, attr_closure, make_context, sem_lattice
+from cxtcat.cli import main
+from cxtcat.context import (
+    alpha,
+    attr_closure,
+    context_of_semilattice,
+    make_context,
+    sem_lattice,
+)
 from cxtcat.corpus import (
     chain_context,
     k2_context,
     random_context_with_sem_at_most,
 )
 from cxtcat.errors import SizeGuardExceeded, ValidationError
-from cxtcat.mappings import compose, enumerate_mappings, identity_mapping, validate_am
-from cxtcat.order import closed_family, order_isomorphism
+from cxtcat.formats import dump_cxt
+from cxtcat.laws import run_law
+from cxtcat.mappings import (
+    ENUMERATION_OUTPUT_GUARD,
+    compose,
+    enumerate_mappings,
+    identity_mapping,
+    validate_am,
+)
+from cxtcat.order import closed_family, lattice_from_sets, order_isomorphism
 
-from test_mappings import assert_checked_relation
+from test_mappings import assert_checked_relation, canonical_id, m_n
 
 
 C2 = chain_context(2)
@@ -314,8 +330,35 @@ def test_funcspace_engines_agree():
         assert sem_lattice(lit).semilattice == fs.sem[0]
 
 
+def closure_engine_build(fs):
+    """The function-space lattice as the closure engine builds it: the
+    closed pair sets under inclusion, and the concept of each value table,
+    read off its pairs by joining the values paired with each element."""
+    lat, names = lattice_from_sets(closed_family(fs.closure, fs.attributes))
+    right = fs.right_sem.semilattice
+    values = {}
+    for w, members in names.items():
+        pairs = [fs.attr_pairs[a] for a in members]
+        key = tuple(right.join_all(z for y, z in pairs if y == x) for x in fs.left_sem.elements)
+        values[key] = w
+    return lat, names, values
+
+
+def funcspace_oracle_pairs():
+    """Chains 1-5, mixed chains, K2 and seeded contexts of at most six
+    concepts."""
+    rng = random.Random(23)
+    chains = [chain_context(n) for n in range(1, 6)]
+    pairs = [(c, c) for c in chains]
+    pairs += [(chains[0], chains[4]), (chains[4], chains[0]), (chains[3], chains[1])]
+    pairs += [(k2_context(), C3), (C2, k2_context())]
+    ctxs = [random_context_with_sem_at_most(rng, 6, 4, 4) for _ in range(30)]
+    pairs += list(zip(ctxs[::2], ctxs[1::2]))
+    return pairs
+
+
 def test_funcspace_concepts_are_every_closure():
-    for P, Q in ((C2, C2), (chain_context(3), C2)):
+    for P, Q in ((C2, C2), (C3, C2)):
         fs = funcspace(P, Q)
         attrs = fs.attributes
         want = {
@@ -324,12 +367,29 @@ def test_funcspace_concepts_are_every_closure():
         }
         assert closed_family(fs.closure, attrs) == want
         assert set(fs.sem[1].values()) == want
-        assert fs.sem[0] == fs.concepts()[0].as_join_semilattice()
+    for P, Q in funcspace_oracle_pairs():
+        fs = funcspace(P, Q)
+        left, right = sem_lattice(P).elements, sem_lattice(Q).elements
+        assert fs.attributes == tuple(pair_id(x, y) for x in left for y in right)
+        lat, names, values = closure_engine_build(fs)
+        got, got_names = fs.concepts()
+        assert got.elements == lat.elements
+        assert got.poset.up_masks == lat.poset.up_masks
+        assert got.poset.down_masks == lat.poset.down_masks
+        assert got == lat and got.join_table == lat.join_table
+        assert got.meet_table == lat.meet_table
+        assert got_names == names
+        assert {w: fs.decode(w) for w in got.elements} == {
+            w: frozenset(fs.attr_pairs[a] for a in members) for w, members in names.items()
+        }
+        assert fs._concept_of_values == values
+        assert fs.sem[0] == lat.as_join_semilattice()
 
 
 def test_funcspace_calls_closure_only_to_enumerate_the_closed_family(monkeypatch):
-    """The bounds of the function space are read off inclusion, so the
-    closure runs only while ``closed_family`` enumerates the concepts."""
+    """The concepts are the enumerated mappings, so building the function
+    space and currying through it run no closure; ``closed_family`` over the
+    closure, the independent side of ``lemma5.9``, still does."""
     calls = []
     real = FunctionSpaceContext.closure
     monkeypatch.setattr(
@@ -337,10 +397,54 @@ def test_funcspace_calls_closure_only_to_enumerate_the_closed_family(monkeypatch
     )
     fs = funcspace(chain_context(5), chain_context(5))
     assert len(fs.sem[1]) == 126
-    assert len(calls) == 505
-    calls.clear()
+    prod, fs3 = product(C2, C3), funcspace(C3, C3)
+    for m in enumerate_mappings(prod.sem.semilattice, sem_lattice(C3).semilattice):
+        assert uncurry(curry(m, prod, fs3), prod, fs3) == m
+    assert calls == []
     closed_family(fs.closure, fs.attributes)
     assert len(calls) == 505
+
+
+def test_lemma5_9_checks_the_concepts_against_the_closure(monkeypatch):
+    """The law's carrier comes from the closure engine, not from the
+    hom-set build it is compared with: a broken closure fails the law."""
+    assert run_law("lemma5.9", seed=1).ok
+    monkeypatch.setattr(FunctionSpaceContext, "closure", lambda self, attrs: frozenset())
+    rep = run_law("lemma5.9", seed=1)
+    assert not rep.ok
+    assert rep.witness["message"] == "function-space concepts differ from the mapping hom-set"
+
+
+def test_funcspace_rejects_unknown_names():
+    fs = funcspace(C2, C2)
+    with pytest.raises(ValidationError) as exc:
+        fs.closure(["zz", fs.attributes[0], "yy"])
+    assert exc.value.law == "unknown-element"
+    assert exc.value.witness == {"element": "yy"}
+    assert str(exc.value) == "unknown attribute 'yy'"
+    with pytest.raises(ValidationError) as exc:
+        fs.decode("zz")
+    assert exc.value.law == "unknown-element"
+    assert exc.value.witness == {"element": "zz"}
+    assert str(exc.value) == "unknown element 'zz'"
+
+
+def test_funcspace_build_stops_at_the_enumeration_output_guard(tmp_path):
+    """M6 into a 7-chain passes the 64-attribute guard with 56 attributes,
+    and has more mappings than ``enumerate_mappings`` may return."""
+    P, Q = context_of_semilattice(m_n(6)), chain_context(7)
+    fs = funcspace(P, Q)
+    assert len(fs.attributes) == 56
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardExceeded) as exc:
+        fs.sem
+    assert time.perf_counter() - start < 2.0
+    assert exc.value.what == "enumerate_mappings output"
+    assert exc.value.cap == ENUMERATION_OUTPUT_GUARD
+    left, right = tmp_path / "m6.cxt", tmp_path / "c7.cxt"
+    left.write_text(dump_cxt(P))
+    right.write_text(dump_cxt(Q))
+    assert main(["funcspace", str(left), str(right)]) == 3
 
 
 def test_funcspace_closure_of_empty_is_constant_bottom():
@@ -398,8 +502,8 @@ def test_curry_uncurry_inverse_on_all_two_chain_mappings():
         assert uncurry(curry(m, prod, fs), prod, fs) == m
     for m in homs_curry:
         assert curry(uncurry(m, prod, fs), prod, fs) == m
-    assert {curry(m, prod, fs).canonical_id() for m in homs_prod} == {
-        m.canonical_id() for m in homs_curry
+    assert {canonical_id(curry(m, prod, fs)) for m in homs_prod} == {
+        canonical_id(m) for m in homs_curry
     }
 
 
