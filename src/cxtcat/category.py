@@ -14,12 +14,15 @@ from typing import Iterable
 
 from .canon import fresh_id, pair_id, set_id
 from .context import FormalContext, SemLattice, make_context, sem_lattice
-from .errors import SizeGuardExceeded, ValidationError
+from .errors import ValidationError
 from .mappings import ApproximableMapping, enumerate_mappings, validate_am
-from .order import FiniteLattice, JoinSemilattice, lattice_from_sets
+from .order import FiniteLattice, JoinSemilattice, _guard, lattice_from_sets
 
 LEFT_TAG = "l:"
 RIGHT_TAG = "r:"
+# Most attributes (concept pairs) of a function space, and of one whose
+# literal context, with an object per attribute subset, is built.
+FUNCSPACE_ATTRIBUTE_GUARD = 64
 LITERAL_OBJECT_GUARD = 12
 
 
@@ -339,11 +342,12 @@ class FunctionSpaceContext:
         """Each concept keyed by its mapping's value table."""
         return {self._mappings[members].values: w for w, members in self.sem[1].items()}
 
-    def literal_context(self, guard: int = LITERAL_OBJECT_GUARD) -> FormalContext:
-        """The context with one object per finite attribute set."""
+    def literal_context(self, guard: int | None = None) -> FormalContext:
+        """The context with one object per finite attribute set; ``guard``
+        defaults to ``LITERAL_OBJECT_GUARD``."""
         attrs = self.attributes
-        if len(attrs) > guard:
-            raise SizeGuardExceeded("funcspace literal objects", len(attrs), guard)
+        cap = LITERAL_OBJECT_GUARD if guard is None else guard
+        _guard("funcspace literal objects", len(attrs), cap)
         sp, sq = self.left_sem, self.right_sem
         spo, sqo = sp.semilattice, sq.semilattice
         objects = []
@@ -362,10 +366,9 @@ class FunctionSpaceContext:
         return make_context(objects, attrs, incidence)
 
 
-def funcspace(P: FormalContext, Q: FormalContext, guard: int = 64) -> FunctionSpaceContext:
+def funcspace(P: FormalContext, Q: FormalContext) -> FunctionSpaceContext:
     fs = FunctionSpaceContext(P, Q)
-    if len(fs.attributes) > guard:
-        raise SizeGuardExceeded("funcspace", len(fs.attributes), guard)
+    _guard("funcspace", len(fs.attributes), FUNCSPACE_ATTRIBUTE_GUARD)
     return fs
 
 

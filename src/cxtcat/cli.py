@@ -58,6 +58,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 def _write(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -358,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("compacts", cmd_compacts, help="compact elements of a lattice (poset JSON)")
     p.add_argument("file")
-    p.add_argument("--guard", type=int, default=20)
+    p.add_argument("--guard", type=_non_negative_int)
 
     for name in ("product", "tensor"):
         p = add(name, cmd_product if name == "product" else cmd_tensor,
@@ -373,8 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("right")
     p.add_argument("-o", "--output")
     p.add_argument("--format", choices=["json", "cxt"], default="json")
-    p.add_argument("--engine", choices=["saturate", "literal"], default="saturate")
-    p.add_argument("--guard", type=int, default=12)
+    p.add_argument(
+        "--engine", choices=["saturate", "literal"], default="saturate",
+        help="'literal' prints the literal context on stdout (-o writes it to a "
+        "file with either value); no engine is chosen, the concepts are always "
+        "the enumerated mappings",
+    )
+    p.add_argument("--guard", type=_non_negative_int)
 
     for name in ("curry", "uncurry"):
         p = add(name, cmd_curry, help=f"{name} a mapping over a product and function space")
@@ -399,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--report", choices=["opens", "points", "stone"], default="opens")
     p.add_argument("-o", "--output")
-    p.add_argument("--guard", type=int, default=14)
+    p.add_argument("--guard", type=_non_negative_int)
 
     p = add("laws", cmd_laws, help="run a named law suite")
     p.add_argument("name")

@@ -13,15 +13,16 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable
 
-from . import kernels
+from . import kernels, order
 from .canon import set_id
-from .errors import SizeGuardExceeded, ValidationError
+from .errors import ValidationError
 from .order import (
     ClosureOperator,
     FiniteLattice,
     FinitePoset,
     JoinSemilattice,
     _by_construction,
+    _guard,
     powerset_lattice,
     powerset_members,
 )
@@ -127,9 +128,7 @@ def attr_closure(P: FormalContext, ys: Iterable[str]) -> frozenset[str]:
     return P.attrs_of_mask(kernels.closure_mask(P.rows, P.full_attr_mask, ym))
 
 
-def approx_closure(
-    P: FormalContext, ys: Iterable[str], guard: int = APPROX_CLOSURE_GUARD
-) -> frozenset[str]:
+def approx_closure(P: FormalContext, ys: Iterable[str]) -> frozenset[str]:
     """Finitary closure: union of intent closures of all finite subsets.
 
     Implemented literally; on a finite context it coincides with
@@ -137,8 +136,7 @@ def approx_closure(
     """
     ys = sorted(frozenset(ys))
     P.attr_mask(ys)
-    if len(ys) > guard:
-        raise SizeGuardExceeded("approx_closure", len(ys), guard)
+    _guard("approx_closure", len(ys), APPROX_CLOSURE_GUARD)
     out: frozenset[str] = frozenset()
     for m in range(1 << len(ys)):
         sub = [y for i, y in enumerate(ys) if m >> i & 1]
@@ -151,12 +149,12 @@ def is_closed(P: FormalContext, ys: Iterable[str]) -> bool:
     return attr_closure(P, ys) == ys
 
 
-def _concept_tables(P: FormalContext, max_closed: int):
+def _concept_tables(P: FormalContext):
     """Closed intents of ``P`` on masks, ordered by inclusion.
 
     Every intent is an intersection of object rows (the empty intersection
     is the full attribute set), so the family grows one row at a time and
-    the guard stops it as soon as it passes ``max_closed``.  The intents
+    the guard stops it as soon as it passes ``CLOSED_SET_GUARD``.  The intents
     form a closure system, so their inclusion order is a lattice by
     construction: its cones are built from the attribute columns and
     nothing re-checks them.  Names are made once per intent, and elements
@@ -167,8 +165,7 @@ def _concept_tables(P: FormalContext, max_closed: int):
     fam = {P.full_attr_mask}
     for r in P.rows:
         fam |= {s & r for s in fam}
-        if len(fam) > max_closed:
-            raise SizeGuardExceeded("closed attribute sets", len(fam), max_closed)
+        _guard("closed attribute sets", len(fam), CLOSED_SET_GUARD)
     sets = {m: P.attrs_of_mask(m) for m in fam}
     named = sorted((set_id(ys), m) for m, ys in sets.items())
     cones = kernels.inclusion_cones([m for _, m in named], len(P.attributes))
@@ -202,9 +199,6 @@ class SemLattice:
     @property
     def elements(self) -> tuple[str, ...]:
         return self.semilattice.elements
-
-    def name_of(self, ys: Iterable[str]) -> str:
-        return set_id(attr_closure(self.context, ys))
 
     def __eq__(self, other):
         if not isinstance(other, SemLattice):
@@ -247,15 +241,15 @@ def _unchecked(cls, *values):
     return X
 
 
-def sem_lattice(P: FormalContext, max_closed: int = CLOSED_SET_GUARD) -> SemLattice:
+def sem_lattice(P: FormalContext) -> SemLattice:
     """Join-semilattice of closures of finite attribute subsets."""
-    poset, intents = _concept_tables(P, max_closed)
+    poset, intents = _concept_tables(P)
     return _unchecked(SemLattice, P, _by_construction(JoinSemilattice, poset), intents)
 
 
-def alg_lattice(P: FormalContext, max_closed: int = CLOSED_SET_GUARD) -> ConceptLattice:
+def alg_lattice(P: FormalContext) -> ConceptLattice:
     """Lattice of all finitarily-closed attribute sets; meets are intersections."""
-    poset, intents = _concept_tables(P, max_closed)
+    poset, intents = _concept_tables(P)
     return _unchecked(ConceptLattice, P, _by_construction(FiniteLattice, poset), intents)
 
 
@@ -267,12 +261,12 @@ def context_of_semilattice(S: JoinSemilattice) -> FormalContext:
     return FormalContext(elems, elems, incidence)
 
 
-def attr_closure_operator(P: FormalContext, guard: int = 10) -> ClosureOperator:
-    """The intent closure as a table on the powerset lattice of attributes."""
+def attr_closure_operator(P: FormalContext) -> ClosureOperator:
+    """The intent closure as a table on the powerset lattice of attributes,
+    whose cap ``order.POWERSET_GUARD`` it shares."""
     base = P.attributes
-    if len(base) > guard:
-        raise SizeGuardExceeded("attr_closure_operator", len(base), guard)
-    lat = powerset_lattice(base, guard)
+    _guard("attr_closure_operator", len(base), order.POWERSET_GUARD)
+    lat = powerset_lattice(base)
     members = powerset_members(base)
     values = tuple(set_id(attr_closure(P, members[x])) for x in lat.elements)
     return ClosureOperator(lat.poset, values)

@@ -221,12 +221,7 @@ def law_lemma5_9(seed: int | None = None, max_sem: int | None = None) -> LawRepo
         fs = funcspace(P, Q)
         closed = closed_family(fs.closure, fs.attributes)  # by definition, not the hom-set
         carrier = {frozenset(map(fs.attr_pairs.__getitem__, s)) for s in closed}
-        homs = {
-            m.pairs
-            for m in enumerate_mappings(
-                sem_lattice(P).semilattice, sem_lattice(Q).semilattice
-            )
-        }
+        homs = {fs.mapping(w).pairs for w in fs.sem[0].elements}
         if carrier != homs:
             return rep.fail(
                 "function-space concepts differ from the mapping hom-set",

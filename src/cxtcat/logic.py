@@ -22,8 +22,8 @@ from typing import Iterable, Sequence
 from . import kernels
 from .canon import set_id
 from .context import FormalContext, alg_lattice, attr_closure
-from .errors import SizeGuardExceeded, ValidationError
-from .order import FiniteLattice, FinitePoset, MeetSemilattice, _bits, lattice_from_sets
+from .errors import ValidationError
+from .order import FiniteLattice, FinitePoset, MeetSemilattice, _bits, _guard, lattice_from_sets
 
 # Entailment relations are materialized over the full powerset of
 # propositions; this caps the width.
@@ -37,8 +37,7 @@ def _index(propositions: tuple[str, ...], law: str, stage: str) -> dict[str, int
     index = {p: i for i, p in enumerate(propositions)}
     if len(index) != len(propositions):
         raise ValidationError("duplicate proposition", law=law)
-    if len(index) > PROPOSITION_GUARD:
-        raise SizeGuardExceeded(stage, len(index), PROPOSITION_GUARD)
+    _guard(stage, len(index), PROPOSITION_GUARD)
     return index
 
 
@@ -308,13 +307,10 @@ class CcpSystem(_MaskSystem):
     def closure_masks(self) -> tuple[int, ...]:
         return tuple(_chain(len(self.propositions), self.rules))
 
-    def sequents(
-        self, guard: int = SEQUENT_MATERIALIZE_GUARD
-    ) -> frozenset[tuple[frozenset[str], frozenset[str]]]:
+    def sequents(self) -> frozenset[tuple[frozenset[str], frozenset[str]]]:
         """Materialize every derivable sequent; exponential, hence guarded."""
         props = self.propositions
-        if len(props) > guard:
-            raise SizeGuardExceeded("ccp sequent materialization", len(props), guard)
+        _guard("ccp sequent materialization", len(props), SEQUENT_MATERIALIZE_GUARD)
         out = set()
         for x, c in enumerate(self.closure_masks):
             xs, sub = _set(props, x), c
@@ -412,8 +408,7 @@ def context_to_is(P: FormalContext) -> InformationSystem:
     """Propositions are the attributes; a set entails every member of its
     intent closure."""
     attrs = P.attributes
-    if len(attrs) > PROPOSITION_GUARD:
-        raise SizeGuardExceeded("context_to_is", len(attrs), PROPOSITION_GUARD)
+    _guard("context_to_is", len(attrs), PROPOSITION_GUARD)
     rows, full = P.rows, P.full_attr_mask
     return InformationSystem._from_table(
         attrs, [kernels.closure_mask(rows, full, x) for x in range(1 << len(attrs))]
@@ -454,12 +449,11 @@ class Thm67Report:
         return {"ok": self.ok, "failures": list(self.failures)}
 
 
-def theorem_6_7_check(P: FormalContext, guard: int = PROPOSITION_GUARD) -> Thm67Report:
+def theorem_6_7_check(P: FormalContext) -> Thm67Report:
     """Intent closure agrees with minimal-upper-bound entailment over the
     concept lattice, taking each attribute to the closure of its singleton."""
     attrs = P.attributes
-    if len(attrs) > guard:
-        raise SizeGuardExceeded("theorem_6_7_check", len(attrs), guard)
+    _guard("theorem_6_7_check", len(attrs), PROPOSITION_GUARD)
     alg = alg_lattice(P)
     D = alg.lattice.poset
     iota = {a: set_id(attr_closure(P, [a])) for a in attrs}

@@ -15,13 +15,13 @@ from typing import Iterable
 
 from . import kernels
 from .canon import pair_id, set_id
-from .errors import SizeGuardExceeded, ValidationError
+from .errors import ValidationError
 from .order import (
     FiniteLattice,
     FinitePoset,
     JoinSemilattice,
-    SUBSET_SCAN_GUARD,
     _bits,
+    _guard,
     compacts,
     down_set,
     ideal_completion,
@@ -259,10 +259,10 @@ def idl_on_morphism(m: ApproximableMapping) -> ScottFunction:
     return ScottFunction(src_l, tgt_l, tuple(image[e] for e in src_l.elements))
 
 
-def k_on_morphism(f: ScottFunction, guard: int = SUBSET_SCAN_GUARD) -> ApproximableMapping:
+def k_on_morphism(f: ScottFunction) -> ApproximableMapping:
     """Relate compacts to the compacts below their image, whose join is the value."""
-    src_s = k_semilattice(f.source, guard)
-    tgt_s = k_semilattice(f.target, guard)
+    src_s = k_semilattice(f.source)
+    tgt_s = k_semilattice(f.target)
     values = tuple(
         tgt_s.join_all(b for b in tgt_s.elements if f.target.le(b, f.apply(a)))
         for a in src_s.elements
@@ -270,10 +270,10 @@ def k_on_morphism(f: ScottFunction, guard: int = SUBSET_SCAN_GUARD) -> Approxima
     return ApproximableMapping(src_s, tgt_s, values)
 
 
-def eta(L: FiniteLattice, guard: int = SUBSET_SCAN_GUARD) -> ScottFunction:
+def eta(L: FiniteLattice) -> ScottFunction:
     """The iso sending a lattice element to the ideal of compacts below it."""
-    K = compacts(L, guard)
-    idl_k = ideal_completion(k_semilattice(L, guard))
+    K = compacts(L)
+    idl_k = ideal_completion(k_semilattice(L))
     kset = set(K.elements)
     values = tuple(set_id(down_set(L.poset, [x]) & kset) for x in L.elements)
     fn = ScottFunction(L, idl_k, values)
@@ -318,19 +318,16 @@ def epsilon_inverse(S: JoinSemilattice) -> ApproximableMapping:
 # exhaustive enumeration
 
 
-def enumerate_mappings(
-    S: JoinSemilattice, T: JoinSemilattice, guard: int = ENUMERATION_GUARD
-) -> list[ApproximableMapping]:
+def enumerate_mappings(S: JoinSemilattice, T: JoinSemilattice) -> list[ApproximableMapping]:
     """All approximable mappings, as the monotone maps into the target;
     ordered by canonical pair-set encoding.
 
-    Raises ``SizeGuardExceeded`` when ``|S| * |T|`` passes ``guard``, or as
-    soon as the search finds more than ``ENUMERATION_OUTPUT_GUARD``
-    mappings, before any of them is built.
+    Raises ``SizeGuardExceeded`` when ``|S| * |T|`` passes
+    ``ENUMERATION_GUARD``, or as soon as the search finds more than
+    ``ENUMERATION_OUTPUT_GUARD`` mappings, before any of them is built.
     """
     P, Q = S.poset, T.poset
-    if P.n * Q.n > guard:
-        raise SizeGuardExceeded("enumerate_mappings", P.n * Q.n, guard)
+    _guard("enumerate_mappings", P.n * Q.n, ENUMERATION_GUARD)
     # source in a linear extension (by cone size, ties by canonical order)
     order = sorted(range(P.n), key=lambda i: (P.down_masks[i].bit_count(), i))
     preds = [
@@ -338,10 +335,7 @@ def enumerate_mappings(
         for pos in range(P.n)
     ]
     picks = kernels.monotone_maps(P.n, preds, Q.up_masks, ENUMERATION_OUTPUT_GUARD)
-    if len(picks) > ENUMERATION_OUTPUT_GUARD:
-        raise SizeGuardExceeded(
-            "enumerate_mappings output", len(picks), ENUMERATION_OUTPUT_GUARD
-        )
+    _guard("enumerate_mappings output", len(picks), ENUMERATION_OUTPUT_GUARD)
     pos = sorted(range(P.n), key=order.__getitem__)  # where each source index is picked
     # Sort by pair-set name (set_id of pair_ids) without building it.  It joins
     # the sorted pair ids, none a prefix of another, so of two mappings the one

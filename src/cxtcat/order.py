@@ -3,7 +3,7 @@
 This is the shared substrate: every other module builds its structures on the
 validated order types defined here.  All values are immutable after
 construction and all operations are pure; exhaustive subset scans are guarded
-by a configurable element cap.
+by the element caps below, read when each scan runs.
 """
 
 from __future__ import annotations
@@ -574,33 +574,39 @@ def _guard(what: str, n: int, cap: int) -> None:
         raise SizeGuardExceeded(what, n, cap)
 
 
-def _memo(value, name: str) -> dict:
-    """A cache of results derived from the frozen ``value``, kept in its
+def _memo(value, name: str, build: Callable):
+    """``build(value)``, computed once per frozen ``value`` and kept in its
     instance ``__dict__`` the way ``cached_property`` keeps its results.
 
     Dataclass equality, hashing and ``repr`` read the fields only, so the
-    cache changes none of them; it lives and dies with ``value``.
+    cache changes none of them; it lives and dies with ``value``.  A guard
+    only refuses work and never changes a result, so no guard is part of
+    the key.
     """
-    return value.__dict__.setdefault(name, {})
+    cache = value.__dict__
+    if name not in cache:
+        cache[name] = build(value)
+    return cache[name]
 
 
-def compacts(L: FiniteLattice, guard: int = SUBSET_SCAN_GUARD) -> FinitePoset:
+def compacts(L: FiniteLattice, guard: int | None = None) -> FinitePoset:
     """Sub-poset of compact elements, by the definitional directed-set test.
 
-    Memoized on ``L`` per guard.
+    ``guard`` defaults to ``SUBSET_SCAN_GUARD`` and is checked on every call;
+    the result is memoized on ``L``.
     """
-    memo = _memo(L, "_compacts")
-    if guard not in memo:
-        P = L.poset
-        _guard("compacts", P.n, guard)
-        mask = kernels.compact_mask(P.up_masks, P.down_masks, L.join_table)
-        memo[guard] = P.restrict(P.set_of(mask))
-    return memo[guard]
+    _guard("compacts", L.poset.n, SUBSET_SCAN_GUARD if guard is None else guard)
+    return _memo(L, "_compacts", _compact_poset)
 
 
-def is_algebraic(L: FiniteLattice, guard: int = SUBSET_SCAN_GUARD) -> bool:
+def _compact_poset(L: FiniteLattice) -> FinitePoset:
+    P = L.poset
+    return P.restrict(P.set_of(kernels.compact_mask(P.up_masks, P.down_masks, L.join_table)))
+
+
+def is_algebraic(L: FiniteLattice) -> bool:
     """Every element is the join of the compacts below it."""
-    K = set(compacts(L, guard).elements)
+    K = set(compacts(L).elements)
     for x in L.elements:
         below = [c for c in K if L.le(c, x)]
         if L.join_all(below) != x:
@@ -612,23 +618,20 @@ def principal_ideal(P: FinitePoset, x: str) -> frozenset[str]:
     return down_set(P, [x])
 
 
-def ideals(S: JoinSemilattice, scan_guard: int = IDEAL_SCAN_GUARD) -> tuple[Ideal, ...]:
-    """All ideals, sorted by canonical encoding; memoized on ``S`` per scan
-    guard.
+def ideals(S: JoinSemilattice) -> tuple[Ideal, ...]:
+    """All ideals, sorted by canonical encoding; memoized on ``S``.
 
-    Below the scan guard the family is found by the definitional subset scan
-    and checked against the principal family; in a finite order the two
-    always coincide.
+    Up to ``IDEAL_SCAN_GUARD`` elements the family is found by the
+    definitional subset scan and checked against the principal family; in a
+    finite order the two always coincide.
     """
-    memo = _memo(S, "_ideals")
-    if scan_guard not in memo:
-        memo[scan_guard] = _scan_ideals(S.poset, scan_guard)
-    return memo[scan_guard]
+    return _memo(S, "_ideals", _scan_ideals)
 
 
-def _scan_ideals(P: FinitePoset, scan_guard: int) -> tuple[Ideal, ...]:
+def _scan_ideals(S: JoinSemilattice) -> tuple[Ideal, ...]:
+    P = S.poset
     principal = {principal_ideal(P, x) for x in P.elements}
-    if P.n <= scan_guard:
+    if P.n <= IDEAL_SCAN_GUARD:
         scanned = {
             P.set_of(m) for m in kernels.ideal_masks(P.down_masks, P.up_masks)
         }
@@ -641,21 +644,18 @@ def _scan_ideals(P: FinitePoset, scan_guard: int) -> tuple[Ideal, ...]:
     return tuple(Ideal(P, m) for m in sorted(principal, key=set_id))
 
 
-def ideal_completion(S: JoinSemilattice, scan_guard: int = IDEAL_SCAN_GUARD) -> FiniteLattice:
+def ideal_completion(S: JoinSemilattice) -> FiniteLattice:
     """Lattice of all ideals under inclusion; meets are intersections, joins
     are the least ideals containing the union.
 
-    Memoized on ``S`` per scan guard, so the ideal scan and its checks run
-    once for each semilattice value.
+    Memoized on ``S``, so the ideal scan and its checks run once for each
+    semilattice value.
     """
-    memo = _memo(S, "_ideal_completion")
-    if scan_guard not in memo:
-        memo[scan_guard] = _build_ideal_completion(S, scan_guard)
-    return memo[scan_guard]
+    return _memo(S, "_ideal_completion", _build_ideal_completion)
 
 
-def _build_ideal_completion(S: JoinSemilattice, scan_guard: int) -> FiniteLattice:
-    fam = [i.members for i in ideals(S, scan_guard)]
+def _build_ideal_completion(S: JoinSemilattice) -> FiniteLattice:
+    fam = [i.members for i in ideals(S)]
     lat, _ = lattice_from_sets(fam)
     names = {set_id(m) for m in fam}
     if set(lat.elements) != names:
@@ -673,27 +673,23 @@ def _join_dual(S: MeetSemilattice | JoinSemilattice) -> JoinSemilattice:
     return S if isinstance(S, JoinSemilattice) else S._dual
 
 
-def filters(
-    S: MeetSemilattice | JoinSemilattice, scan_guard: int = IDEAL_SCAN_GUARD
-) -> list[Filter]:
+def filters(S: MeetSemilattice | JoinSemilattice) -> list[Filter]:
     """All filters of a meet-semilattice with top, sorted by encoding.
 
     A join-semilattice is accepted too and is dualized first.
     """
     P = S.poset.dual() if isinstance(S, JoinSemilattice) else S.poset
-    return [Filter(P, i.members) for i in ideals(_join_dual(S), scan_guard)]
+    return [Filter(P, i.members) for i in ideals(_join_dual(S))]
 
 
-def flt_lattice(
-    S: MeetSemilattice | JoinSemilattice, scan_guard: int = IDEAL_SCAN_GUARD
-) -> FiniteLattice:
+def flt_lattice(S: MeetSemilattice | JoinSemilattice) -> FiniteLattice:
     """Lattice of filters under inclusion.
 
     By order duality it is the ideal completion of the dual join-semilattice:
     the filters of ``S`` are the ideals of its dual, with the same member
     sets, names and bounds.  The completion is memoized on that dual.
     """
-    return ideal_completion(_join_dual(S), scan_guard)
+    return ideal_completion(_join_dual(S))
 
 
 def lattice_from_sets(
@@ -720,13 +716,9 @@ def lattice_from_sets(
     return _by_construction(FiniteLattice, P), dict(zip(names, fam))
 
 
-def k_semilattice(L: FiniteLattice, guard: int = SUBSET_SCAN_GUARD) -> JoinSemilattice:
-    """Compact elements with the induced order and joins; memoized on ``L``
-    per guard."""
-    memo = _memo(L, "_k_semilattice")
-    if guard not in memo:
-        memo[guard] = JoinSemilattice(compacts(L, guard))
-    return memo[guard]
+def k_semilattice(L: FiniteLattice) -> JoinSemilattice:
+    """Compact elements with the induced order and joins; memoized on ``L``."""
+    return _memo(L, "_k_semilattice", lambda L: JoinSemilattice(compacts(L)))
 
 
 # ---------------------------------------------------------------------------
@@ -778,10 +770,10 @@ def closure_from_system(L: FiniteLattice, closed: Iterable[str]) -> ClosureOpera
     return ClosureOperator(L.poset, values)
 
 
-def powerset_lattice(base: Iterable[str], guard: int = POWERSET_GUARD) -> FiniteLattice:
+def powerset_lattice(base: Iterable[str]) -> FiniteLattice:
     """The lattice of all subsets of ``base``, elements canonically encoded."""
     base = tuple(base)
-    _guard("powerset_lattice", len(base), guard)
+    _guard("powerset_lattice", len(base), POWERSET_GUARD)
     fam = []
     for m in range(1 << len(base)):
         fam.append(frozenset(x for i, x in enumerate(base) if m >> i & 1))
@@ -974,20 +966,18 @@ class Thm36Report:
         }
 
 
-def theorem_3_6_isos(
-    S: JoinSemilattice, L: FiniteLattice, guard: int = SUBSET_SCAN_GUARD
-) -> Thm36Report:
+def theorem_3_6_isos(S: JoinSemilattice, L: FiniteLattice) -> Thm36Report:
     """Check a ↦ ↓a onto the compacts of the ideal completion, and
     x ↦ ↓x ∩ K(L) onto the ideals of the compacts."""
     idl = ideal_completion(S)
-    k_of_idl = compacts(idl, guard)
+    k_of_idl = compacts(idl)
     f = {a: set_id(principal_ideal(S.poset, a)) for a in S.elements}
     if set(f.values()) != set(k_of_idl.elements) or not is_order_iso(
         S.poset, k_of_idl, f
     ):
         return Thm36Report(False, None, None, {"law": "thm3.6(iii)", "map": f})
 
-    KL = k_semilattice(L, guard)
+    KL = k_semilattice(L)
     idl_k = ideal_completion(KL)
     g = {
         x: set_id(down_set(L.poset, [x]) & set(KL.elements)) for x in L.elements

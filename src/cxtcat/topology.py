@@ -12,15 +12,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from . import kernels
+from . import kernels, order
 from .canon import set_id
-from .errors import SizeGuardExceeded, ValidationError
+from .errors import ValidationError
 from .order import (
     FiniteLattice,
     FinitePoset,
     JoinSemilattice,
     MeetSemilattice,
-    SUBSET_SCAN_GUARD,
+    _guard,
     _join_dual,
     compacts,
     down_set,
@@ -148,12 +148,11 @@ class LocalePoint:
                     )
 
 
-def scott_topology(L: FiniteLattice, guard: int = SCOTT_GUARD) -> TopSpace:
+def scott_topology(L: FiniteLattice, guard: int | None = None) -> TopSpace:
     """Opens by the definitional test; on a finite lattice these are exactly
-    the upper sets, which is asserted."""
+    the upper sets, which is asserted.  ``guard`` defaults to ``SCOTT_GUARD``."""
     P = L.poset
-    if P.n > guard:
-        raise SizeGuardExceeded("scott_topology", P.n, guard)
+    _guard("scott_topology", P.n, SCOTT_GUARD if guard is None else guard)
     masks = kernels.scott_open_masks(P.up_masks, P.down_masks, L.join_table)
     if sorted(masks) != _cone_closed_masks(P.up_masks):
         raise ValidationError(
@@ -201,13 +200,11 @@ class BaseCoherenceReport:
         }
 
 
-def scott_base_and_coherence(
-    L: FiniteLattice, guard: int = SUBSET_SCAN_GUARD
-) -> BaseCoherenceReport:
+def scott_base_and_coherence(L: FiniteLattice) -> BaseCoherenceReport:
     """Cones of compacts form a base; compact opens are their finite unions
     and are closed under intersection."""
     T = scott_topology(L)
-    K = compacts(L, guard)
+    K = compacts(L)
     base = sorted((up_set(L.poset, [c]) for c in K.elements), key=set_id)
     details = []
     ok = True
@@ -217,7 +214,7 @@ def scott_base_and_coherence(
             ok = False
             details.append(f"open {set_id(o)} is not the union of base members inside it")
     lat, decode = open_set_lattice(T)
-    kopens = {decode[e] for e in compacts(lat, guard).elements}
+    kopens = {decode[e] for e in compacts(lat).elements}
     finite_unions = set()
     for m in range(1 << len(base)):
         u = frozenset()
@@ -247,27 +244,22 @@ def _cone_closed_masks(cones: list[int]) -> list[int]:
     ]
 
 
-def lower_sets(
-    S: MeetSemilattice | JoinSemilattice, guard: int = SUBSET_SCAN_GUARD
-) -> list[frozenset[str]]:
+def lower_sets(S: MeetSemilattice | JoinSemilattice) -> list[frozenset[str]]:
     """The lower sets of a meet-semilattice: the upper sets of its dual.
 
     A join-semilattice is accepted too and stands for its dual, as in
     ``order.filters``.
     """
     P = _join_dual(S).poset
-    if P.n > guard:
-        raise SizeGuardExceeded("lower_sets", P.n, guard)
+    _guard("lower_sets", P.n, order.SUBSET_SCAN_GUARD)
     return sorted(map(P.set_of, _cone_closed_masks(P.up_masks)), key=set_id)
 
 
-def lower_set_locale(
-    S: MeetSemilattice | JoinSemilattice, guard: int = SUBSET_SCAN_GUARD, verify: bool = True
-) -> Locale:
+def lower_set_locale(S: MeetSemilattice | JoinSemilattice, verify: bool = True) -> Locale:
     """Locale of all lower sets; checked against the Scott opens of the
     filter lattice when ``verify`` is set.  A join-semilattice stands for
     its dual."""
-    fam = lower_sets(S, guard)
+    fam = lower_sets(S)
     lat, decode = lattice_from_sets(fam)
     loc = Locale(lat)
     if verify:
@@ -339,10 +331,10 @@ class SpectralityReport:
         }
 
 
-def spectrality_check(loc: Locale, guard: int = SUBSET_SCAN_GUARD) -> SpectralityReport:
+def spectrality_check(loc: Locale) -> SpectralityReport:
     L = loc.lattice
-    alg = is_algebraic(L, guard)
-    K = set(compacts(L, guard).elements)
+    alg = is_algebraic(L)
+    K = set(compacts(L).elements)
     top_ok = L.top in K
     meets_ok = all(L.meet(a, b) in K for a in K for b in K)
     return SpectralityReport(alg and top_ok and meets_ok, alg, top_ok, meets_ok)

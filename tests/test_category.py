@@ -415,6 +415,53 @@ def test_lemma5_9_checks_the_concepts_against_the_closure(monkeypatch):
     assert rep.witness["message"] == "function-space concepts differ from the mapping hom-set"
 
 
+def test_lemma5_9_reads_each_hom_set_once(monkeypatch):
+    """The law compares the closure carrier with the function space's own
+    concepts, so each context pair enumerates its hom-set once, inside
+    ``fs.sem``; the two-chain check at the end makes one call more."""
+    from cxtcat import category, laws
+
+    calls = []
+    real = category.enumerate_mappings
+
+    def spy(S, T):
+        calls.append((S, T))
+        return real(S, T)
+
+    monkeypatch.setattr(category, "enumerate_mappings", spy)
+    monkeypatch.setattr(laws, "enumerate_mappings", spy)
+    rep = run_law("lemma5.9", seed=1)
+    assert rep.ok and "instances: 9 context pairs" in rep.lines
+    assert len(calls) == 9 + 1
+
+
+def test_lemma5_9_catches_a_dropped_concept_past_the_literal_check(monkeypatch):
+    """On 4-chains the function space has 16 attributes, past the 12 of the
+    literal cross-check; the closure carrier alone still catches a mapping
+    missing from the concepts."""
+    from functools import cached_property
+
+    from cxtcat import laws
+
+    C4 = chain_context(4)
+    monkeypatch.setattr(laws, "_small_sem_contexts", lambda *a, **k: [C4] * 3)
+    assert len(funcspace(C4, C4).attributes) == 16
+    assert run_law("lemma5.9", seed=1).ok
+    real = FunctionSpaceContext._mappings.func
+
+    def dropped(self):
+        ms = real(self)
+        middle = sorted(ms, key=len)[len(ms) // 2]
+        return {k: m for k, m in ms.items() if k != middle}
+
+    prop = cached_property(dropped)
+    prop.__set_name__(FunctionSpaceContext, "_mappings")
+    monkeypatch.setattr(FunctionSpaceContext, "_mappings", prop)
+    rep = run_law("lemma5.9", seed=1)
+    assert not rep.ok
+    assert rep.witness["message"] == "function-space concepts differ from the mapping hom-set"
+
+
 def test_funcspace_rejects_unknown_names():
     fs = funcspace(C2, C2)
     with pytest.raises(ValidationError) as exc:

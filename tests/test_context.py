@@ -260,7 +260,7 @@ def test_context_without_attributes():
 def test_closed_set_count_guard():
     """Each object bearing everything but its own attribute makes every
     attribute set closed; the quadratic table construction refuses past the
-    cap unless overridden."""
+    cap."""
     attrs = [f"a{i}" for i in range(10)]
     P = make_context(
         attrs, attrs, [(o, a) for o in attrs for a in attrs if o != a]
@@ -273,7 +273,7 @@ def test_closed_set_count_guard():
         sem_lattice(P)
     small = attrs[:8]
     P8 = make_context(small, small, [(o, a) for o in small for a in small if o != a])
-    assert len(sem_lattice(P8, max_closed=300).elements) == 256
+    assert len(sem_lattice(P8).elements) == 256
 
 
 def powerset_oracle_names(P):
@@ -312,7 +312,7 @@ def test_engine_agrees_with_the_definitions(seed):
     """Closed intents match the powerset scan; every join entry is the
     closure of the union and every meet entry the intersection."""
     P = _engine_context(seed)
-    sem, alg = sem_lattice(P, max_closed=1 << 12), alg_lattice(P, max_closed=1 << 12)
+    sem, alg = sem_lattice(P), alg_lattice(P)  # at most 2^7 closed sets
     assert list(sem.elements) == list(alg.elements) == powerset_oracle_names(P)
     assert sem.intents == alg.intents
     bottom = set_id(attr_closure(P, ()))

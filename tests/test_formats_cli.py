@@ -11,6 +11,7 @@ from cxtcat import formats
 from cxtcat.cli import main
 from cxtcat.context import make_context
 from cxtcat.corpus import (
+    chain_context,
     chain_poset,
     diamond_poset,
     k2_context,
@@ -323,6 +324,39 @@ def test_guard_exit_code(files):
     big = files["tmp"] / "big.json"
     big.write_text(formats.dump_poset(chain_poset(6)))
     assert main(["compacts", str(big), "--guard", "3"]) == 3
+
+
+@pytest.mark.parametrize("value", ["-1", "two", "1.5"])
+@pytest.mark.parametrize("verb", ["compacts", "funcspace", "topology"])
+def test_guard_flags_take_a_non_negative_int(files, verb, value, capsys):
+    """A bad ``--guard`` is a usage error naming the flag, not a guard stop."""
+    args = [str(files["k2"]), str(files["k2"])] if verb == "funcspace" else [str(files["poset"])]
+    assert main([verb, *args, "--guard", value]) == 2
+    err = capsys.readouterr().err
+    assert "argument --guard" in err and "exceeds guard" not in err
+
+
+def test_guard_flags_accept_zero_and_default_to_the_constants(files, capsys):
+    from cxtcat import category, order, topology
+
+    lattice = files["tmp"] / "chain3.json"
+    lattice.write_text(formats.dump_poset(chain_poset(3)))
+    chain = files["tmp"] / "chain2.cxt"  # a function space of 2 x 2 attributes
+    chain.write_text(formats.dump_cxt(chain_context(2)))
+    assert main(["compacts", str(lattice), "--guard", "3"]) == 0
+    assert main(["compacts", str(lattice), "--guard", "0"]) == 3
+    assert capsys.readouterr().err == "compacts: size 3 exceeds guard 0\n"
+    for verb, args, module, name in (
+        ("compacts", [str(lattice)], order, "SUBSET_SCAN_GUARD"),
+        ("topology", [str(lattice)], topology, "SCOTT_GUARD"),
+        ("funcspace", [str(chain), str(chain), "--engine", "literal"], category,
+         "LITERAL_OBJECT_GUARD"),
+    ):
+        assert main([verb, *args]) == 0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(module, name, 2)
+            assert main([verb, *args]) == 3
+        assert capsys.readouterr().err.endswith(" exceeds guard 2\n")
 
 
 def test_idl_and_compacts(files, capsys):

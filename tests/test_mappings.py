@@ -467,7 +467,9 @@ def test_output_cap_message_gives_no_override_advice():
     assert str(exc.value) == f"enumerate_mappings output: size {cap + 1} exceeds guard {cap}"
 
 
-def test_ideal_scans_run_once_per_value_and_guard(monkeypatch):
+def test_ideal_scans_run_once_per_value(monkeypatch):
+    """The scan guard only decides whether the definitional scan runs; the
+    family is the same either way, so one memo per value serves every guard."""
     from cxtcat import order
 
     scans = []
@@ -482,8 +484,12 @@ def test_ideal_scans_run_once_per_value_and_guard(monkeypatch):
         ideal_completion(T)
     assert len(scans) == 2
     assert isinstance(ideals(T), tuple) and ideals(T) is ideals(T)
-    assert ideals(T, scan_guard=0) == ideals(T) and len(scans) == 2  # principal family only
-    ideal_completion(T, scan_guard=8)
+    monkeypatch.setattr(order, "IDEAL_SCAN_GUARD", 0)
+    assert ideals(diamond_s()) == ideals(T) and len(scans) == 2  # principal family only
+    monkeypatch.setattr(order, "IDEAL_SCAN_GUARD", 8)
+    ideal_completion(T)
+    assert len(scans) == 2
+    ideal_completion(diamond_s())
     assert len(scans) == 3
 
 

@@ -359,25 +359,30 @@ def test_ideal_completion_is_memoized_on_the_value(monkeypatch):
     L = ideal_completion(S)
     assert ideal_completion(S) is L
     assert len(scans) == 1
-    other = ideal_completion(S, scan_guard=0)  # no subset scan below guard 0
-    assert other is not L and other == L and ideal_completion(S, scan_guard=0) is other
     assert ideal_completion(S2) == L and ideal_completion(S2) is not L
     assert len(scans) == 2
     assert S == S2 and (hash(S), repr(S)) == fresh == (hash(S2), repr(S2))
+    monkeypatch.setattr(order, "IDEAL_SCAN_GUARD", 0)  # no subset scan past guard 0
+    S3 = JoinSemilattice(diamond_poset())
+    other = ideal_completion(S3)
+    assert other is not L and other == L and ideal_completion(S3) is other
+    assert ideal_completion(S) is L and len(scans) == 2
 
 
-def test_compacts_and_k_semilattice_are_memoized_on_the_value():
+def test_compacts_and_k_semilattice_are_memoized_on_the_value(monkeypatch):
+    from cxtcat import order
+
     L = FiniteLattice(diamond_poset())
     L2 = FiniteLattice(diamond_poset())
     fresh = hash(L)
     assert compacts(L) is compacts(L)
     K = k_semilattice(L)
     assert k_semilattice(L) is K
-    assert k_semilattice(L, guard=4) is not K and k_semilattice(L, guard=4) == K
     assert k_semilattice(L2) == K and k_semilattice(L2) is not K
     assert L == L2 and hash(L) == fresh == hash(L2)
+    monkeypatch.setattr(order, "SUBSET_SCAN_GUARD", 3)
     with pytest.raises(SizeGuardExceeded):
-        k_semilattice(L, guard=3)
+        k_semilattice(FiniteLattice(diamond_poset()))
 
 
 def test_principal_ideals_are_the_compact_ones():
@@ -437,11 +442,15 @@ def test_filter_lattice_matches_the_direct_builder(seed):
         assert flt_lattice(S) == direct_filter_lattice(S)
 
 
-def test_filter_lattice_is_memoized_on_the_value():
+def test_filter_lattice_is_memoized_on_the_value(monkeypatch):
+    from cxtcat import order
+
     S = MeetSemilattice(diamond_poset())
     L = flt_lattice(S)
     assert flt_lattice(S) is L
-    assert flt_lattice(S, scan_guard=0) == L and flt_lattice(S, scan_guard=0) is not L
+    monkeypatch.setattr(order, "IDEAL_SCAN_GUARD", 0)
+    S2 = MeetSemilattice(diamond_poset())
+    assert flt_lattice(S2) == L and flt_lattice(S2) is not L and flt_lattice(S) is L
     J = S.dual()
     assert flt_lattice(J) is flt_lattice(J) and flt_lattice(J) == ideal_completion(J)
 
@@ -500,7 +509,7 @@ def test_closure_from_system_witness():
 
 
 def test_closure_image_is_infima_closed_and_reproduces():
-    L = powerset_lattice(["1", "2", "3"], guard=10)
+    L = powerset_lattice(["1", "2", "3"])
     members = powerset_members(["1", "2", "3"])
     # closure: adjoin "3" to any non-empty set
     values = []
