@@ -51,18 +51,24 @@ def _read(path: str) -> str:
         raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _int_at_least(low: int, kind: str):
+    """An argparse ``type`` taking integers ``>= low``; ``kind`` names them
+    in its errors."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind} value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {kind}, got {value}")
+        return value
+
+    return parse
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
-    return value
+_positive_int = _int_at_least(1, "positive integer")
+_non_negative_int = _int_at_least(0, "non-negative integer")
 
 
 def _write(path: str | None, text: str) -> None:

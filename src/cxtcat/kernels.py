@@ -58,23 +58,6 @@ def inclusion_cones(sets: list[int], width: int) -> tuple[list[int], list[int]]:
     return up, down
 
 
-def closed_masks_powerset(rows: list[int], n_attrs: int) -> list[int]:
-    """All closed attribute masks, by scanning the full powerset.
-
-    No library code calls this: it is the definitional oracle that the tests
-    check the concept engine in :mod:`cxtcat.context` against.
-    """
-    full = (1 << n_attrs) - 1
-    seen = set()
-    for y in range(full + 1):
-        c = full
-        for r in rows:
-            if r & y == y:
-                c &= r
-        seen.add(c)
-    return sorted(seen)
-
-
 def directed_masks(up: list[int]) -> list[int]:
     """All non-empty directed subsets: every two members have an upper bound inside."""
     n = len(up)

@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Iterable
 
 from . import kernels
-from .canon import pair_id, set_id
+from .canon import pair_id
 from .errors import ValidationError
 from .order import (
     FiniteLattice,
@@ -22,12 +22,12 @@ from .order import (
     JoinSemilattice,
     _bits,
     _guard,
-    compacts,
-    down_set,
     ideal_completion,
+    ideal_names,
     is_order_iso,
     k_semilattice,
     principal_ideal,
+    unit_names,
 )
 
 # The exhaustive directed-suprema check runs on carriers up to this size;
@@ -251,11 +251,9 @@ def idl_on_morphism(m: ApproximableMapping) -> ScottFunction:
     """Send an ideal ``down(a)`` to everything reachable from it, ``down(f(a))``."""
     src_l = ideal_completion(m.source)
     tgt_l = ideal_completion(m.target)
-    S, T = m.source.poset, m.target.poset
-    image = {
-        set_id(principal_ideal(S, a)): set_id(principal_ideal(T, v))
-        for a, v in zip(S.elements, m.values)
-    }
+    T = m.target.poset
+    tgt_names = ideal_names(m.target)
+    image = dict(zip(ideal_names(m.source), (tgt_names[T.index[v]] for v in m.values)))
     return ScottFunction(src_l, tgt_l, tuple(image[e] for e in src_l.elements))
 
 
@@ -272,13 +270,9 @@ def k_on_morphism(f: ScottFunction) -> ApproximableMapping:
 
 def eta(L: FiniteLattice) -> ScottFunction:
     """The iso sending a lattice element to the ideal of compacts below it."""
-    K = compacts(L)
     idl_k = ideal_completion(k_semilattice(L))
-    kset = set(K.elements)
-    values = tuple(set_id(down_set(L.poset, [x]) & kset) for x in L.elements)
-    fn = ScottFunction(L, idl_k, values)
-    vmap = dict(zip(L.elements, values))
-    if not is_order_iso(L.poset, idl_k.poset, vmap):
+    fn = ScottFunction(L, idl_k, unit_names(L))
+    if not is_order_iso(L.poset, idl_k.poset, dict(zip(L.elements, fn.values))):
         raise ValidationError("completion unit is not an order-isomorphism", law="thm4.4:eta")
     return fn
 
@@ -297,8 +291,7 @@ def epsilon(S: JoinSemilattice) -> ApproximableMapping:
 def _epsilon_raw(S: JoinSemilattice) -> ApproximableMapping:
     """``a`` goes to its principal ideal, a compact of the completion."""
     kidl = k_semilattice(ideal_completion(S))
-    values = tuple(set_id(principal_ideal(S.poset, a)) for a in S.elements)
-    return ApproximableMapping(S, kidl, values)
+    return ApproximableMapping(S, kidl, ideal_names(S))
 
 
 def epsilon_inverse(S: JoinSemilattice) -> ApproximableMapping:
@@ -306,8 +299,8 @@ def epsilon_inverse(S: JoinSemilattice) -> ApproximableMapping:
     composes a value-table mapping with an independently checked one."""
     kidl = k_semilattice(ideal_completion(S))
     pairs = (
-        (set_id(principal_ideal(S.poset, b)), a)
-        for b in S.elements
+        (name, a)
+        for b, name in zip(S.elements, ideal_names(S))
         for a in S.elements
         if S.le(a, b)
     )

@@ -655,16 +655,19 @@ def ideal_completion(S: JoinSemilattice) -> FiniteLattice:
 
 
 def _build_ideal_completion(S: JoinSemilattice) -> FiniteLattice:
-    fam = [i.members for i in ideals(S)]
-    lat, _ = lattice_from_sets(fam)
-    names = {set_id(m) for m in fam}
-    if set(lat.elements) != names:
-        raise ValidationError(
-            "ideal completion elements are not the ideals' names",
-            law="ideal:completion",
-            witness={"extra": sorted(set(lat.elements) ^ names)},
-        )
-    return lat
+    return lattice_from_sets(i.members for i in ideals(S))[0]
+
+
+def ideal_names(S: JoinSemilattice) -> tuple[str, ...]:
+    """The name of ``down(a)`` in ``ideal_completion(S)`` for each ``a``, in
+    the element order of ``S``; memoized on ``S``."""
+    return _memo(S, "_ideal_names", lambda S: _cone_names(S.poset, ~0))
+
+
+def _cone_names(P: FinitePoset, within: int) -> tuple[str, ...]:
+    """``set_id`` of each element's down-cone cut to the mask ``within``
+    (``~0`` keeps every cone whole)."""
+    return tuple(set_id(P.set_of(cone & within)) for cone in P.down_masks)
 
 
 def _join_dual(S: MeetSemilattice | JoinSemilattice) -> JoinSemilattice:
@@ -719,6 +722,12 @@ def lattice_from_sets(
 def k_semilattice(L: FiniteLattice) -> JoinSemilattice:
     """Compact elements with the induced order and joins; memoized on ``L``."""
     return _memo(L, "_k_semilattice", lambda L: JoinSemilattice(compacts(L)))
+
+
+def unit_names(L: FiniteLattice) -> tuple[str, ...]:
+    """The unit x ↦ down(x) ∩ K(L) into ``ideal_completion(k_semilattice(L))``:
+    the name of each image, in the element order of ``L``."""
+    return _cone_names(L.poset, L.poset.mask_of(compacts(L).elements))
 
 
 # ---------------------------------------------------------------------------
@@ -971,17 +980,14 @@ def theorem_3_6_isos(S: JoinSemilattice, L: FiniteLattice) -> Thm36Report:
     x ↦ ↓x ∩ K(L) onto the ideals of the compacts."""
     idl = ideal_completion(S)
     k_of_idl = compacts(idl)
-    f = {a: set_id(principal_ideal(S.poset, a)) for a in S.elements}
+    f = dict(zip(S.elements, ideal_names(S)))
     if set(f.values()) != set(k_of_idl.elements) or not is_order_iso(
         S.poset, k_of_idl, f
     ):
         return Thm36Report(False, None, None, {"law": "thm3.6(iii)", "map": f})
 
-    KL = k_semilattice(L)
-    idl_k = ideal_completion(KL)
-    g = {
-        x: set_id(down_set(L.poset, [x]) & set(KL.elements)) for x in L.elements
-    }
+    idl_k = ideal_completion(k_semilattice(L))
+    g = dict(zip(L.elements, unit_names(L)))
     if set(g.values()) != set(idl_k.elements) or not is_order_iso(L.poset, idl_k.poset, g):
         return Thm36Report(False, f, None, {"law": "thm3.6(iv)", "map": g})
     return Thm36Report(True, f, g)

@@ -255,30 +255,22 @@ def lower_sets(S: MeetSemilattice | JoinSemilattice) -> list[frozenset[str]]:
     return sorted(map(P.set_of, _cone_closed_masks(P.up_masks)), key=set_id)
 
 
-def lower_set_locale(S: MeetSemilattice | JoinSemilattice, verify: bool = True) -> Locale:
-    """Locale of all lower sets; checked against the Scott opens of the
-    filter lattice when ``verify`` is set.  A join-semilattice stands for
-    its dual."""
-    fam = lower_sets(S)
-    lat, decode = lattice_from_sets(fam)
+def lower_set_locale(S: MeetSemilattice | JoinSemilattice) -> Locale:
+    """Locale of all lower sets, checked against the Scott opens of the
+    filter lattice.  A join-semilattice stands for its dual."""
+    lat, decode = lattice_from_sets(lower_sets(S))
     loc = Locale(lat)
-    if verify:
-        flt = flt_lattice(S)
-        sigma = scott_topology(flt)
-        olat, odecode = open_set_lattice(sigma)
-        filt_members = {set_id(f.members): f.members for f in filters(S)}
-        fmap = {}
-        for e in lat.elements:
-            ell = decode[e]
-            image = frozenset(
-                name for name, members in filt_members.items() if members & ell
-            )
-            fmap[e] = set_id(image)
-        if not is_order_iso(lat.poset, olat.poset, fmap):
-            raise ValidationError(
-                "lower-set locale does not match the Scott opens of the filter lattice",
-                law="locale:lower-sets",
-            )
+    olat, _ = open_set_lattice(scott_topology(flt_lattice(S)))
+    filt_members = {set_id(f.members): f.members for f in filters(S)}
+    fmap = {
+        e: set_id(name for name, members in filt_members.items() if members & decode[e])
+        for e in lat.elements
+    }
+    if not is_order_iso(lat.poset, olat.poset, fmap):
+        raise ValidationError(
+            "lower-set locale does not match the Scott opens of the filter lattice",
+            law="locale:lower-sets",
+        )
     return loc
 
 
@@ -306,12 +298,11 @@ class Lemma616Report:
 
 
 def lemma_6_16_check(S: MeetSemilattice | JoinSemilattice) -> Lemma616Report:
-    """Meet-primes of the lower-set locale are exactly the filter complements.
-    A join-semilattice stands for its dual."""
-    loc = lower_set_locale(S, verify=False)
+    """Meet-primes of the lattice of lower sets are exactly the filter
+    complements.  A join-semilattice stands for its dual."""
+    primes = sorted(meet_primes(lattice_from_sets(lower_sets(S))[0]))
     universe = frozenset(S.elements)
     complements = sorted(set_id(universe - f.members) for f in filters(S))
-    primes = sorted(meet_primes(loc.lattice))
     return Lemma616Report(complements == primes, tuple(complements), tuple(primes))
 
 
@@ -387,7 +378,7 @@ def corollary_6_17_spaces(
     S: MeetSemilattice | JoinSemilattice, L: FiniteLattice, loc: Locale
 ) -> Cor617Report:
     """Build the Scott space, the filter space, and the point space, and
-    verify the point bijections carry opens onto opens.
+    check that the point bijections carry opens onto opens.
 
     Preconditions: the dual of ``S`` must be isomorphic to the compacts of
     ``L``, and ``loc`` to the Scott open-set lattice of ``L``.  A

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cxtcat import kernels
 from cxtcat.canon import set_id
 from cxtcat.context import (
     CLOSED_SET_GUARD,
@@ -276,9 +275,22 @@ def test_closed_set_count_guard():
     assert len(sem_lattice(P8).elements) == 256
 
 
+def closed_masks_powerset(rows: list[int], n_attrs: int) -> list[int]:
+    """All closed attribute masks, by scanning the full powerset."""
+    full = (1 << n_attrs) - 1
+    seen = set()
+    for y in range(full + 1):
+        c = full
+        for r in rows:
+            if r & y == y:
+                c &= r
+        seen.add(c)
+    return sorted(seen)
+
+
 def powerset_oracle_names(P):
     """Closed-set names by the definitional scan of every attribute subset."""
-    masks = kernels.closed_masks_powerset(P.rows, len(P.attributes))
+    masks = closed_masks_powerset(P.rows, len(P.attributes))
     return sorted(set_id(P.attrs_of_mask(m)) for m in masks)
 
 

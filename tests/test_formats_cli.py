@@ -336,6 +336,22 @@ def test_guard_flags_take_a_non_negative_int(files, verb, value, capsys):
     assert "argument --guard" in err and "exceeds guard" not in err
 
 
+@pytest.mark.parametrize(
+    "flag, kind", [("--max-sem", "positive integer"), ("--guard", "non-negative integer")]
+)
+def test_int_flags_name_their_type(files, flag, kind, capsys):
+    """Text that is no integer is reported by the kind of integer expected;
+    an integer out of range keeps its range message."""
+    verb = ["laws", "prop5.10"] if flag == "--max-sem" else ["compacts", str(files["poset"])]
+    low = "0" if flag == "--max-sem" else "-1"
+    assert main([*verb, flag, "two"]) == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: invalid {kind} value: 'two'\n" in err
+    assert "_int" not in err
+    assert main([*verb, flag, low]) == 2
+    assert f"argument {flag}: expected a {kind}, got {low}\n" in capsys.readouterr().err
+
+
 def test_guard_flags_accept_zero_and_default_to_the_constants(files, capsys):
     from cxtcat import category, order, topology
 

@@ -146,8 +146,8 @@ def test_compacts_guard_is_checked_before_the_memo():
     assert compacts(L) is K
 
 
-# Every cap or mode parameter left in the library: the three guards the CLI's
-# ``--guard`` flags set and ``verify``, which ``lemma_6_16_check`` turns off.
+# Every cap parameter left in the library: the three guards the CLI's
+# ``--guard`` flags set.
 SIGNATURES = {
     order.compacts: ["L", "guard"],
     order.is_algebraic: ["L"],
@@ -172,7 +172,7 @@ SIGNATURES = {
     topology.scott_topology: ["L", "guard"],
     topology.scott_base_and_coherence: ["L"],
     topology.lower_sets: ["S"],
-    topology.lower_set_locale: ["S", "verify"],
+    topology.lower_set_locale: ["S"],
     topology.spectrality_check: ["loc"],
 }
 

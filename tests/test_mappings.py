@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from cxtcat.canon import pair_id, set_id
 from cxtcat.context import make_context, sem_lattice
-from cxtcat.corpus import chain_poset, diamond_poset, random_join_semilattice
+from cxtcat.corpus import (
+    chain_poset,
+    diamond_poset,
+    m3_poset,
+    random_join_semilattice,
+    random_lattice,
+)
 from cxtcat.errors import SizeGuardExceeded, ValidationError
 from cxtcat.mappings import (
     ENUMERATION_OUTPUT_GUARD,
@@ -30,8 +36,12 @@ from cxtcat.order import (
     FiniteLattice,
     Ideal,
     JoinSemilattice,
+    compacts,
+    down_set,
     ideal_completion,
     ideals,
+    k_semilattice,
+    principal_ideal,
     validate_poset,
 )
 
@@ -418,6 +428,67 @@ def test_epsilon_inverse_composes_to_identities():
     eps, inv = epsilon(S), epsilon_inverse(S)
     assert compose(eps, inv) == identity_mapping(S)
     assert compose(inv, eps) == identity_mapping(eps.target)
+
+
+# The completion functor, unit and counit written with ``set_id`` of each
+# principal ideal and each cone of compacts: the reference the name tables
+# of ``order.ideal_names`` and ``order.unit_names`` must reproduce.
+
+
+def idl_on_morphism_reference(m):
+    src_l, tgt_l = ideal_completion(m.source), ideal_completion(m.target)
+    S, T = m.source.poset, m.target.poset
+    image = {
+        set_id(principal_ideal(S, a)): set_id(principal_ideal(T, v))
+        for a, v in zip(S.elements, m.values)
+    }
+    return ScottFunction(src_l, tgt_l, tuple(image[e] for e in src_l.elements))
+
+
+def eta_reference(L):
+    kset = set(compacts(L).elements)
+    values = tuple(set_id(down_set(L.poset, [x]) & kset) for x in L.elements)
+    return ScottFunction(L, ideal_completion(k_semilattice(L)), values)
+
+
+def epsilon_reference(S):
+    kidl = k_semilattice(ideal_completion(S))
+    values = tuple(set_id(principal_ideal(S.poset, a)) for a in S.elements)
+    return ApproximableMapping(S, kidl, values)
+
+
+def epsilon_inverse_reference(S):
+    kidl = k_semilattice(ideal_completion(S))
+    pairs = (
+        (set_id(principal_ideal(S.poset, b)), a)
+        for b in S.elements
+        for a in S.elements
+        if S.le(a, b)
+    )
+    return validate_am(kidl, S, pairs)
+
+
+REFERENCE_SEMILATTICES = [
+    chain_s(1),
+    chain_s(3),
+    diamond_s(),
+    JoinSemilattice(m3_poset()),
+    *(random_join_semilattice(random.Random(seed), 5) for seed in range(24)),
+]
+
+
+def test_functors_unit_and_counit_match_the_set_id_reference():
+    for S in REFERENCE_SEMILATTICES:
+        assert epsilon(S) == epsilon_reference(S)
+        assert epsilon_inverse(S) == epsilon_inverse_reference(S)
+    for seed in range(24):
+        L = random_lattice(random.Random(seed), 7)
+        assert eta(L) == eta_reference(L)
+    sls = REFERENCE_SEMILATTICES
+    for S, T in zip(sls, sls[1:] + sls[:1]):
+        ms = enumerate_mappings(S, T)
+        for m in random.Random(len(ms)).sample(ms, min(len(ms), 6)):
+            assert idl_on_morphism(m) == idl_on_morphism_reference(m)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cxtcat.canon import set_id
 from cxtcat.corpus import (
     chain_poset,
     diamond_poset,
@@ -30,6 +31,7 @@ from cxtcat.order import (
     finite_extension,
     flt_lattice,
     ideal_completion,
+    ideal_names,
     is_algebraic,
     is_distributive,
     is_order_iso,
@@ -44,6 +46,7 @@ from cxtcat.order import (
     powerset_members,
     principal_ideal,
     theorem_3_6_isos,
+    unit_names,
     up_set,
     validate_poset,
 )
@@ -476,6 +479,51 @@ def test_thm36_singleton_lattice():
 def test_thm36_diamond():
     S = JoinSemilattice(diamond_poset())
     assert theorem_3_6_isos(S, diamond_lattice()).ok
+
+
+# Corpus instances for the name oracles: the fixed shapes and seeded draws.
+NAME_SEMILATTICES = [
+    JoinSemilattice(chain_poset(1)),
+    JoinSemilattice(chain_poset(4)),
+    JoinSemilattice(diamond_poset()),
+    JoinSemilattice(m3_poset()),
+    *(random_join_semilattice(random.Random(seed), 7) for seed in range(40)),
+]
+NAME_LATTICES = [
+    chain_lattice(1),
+    diamond_lattice(),
+    FiniteLattice(m3_poset()),
+    *(random_lattice(random.Random(seed), 7) for seed in range(40)),
+]
+
+
+def test_ideal_names_are_the_principal_ideal_names():
+    for S in NAME_SEMILATTICES:
+        want = tuple(set_id(principal_ideal(S.poset, a)) for a in S.elements)
+        assert ideal_names(S) == want
+        assert ideal_names(S) is ideal_names(S)
+        assert set(want) == set(compacts(ideal_completion(S)).elements)
+
+
+def test_unit_names_are_the_compacts_below_each_element():
+    for L in NAME_LATTICES:
+        kset = set(compacts(L).elements)
+        want = tuple(set_id(down_set(L.poset, [x]) & kset) for x in L.elements)
+        assert unit_names(L) == want
+        assert set(want) == set(ideal_completion(k_semilattice(L)).elements)
+
+
+def test_thm36_maps_are_the_name_tables():
+    for S, L in zip(NAME_SEMILATTICES, NAME_LATTICES):
+        r = theorem_3_6_isos(S, L)
+        assert r.ok
+        assert r.semilattice_map == {
+            a: set_id(principal_ideal(S.poset, a)) for a in S.elements
+        }
+        kset = set(compacts(L).elements)
+        assert r.lattice_map == {
+            x: set_id(down_set(L.poset, [x]) & kset) for x in L.elements
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from cxtcat.corpus import (
     random_lattice,
     random_meet_semilattice,
 )
-from cxtcat.errors import ValidationError
+from cxtcat.errors import SizeGuardExceeded, ValidationError
 from cxtcat.order import (
     FiniteLattice,
     MeetSemilattice,
@@ -23,6 +23,7 @@ from cxtcat.order import (
     up_set,
 )
 from cxtcat.topology import (
+    SCOTT_GUARD,
     Locale,
     LocalePoint,
     TopSpace,
@@ -283,7 +284,7 @@ def test_lemma_6_16(seed):
 @settings(max_examples=15, deadline=None)
 def test_lower_set_locales_are_spectral(seed):
     S = random_meet_semilattice(random.Random(seed), 6)
-    assert spectrality_check(lower_set_locale(S, verify=False)).ok
+    assert spectrality_check(lower_set_locale(S)).ok
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +316,7 @@ def test_cor617_diamond():
 
 def test_filter_queries_share_one_ideal_scan_per_value(monkeypatch):
     """The lemma, the locale and the spaces of cor. 6.17 all read the
-    filters of one semilattice, given as a meet- or a join-semilattice (the
-    locale's check against the filter lattice is stated for the meet form).
+    filters of one semilattice, given as a meet- or a join-semilattice.
     The scan guard is not part of the memo's key."""
     from cxtcat import order
 
@@ -327,7 +327,7 @@ def test_filter_queries_share_one_ideal_scan_per_value(monkeypatch):
     for S in (M, M.dual()):
         scans.clear()
         lemma_6_16_check(S)
-        corollary_6_17_spaces(S, flt_lattice(S), lower_set_locale(S, verify=S is M))
+        corollary_6_17_spaces(S, flt_lattice(S), lower_set_locale(S))
         filters(S)
         assert len(scans) == 1
         monkeypatch.setattr(order, "IDEAL_SCAN_GUARD", 8)
@@ -348,6 +348,39 @@ def test_a_join_semilattice_stands_for_its_dual(seed):
             results.append((lemma_6_16_check(S), loc, corollary_6_17_spaces(S, flt_lattice(S), loc)))
         assert results[0] == results[1]
         assert results[0][0].ok and results[0][2].ok
+
+
+def test_cor617_builds_one_locale_per_semilattice(monkeypatch):
+    """The lemma reads the lattice of lower sets without building a locale,
+    so the law runs the frame check once for each semilattice, in
+    ``lower_set_locale``."""
+    from cxtcat.laws import run_law
+
+    built = []
+    real = Locale.__post_init__
+    monkeypatch.setattr(Locale, "__post_init__", lambda self: built.append(self) or real(self))
+    for S in (MeetSemilattice(diamond_poset()), random_meet_semilattice(random.Random(3), 5)):
+        built.clear()
+        assert lemma_6_16_check(S).ok
+        loc = lower_set_locale(S)
+        assert corollary_6_17_spaces(S, flt_lattice(S), loc).ok
+        assert built == [loc]
+    built.clear()
+    rep = run_law("cor6.17", seed=1)
+    assert rep.ok and rep.lines == ["instances: 17 meet-semilattices"]
+    assert len(built) == 17
+
+
+def test_lemma_6_16_runs_past_the_scott_guard():
+    """A 15-chain is past ``SCOTT_GUARD``: the locale's check against the
+    Scott opens refuses it, but the lemma computes no Scott topology and
+    still answers."""
+    S = MeetSemilattice(chain_poset(15).dual())
+    assert len(S.elements) > SCOTT_GUARD
+    r = lemma_6_16_check(S)
+    assert r.ok and len(r.primes) == 15
+    with pytest.raises(SizeGuardExceeded):
+        lower_set_locale(S)
 
 
 def test_cor617_precondition_failure():
