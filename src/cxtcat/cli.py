@@ -51,16 +51,18 @@ def _read(path: str) -> str:
         raise FormatError(f"{path}: not UTF-8 text (byte {exc.start})") from None
 
 
-def _int_at_least(low: int, kind: str):
-    """An argparse ``type`` taking integers ``>= low``; ``kind`` names them
-    in its errors."""
+def _int_at_least(low: int | None, kind: str):
+    """An argparse ``type`` taking an optional ``-`` and ASCII digits, as
+    ``parse_cxt`` reads its counts (so ``int``'s spaces, ``+``, underscores
+    and non-ASCII digits are refused), and integers ``>= low`` unless ``low``
+    is ``None``; ``kind`` names them in its errors."""
 
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid {kind} value: {text!r}") from None
-        if value < low:
+        digits = text[1:] if text.startswith("-") else text
+        if not (digits.isascii() and digits.isdigit()):
+            raise argparse.ArgumentTypeError(f"invalid {kind} value: {text!r}")
+        value = int(text)
+        if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"expected a {kind}, got {value}")
         return value
 
@@ -69,6 +71,7 @@ def _int_at_least(low: int, kind: str):
 
 _positive_int = _int_at_least(1, "positive integer")
 _non_negative_int = _int_at_least(0, "non-negative integer")
+_seed_int = _int_at_least(None, "int")
 
 
 def _write(path: str | None, text: str) -> None:
@@ -421,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("laws", cmd_laws, help="run a named law suite")
     p.add_argument("name")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed_int, default=DEFAULT_SEED)
     p.add_argument("--max-sem", type=_positive_int, default=None, dest="max_sem")
 
     p = add("dot", cmd_dot, help="Hasse diagram of a poset or a context's concepts")

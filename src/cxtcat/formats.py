@@ -1,14 +1,16 @@
 """Serialization: versioned JSON documents, the CXT table format, the
 line-oriented sequent format, and DOT export of Hasse diagrams.
 
-JSON producers sort every list so output is byte-stable; the CXT writer
-preserves the declared object/attribute order so canonical files round-trip
-byte-identically.
+JSON producers sort every list so output is byte-stable, and write exactly
+the bytes of ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline;
+the CXT writer preserves the declared object/attribute order so canonical
+files round-trip byte-identically.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Mapping
 
 from .context import FormalContext, make_context
@@ -21,10 +23,43 @@ from .topology import TopSpace
 VERSION = 1
 
 
-def _doc(kind: str, **fields) -> str:
-    doc = {"kind": kind, "version": VERSION}
-    doc.update(fields)
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _doc(kind: str, **members: str) -> str:
+    """The document ``{kind, version, **members}`` from members already
+    written one level deep, in the layout of ``json.dumps(doc, indent=2,
+    sort_keys=True)`` plus a newline."""
+    members["kind"] = _quote(kind)
+    members["version"] = str(VERSION)
+    return _object(members, 0) + "\n"
+
+
+def _object(members: Mapping[str, str], depth: int) -> str:
+    """An object of written members, sorted by key, ``depth`` levels deep."""
+    if not members:
+        return "{}"
+    pad = "\n" + "  " * (depth + 1)
+    body = ("," + pad).join(_quote(k) + ": " + members[k] for k in sorted(members))
+    return "{" + pad + body + "\n" + "  " * depth + "}"
+
+
+def _array(items: list[str], depth: int) -> str:
+    """An array of written items, ``depth`` levels deep; ``[]`` when empty."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "]"
+
+
+def _json(value, depth: int) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes
+    it ``depth`` levels deep; numbers, booleans and ``None`` go through
+    ``json.dumps``, which also refuses what JSON cannot hold."""
+    if isinstance(value, str):
+        return _quote(value)
+    if isinstance(value, (list, tuple)):
+        return _array([_json(v, depth + 1) for v in value], depth)
+    if isinstance(value, dict):
+        return _object({k: _json(v, depth + 1) for k, v in value.items()}, depth)
+    return json.dumps(value)
 
 
 def _load(text: str, kind: str) -> dict:
@@ -112,18 +147,29 @@ def detect_kind(text: str) -> str:
 # posets / semilattices
 
 
-def _sorted_leq(P: FinitePoset) -> list[list[str]]:
-    """The order as ``[a, b]`` pairs sorted by name, read off the up-masks."""
+def _poset_members(P: FinitePoset, depth: int) -> dict[str, str]:
+    """The written ``elements`` and ``leq`` of ``P``, ``depth`` levels deep:
+    names in name order, and the order as ``[a, b]`` pairs sorted by name,
+    read off the up-masks.  Each name is quoted once."""
     els = P.elements
-    return [
-        [els[i], b]
-        for i in sorted(range(P.n), key=els.__getitem__)
-        for b in sorted([els[j] for j in _bits(P.up_masks[i])])
-    ]
+    order = sorted(range(P.n), key=els.__getitem__)
+    quoted = [_quote(x) for x in els]
+    item = "\n" + "  " * (depth + 1)
+    inner = item + "  "
+    heads = ["[" + inner + q + "," + inner for q in quoted]
+    tails = [q + item + "]" for q in quoted]
+    rows = []
+    for i in order:
+        above = sorted(_bits(P.up_masks[i]), key=els.__getitem__)
+        rows.append(heads[i] + ("," + item + heads[i]).join([tails[j] for j in above]))
+    return {
+        "elements": _array([quoted[i] for i in order], depth),
+        "leq": _array(rows, depth),
+    }
 
 
 def dump_poset(P: FinitePoset) -> str:
-    return _doc("poset", elements=sorted(P.elements), leq=_sorted_leq(P))
+    return _doc("poset", **_poset_members(P, 1))
 
 
 def load_poset(text: str) -> FinitePoset:
@@ -143,7 +189,7 @@ def dump_context(P: FormalContext, provenance: Mapping | None = None) -> str:
     }
     if provenance is not None:
         fields["provenance"] = provenance
-    return _doc("context", **fields)
+    return _doc("context", **{k: _json(v, 1) for k, v in fields.items()})
 
 
 def load_context(text: str) -> FormalContext:
@@ -211,13 +257,6 @@ def _cxt_count(lines: list[str], number: int) -> int:
 # semilattices and mappings
 
 
-def semilattice_doc(S: JoinSemilattice) -> dict:
-    return {
-        "elements": sorted(S.elements),
-        "leq": _sorted_leq(S.poset),
-    }
-
-
 def semilattice_from_doc(doc: Mapping, where: str = "") -> JoinSemilattice:
     """The semilattice of an ``{elements, leq}`` object found at ``where``."""
     P = validate_poset(_field(doc, "elements", _names, where), _field(doc, "leq", _pairs, where))
@@ -227,9 +266,9 @@ def semilattice_from_doc(doc: Mapping, where: str = "") -> JoinSemilattice:
 def dump_mapping(m: ApproximableMapping) -> str:
     return _doc(
         "mapping",
-        source=semilattice_doc(m.source),
-        target=semilattice_doc(m.target),
-        pairs=sorted([a, b] for a, b in m.pairs),
+        source=_object(_poset_members(m.source.poset, 2), 1),
+        target=_object(_poset_members(m.target.poset, 2), 1),
+        pairs=_json(sorted([a, b] for a, b in m.pairs), 1),
     )
 
 
@@ -247,8 +286,8 @@ def load_mapping(text: str) -> ApproximableMapping:
 def dump_infosys(s: InformationSystem) -> str:
     return _doc(
         "infosys",
-        propositions=sorted(s.propositions),
-        entails=sorted([sorted(xs), a] for xs, a in s.entails),
+        propositions=_json(sorted(s.propositions), 1),
+        entails=_json(sorted([sorted(xs), a] for xs, a in s.entails), 1),
     )
 
 
@@ -301,8 +340,8 @@ def parse_sequents(text: str) -> list[tuple[frozenset[str], frozenset[str]]]:
 def dump_space(T: TopSpace) -> str:
     return _doc(
         "space",
-        points=sorted(T.points),
-        opens=sorted([sorted(o) for o in T.opens]),
+        points=_json(sorted(T.points), 1),
+        opens=_json(sorted([sorted(o) for o in T.opens]), 1),
     )
 
 
@@ -321,10 +360,9 @@ def _dot_quote(name: str) -> str:
 def dot_hasse(P: FinitePoset, graph_name: str = "hasse") -> str:
     """Hasse diagram as a DOT digraph; edges point from lower to higher
     neighbors, nodes and edges sorted for stable output."""
+    quoted = {x: _dot_quote(x) for x in P.elements}
     lines = [f"digraph {graph_name} {{", "  rankdir=BT;", "  node [shape=box];"]
-    for x in sorted(P.elements):
-        lines.append(f"  {_dot_quote(x)};")
-    for a, b in sorted(P.covers()):
-        lines.append(f"  {_dot_quote(a)} -> {_dot_quote(b)};")
+    lines.extend(f"  {quoted[x]};" for x in sorted(P.elements))
+    lines.extend(f"  {quoted[a]} -> {quoted[b]};" for a, b in P.covers())
     lines.append("}")
     return "\n".join(lines) + "\n"

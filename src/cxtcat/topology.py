@@ -255,10 +255,18 @@ def lower_sets(S: MeetSemilattice | JoinSemilattice) -> list[frozenset[str]]:
     return sorted(map(P.set_of, _cone_closed_masks(P.up_masks)), key=set_id)
 
 
+def _lower_set_lattice(
+    S: MeetSemilattice | JoinSemilattice,
+) -> tuple[FiniteLattice, dict[str, frozenset[str]]]:
+    """``lattice_from_sets(lower_sets(S))``, built once per value ``S``: the
+    lemma and the locale of cor. 6.17 both read it."""
+    return order._memo(S, "_lower_set_lattice", lambda S: lattice_from_sets(lower_sets(S)))
+
+
 def lower_set_locale(S: MeetSemilattice | JoinSemilattice) -> Locale:
     """Locale of all lower sets, checked against the Scott opens of the
     filter lattice.  A join-semilattice stands for its dual."""
-    lat, decode = lattice_from_sets(lower_sets(S))
+    lat, decode = _lower_set_lattice(S)
     loc = Locale(lat)
     olat, _ = open_set_lattice(scott_topology(flt_lattice(S)))
     filt_members = {set_id(f.members): f.members for f in filters(S)}
@@ -300,7 +308,7 @@ class Lemma616Report:
 def lemma_6_16_check(S: MeetSemilattice | JoinSemilattice) -> Lemma616Report:
     """Meet-primes of the lattice of lower sets are exactly the filter
     complements.  A join-semilattice stands for its dual."""
-    primes = sorted(meet_primes(lattice_from_sets(lower_sets(S))[0]))
+    primes = sorted(meet_primes(_lower_set_lattice(S)[0]))
     universe = frozenset(S.elements)
     complements = sorted(set_id(universe - f.members) for f in filters(S))
     return Lemma616Report(complements == primes, tuple(complements), tuple(primes))

@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,14 +25,24 @@ from cxtcat.corpus import (
 )
 from cxtcat.errors import FormatError
 from cxtcat.logic import close_entailment
-from cxtcat.mappings import enumerate_mappings
+from cxtcat.mappings import enumerate_mappings, identity_mapping
 from cxtcat.order import JoinSemilattice, validate_poset
-from cxtcat.topology import scott_topology
+from cxtcat.topology import TopSpace, scott_topology
 from cxtcat.order import FiniteLattice
 
 
 # ---------------------------------------------------------------------------
 # posets
+
+
+def oracle(kind: str, **fields) -> str:
+    """The bytes every JSON writer must give: the standard library's layout."""
+    doc = {"kind": kind, "version": 1, **fields}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def poset_fields(P) -> dict:
+    return {"elements": sorted(P.elements), "leq": sorted([a, b] for a, b in P.leq)}
 
 
 @given(st.integers(0, 10**6), st.integers(0, 13))
@@ -44,9 +58,99 @@ def test_leq_is_written_in_name_order(seed, n):
     S = random_join_semilattice(rng, 6)
     for Q in (P, validate_poset(els, P.leq), P.dual(), S.poset, S.dual().poset):
         pairs = sorted([a, b] for a, b in Q.leq)
-        want = formats._doc("poset", elements=sorted(Q.elements), leq=pairs)
+        want = oracle("poset", elements=sorted(Q.elements), leq=pairs)
         assert formats.dump_poset(Q) == want
-    assert formats.semilattice_doc(S)["leq"] == sorted([a, b] for a, b in S.poset.leq)
+    doc = json.loads(formats.dump_mapping(identity_mapping(S)))
+    assert doc["source"]["leq"] == sorted([a, b] for a, b in S.poset.leq)
+
+
+# Names that need escaping: quotes, backslashes, control characters,
+# non-ASCII text (also outside the BMP) and the empty string.
+NAMES = st.text(
+    st.one_of(st.sampled_from('"\\\x00\x1f\x7f\n\t é'), st.characters(codec="utf-8")),
+    max_size=4,
+)
+
+
+def relabel(P, names: list[str]):
+    """``P`` with its elements renamed to distinct ``names``, in ``names`` order."""
+    new = dict(zip(P.elements, names))
+    return validate_poset(names[: P.n], [(new[a], new[b]) for a, b in P.leq])
+
+
+@given(st.lists(NAMES, min_size=6, max_size=6, unique=True), st.integers(0, 10**6))
+@settings(max_examples=80, deadline=None)
+def test_poset_and_mapping_writers_equal_the_json_dumps_layout(names, seed):
+    rng = random.Random(seed)
+    P = relabel(random_poset(rng, rng.randrange(0, 7)), names)
+    els = list(P.elements)
+    rng.shuffle(els)
+    for Q in (P, validate_poset(els, P.leq), P.dual()):
+        assert formats.dump_poset(Q) == oracle("poset", **poset_fields(Q))
+    S = JoinSemilattice(relabel(random_join_semilattice(rng, 3).poset, names))
+    T = JoinSemilattice(relabel(random_join_semilattice(rng, 3).poset, names[::-1]))
+    m = rng.choice(enumerate_mappings(S, T))
+    assert formats.dump_mapping(m) == oracle(
+        "mapping",
+        source=poset_fields(S.poset),
+        target=poset_fields(T.poset),
+        pairs=sorted([a, b] for a, b in m.pairs),
+    )
+
+
+@given(
+    st.lists(NAMES, max_size=4, unique=True),
+    st.lists(NAMES, max_size=4, unique=True),
+    st.integers(0, 10**6),
+)
+@settings(max_examples=80, deadline=None)
+def test_context_writer_equals_the_json_dumps_layout(objects, attributes, seed):
+    """With and without provenance; empty name lists and empty sides too."""
+    rng = random.Random(seed)
+    incidence = {(o, a) for o in objects for a in attributes if rng.random() < 0.5}
+    P = make_context(objects, attributes, incidence)
+    fields = {
+        "objects": sorted(objects),
+        "attributes": sorted(attributes),
+        "incidence": sorted([o, a] for o, a in incidence),
+    }
+    assert formats.dump_context(P) == oracle("context", **fields)
+    provenance = {
+        "objects": {o: rng.sample(attributes, rng.randrange(len(attributes) + 1)) for o in objects},
+        "attributes": {a: [a, rng.choice(objects)] if objects else [] for a in attributes},
+        "scalars": [0, -7, 2.5, True, None, {}, (), [[]]],
+    }
+    assert formats.dump_context(P, provenance=provenance) == oracle(
+        "context", provenance=provenance, **fields
+    )
+
+
+@given(st.lists(NAMES, max_size=4, unique=True), st.integers(0, 10**6))
+@settings(max_examples=80, deadline=None)
+def test_infosys_and_space_writers_equal_the_json_dumps_layout(names, seed):
+    rng = random.Random(seed)
+    raw = [
+        (set(rng.sample(names, rng.randrange(len(names)))), rng.choice(names))
+        for _ in range(rng.randrange(3))
+        if names
+    ]
+    s = close_entailment(names, raw)
+    assert formats.dump_infosys(s) == oracle(
+        "infosys",
+        propositions=sorted(s.propositions),
+        entails=sorted([sorted(xs), a] for xs, a in s.entails),
+    )
+    # The upper sets of a poset are a topology.
+    P = relabel(random_poset(rng, len(names)), names)
+    opens = frozenset(
+        frozenset(x for i, x in enumerate(names) if m >> i & 1)
+        for m in range(1 << len(names))
+    )
+    opens = frozenset(o for o in opens if all(b in o for a, b in P.leq if a in o))
+    T = TopSpace(tuple(names), opens)
+    assert formats.dump_space(T) == oracle(
+        "space", points=sorted(names), opens=sorted(sorted(o) for o in opens)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +292,32 @@ def test_sequent_parse_errors():
 
 # ---------------------------------------------------------------------------
 # DOT
+
+
+def reference_dot_hasse(P, graph_name: str = "hasse") -> str:
+    """The DOT writer as first written: sorted edges, one quote per mention."""
+
+    def quote(name):
+        return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    lines = [f"digraph {graph_name} {{", "  rankdir=BT;", "  node [shape=box];"]
+    for x in sorted(P.elements):
+        lines.append(f"  {quote(x)};")
+    for a, b in sorted(P.covers()):
+        lines.append(f"  {quote(a)} -> {quote(b)};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@given(st.lists(NAMES, min_size=8, max_size=8, unique=True), st.integers(0, 10**6))
+@settings(max_examples=80, deadline=None)
+def test_dot_writer_equals_the_reference(names, seed):
+    rng = random.Random(seed)
+    P = relabel(random_poset(rng, rng.randrange(0, 9)), names)
+    els = list(P.elements)
+    rng.shuffle(els)
+    for Q in (P, validate_poset(els, P.leq), P.dual()):
+        assert formats.dot_hasse(Q) == reference_dot_hasse(Q)
 
 
 def test_dot_stable_and_bottom_up():
@@ -350,6 +480,35 @@ def test_int_flags_name_their_type(files, flag, kind, capsys):
     assert "_int" not in err
     assert main([*verb, flag, low]) == 2
     assert f"argument {flag}: expected a {kind}, got {low}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0_1", " 3", " +1", "+1", "3 ", "\u0663", ""])
+@pytest.mark.parametrize(
+    "flag, kind",
+    [("--max-sem", "positive integer"), ("--guard", "non-negative integer"), ("--seed", "int")],
+)
+def test_int_flags_take_ascii_digits_only(files, flag, kind, value, capsys):
+    """Integer flags read an optional ``-`` and ASCII digits, as the CXT
+    counts are read: ``int``'s spaces, signs, underscores and non-ASCII
+    digits are usage errors."""
+    verb = ["compacts", str(files["poset"])] if flag == "--guard" else ["laws", "prop6.9"]
+    assert main([*verb, flag, value]) == 2
+    assert f"argument {flag}: invalid {kind} value: {value!r}\n" in capsys.readouterr().err
+
+
+def test_seed_keeps_its_minus_sign(capsys):
+    assert main(["laws", "prop6.9", "--seed", "-3"]) == 0
+    assert capsys.readouterr().out.endswith("prop6.9: PASS\n")
+
+
+def test_python_dash_m_runs_the_cli(files):
+    src = str(Path(formats.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    p = subprocess.run(
+        [sys.executable, "-m", "cxtcat", "validate", str(files["k2"])],
+        capture_output=True, text=True, env=env,
+    )
+    assert (p.returncode, p.stdout) == (0, "OK context: 2 objects, 2 attributes; Sem size 4\n")
 
 
 def test_guard_flags_accept_zero_and_default_to_the_constants(files, capsys):

@@ -371,6 +371,20 @@ def test_cor617_builds_one_locale_per_semilattice(monkeypatch):
     assert len(built) == 17
 
 
+def test_cor617_builds_the_lower_sets_once_per_semilattice(monkeypatch, capsys):
+    """The lemma and the locale share one lattice of lower sets per
+    semilattice value, and the law's output is unchanged."""
+    from cxtcat import topology
+    from cxtcat.cli import main
+
+    calls = []
+    real = topology.lower_sets
+    monkeypatch.setattr(topology, "lower_sets", lambda S: calls.append(S) or real(S))
+    assert main(["laws", "cor6.17", "--seed", "1"]) == 0
+    assert capsys.readouterr().out == "instances: 17 meet-semilattices\ncor6.17: PASS\n"
+    assert len(calls) == 17
+
+
 def test_lemma_6_16_runs_past_the_scott_guard():
     """A 15-chain is past ``SCOTT_GUARD``: the locale's check against the
     Scott opens refuses it, but the lemma computes no Scott topology and
