@@ -4,6 +4,8 @@ Terminal object, binary products (disjoint-union contexts), the full-row /
 full-column tensor alternative, function-space contexts built from pairs of
 concept-semilattice elements, and the currying bijection.  Morphisms between
 contexts are approximable mappings between their concept semilattices.
+``bang``, the projections, pairings and both transposes make monotone tables
+by construction and build them through ``mappings._trusted``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Iterable
 from .canon import fresh_id, pair_id, set_id
 from .context import FormalContext, SemLattice, make_context, sem_lattice
 from .errors import ValidationError
-from .mappings import ApproximableMapping, enumerate_mappings, validate_am
+from .mappings import ApproximableMapping, _trusted, enumerate_mappings, validate_am
 from .order import FiniteLattice, JoinSemilattice, _guard, lattice_from_sets
 
 LEFT_TAG = "l:"
@@ -50,7 +52,7 @@ def bang(P: FormalContext) -> ApproximableMapping:
     """The unique mapping into the terminal context's singleton semilattice."""
     src = sem_lattice(P).semilattice
     tgt = sem_lattice(terminal()).semilattice
-    return ApproximableMapping(src, tgt, (tgt.bottom,) * len(src.elements))
+    return _trusted(ApproximableMapping, src, tgt, (tgt.bottom,) * len(src.elements))
 
 
 @dataclass(frozen=True)
@@ -109,11 +111,15 @@ class ProductContext:
 
     def proj_left(self) -> ApproximableMapping:
         values = tuple(self.decompose(z)[0] for z in self.sem.elements)
-        return ApproximableMapping(self.sem.semilattice, self.left_sem.semilattice, values)
+        return _trusted(
+            ApproximableMapping, self.sem.semilattice, self.left_sem.semilattice, values
+        )
 
     def proj_right(self) -> ApproximableMapping:
         values = tuple(self.decompose(z)[1] for z in self.sem.elements)
-        return ApproximableMapping(self.sem.semilattice, self.right_sem.semilattice, values)
+        return _trusted(
+            ApproximableMapping, self.sem.semilattice, self.right_sem.semilattice, values
+        )
 
     def pair(self, m_left: ApproximableMapping, m_right: ApproximableMapping) -> ApproximableMapping:
         """The mediating mapping of the product cone."""
@@ -125,7 +131,7 @@ class ProductContext:
         ):
             raise ValidationError("cone legs do not land in the factors", law="product:cone")
         values = tuple(map(self.combine, m_left.values, m_right.values))
-        return ApproximableMapping(m_left.source, self.sem.semilattice, values)
+        return _trusted(ApproximableMapping, m_left.source, self.sem.semilattice, values)
 
 
 def product(P: FormalContext, Q: FormalContext) -> ProductContext:
@@ -401,7 +407,7 @@ def curry(
         fs._concept_of_values[tuple(m.apply(prod.combine(x, y)) for y in right)]
         for x in prod.left_sem.elements
     )
-    return ApproximableMapping(prod.left_sem.semilattice, fs.sem[0], values)
+    return _trusted(ApproximableMapping, prod.left_sem.semilattice, fs.sem[0], values)
 
 
 def uncurry(
@@ -414,4 +420,4 @@ def uncurry(
     values = tuple(
         fs.mapping(m.apply(x)).apply(y) for x, y in map(prod.decompose, prod.sem.elements)
     )
-    return ApproximableMapping(prod.sem.semilattice, fs.right_sem.semilattice, values)
+    return _trusted(ApproximableMapping, prod.sem.semilattice, fs.right_sem.semilattice, values)

@@ -311,11 +311,10 @@ def cmd_topology(args) -> int:
 
 
 def cmd_laws(args) -> int:
-    try:
-        rep = run_law(args.name, seed=args.seed, max_sem=args.max_sem)
-    except KeyError:
+    if args.name not in LAWS:
         print(f"unknown law suite {args.name!r}; choose from {sorted(LAWS)}", file=sys.stderr)
         return EXIT_USAGE
+    rep = run_law(args.name, seed=args.seed, max_sem=args.max_sem)
     for line in rep.lines:
         print(line)
     if rep.ok:

@@ -8,7 +8,7 @@ so the first failure reported is a minimal one.
 from __future__ import annotations
 
 import random
-from typing import Callable
+from typing import Callable, TypeVar
 
 from .canon import set_id
 from .context import FormalContext, make_context, sem_lattice
@@ -23,6 +23,7 @@ from .order import (
 )
 
 DEFAULT_SEED = 0xCAFED00D
+T = TypeVar("T")
 
 
 def rng_for(seed: int | None) -> random.Random:
@@ -183,12 +184,25 @@ def random_information_system(rng: random.Random, max_props: int) -> Information
     return close_entailment(props, raw)
 
 
+def interner() -> Callable[[T], T]:
+    """A map sending each value to the first equal value it was given.
+
+    Structures memoize what is derived from them on the instance, so equal
+    values routed through one interner share those memos.  The table lives
+    as long as the returned function, which callers keep for one run.
+    """
+    table: dict = {}
+    return lambda x: table.setdefault(x, x)
+
+
 def corpus(
-    count: int, make: Callable[[random.Random], object], seed: int | None = None
-) -> list:
-    """``count`` structures from one seeded stream, sorted small to large."""
+    count: int, make: Callable[[random.Random], T], seed: int | None = None
+) -> list[T]:
+    """``count`` structures from one seeded stream, sorted small to large;
+    equal structures are one object."""
     rng = rng_for(seed)
-    out = [make(rng) for _ in range(count)]
+    intern = interner()
+    out = [intern(make(rng)) for _ in range(count)]
     out.sort(key=_size_key)
     return out
 

@@ -9,9 +9,10 @@ lattices and monotone suprema-preserving functions.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import kernels
 from .canon import pair_id
@@ -22,6 +23,7 @@ from .order import (
     JoinSemilattice,
     _bits,
     _guard,
+    _memo,
     ideal_completion,
     ideal_names,
     is_order_iso,
@@ -46,7 +48,15 @@ class ApproximableMapping:
     each source element generates its image ideal ``down(f(a))``; ``values``
     lists ``f`` in source order.  The relation so defined meets am1 and am2
     always, and am3 exactly when ``f`` is monotone.  Relations from outside
-    enter through ``validate_am``."""
+    enter through ``validate_am``.
+
+    ``ApproximableMapping(source, target, values)`` checks the table's
+    length, members and monotonicity.  The builders below (composites,
+    identities, enumerated picks, the functors' images, the counit and the
+    product and transpose maps of ``category``) make monotone tables by
+    construction and enter them through ``_trusted``, which checks nothing;
+    so does ``epsilon_inverse`` for the table ``validate_am`` checked.
+    """
 
     source: JoinSemilattice
     target: JoinSemilattice
@@ -177,8 +187,18 @@ def validate_am(
     return ApproximableMapping(source, target, values)
 
 
+def _trusted(cls, source, target, values: tuple[str, ...]):
+    """``cls(source, target, values)`` for a table that is monotone by
+    construction, so that no check of the constructor can fire: a composite,
+    an identity, an enumerated pick, a functor's image.  Nothing is checked;
+    ``tests/`` rebuilds every such output through the public constructor."""
+    f = object.__new__(cls)
+    f.__dict__.update(source=source, target=target, values=values)
+    return f
+
+
 def identity_mapping(S: JoinSemilattice) -> ApproximableMapping:
-    return ApproximableMapping(S, S, S.elements)
+    return _trusted(ApproximableMapping, S, S, S.elements)
 
 
 def compose(m1: ApproximableMapping, m2: ApproximableMapping) -> ApproximableMapping:
@@ -188,17 +208,23 @@ def compose(m1: ApproximableMapping, m2: ApproximableMapping) -> ApproximableMap
             "composition mismatch: target of the first is not source of the second",
             law="compose:interface",
         )
-    return ApproximableMapping(m1.source, m2.target, tuple(m2.apply(v) for v in m1.values))
+    return _trusted(
+        ApproximableMapping, m1.source, m2.target, tuple(m2.apply(v) for v in m1.values)
+    )
 
 
 @dataclass(frozen=True)
 class ScottFunction:
-    """Monotone function between finite lattices.
+    """Scott-continuous function between finite lattices, as a value table.
 
     Monotonicity and preservation of directed suprema coincide on finite
-    carriers (a finite directed set contains its supremum); the definitional
-    preservation check still runs exhaustively up to ``SCOTT_CHECK_CAP``
-    elements and must agree.
+    carriers (a finite directed set contains its supremum).
+    ``ScottFunction(source, target, values)`` checks the table's length,
+    members and monotonicity, and then, up to ``SCOTT_CHECK_CAP`` elements,
+    runs the definitional scan over every directed subset, which must agree.
+    Identities, composites, ``idl_on_morphism`` and ``eta`` are monotone by
+    construction and enter through ``_trusted``; ``thm4.4`` re-enters the
+    functor's images through this constructor.
     """
 
     source: FiniteLattice
@@ -233,14 +259,14 @@ class ScottFunction:
 
 
 def identity_function(L: FiniteLattice) -> ScottFunction:
-    return ScottFunction(L, L, L.elements)
+    return _trusted(ScottFunction, L, L, L.elements)
 
 
 def compose_functions(f1: ScottFunction, f2: ScottFunction) -> ScottFunction:
     """``f1`` then ``f2``."""
     if f1.target != f2.source:
         raise ValidationError("function composition mismatch", law="compose:interface")
-    return ScottFunction(f1.source, f2.target, tuple(f2.apply(v) for v in f1.values))
+    return _trusted(ScottFunction, f1.source, f2.target, tuple(f2.apply(v) for v in f1.values))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +280,7 @@ def idl_on_morphism(m: ApproximableMapping) -> ScottFunction:
     T = m.target.poset
     tgt_names = ideal_names(m.target)
     image = dict(zip(ideal_names(m.source), (tgt_names[T.index[v]] for v in m.values)))
-    return ScottFunction(src_l, tgt_l, tuple(image[e] for e in src_l.elements))
+    return _trusted(ScottFunction, src_l, tgt_l, tuple(image[e] for e in src_l.elements))
 
 
 def k_on_morphism(f: ScottFunction) -> ApproximableMapping:
@@ -265,46 +291,62 @@ def k_on_morphism(f: ScottFunction) -> ApproximableMapping:
         tgt_s.join_all(b for b in tgt_s.elements if f.target.le(b, f.apply(a)))
         for a in src_s.elements
     )
-    return ApproximableMapping(src_s, tgt_s, values)
+    return _trusted(ApproximableMapping, src_s, tgt_s, values)
 
 
 def eta(L: FiniteLattice) -> ScottFunction:
     """The iso sending a lattice element to the ideal of compacts below it."""
     idl_k = ideal_completion(k_semilattice(L))
-    fn = ScottFunction(L, idl_k, unit_names(L))
+    fn = _trusted(ScottFunction, L, idl_k, unit_names(L))
     if not is_order_iso(L.poset, idl_k.poset, dict(zip(L.elements, fn.values))):
         raise ValidationError("completion unit is not an order-isomorphism", law="thm4.4:eta")
     return fn
 
 
 def epsilon(S: JoinSemilattice) -> ApproximableMapping:
-    """The iso relating an element to every compact ideal inside its cone."""
+    """The iso relating an element to every compact ideal inside its cone;
+    the counit check runs once per value ``S``."""
+    _memo(S, "_epsilon_checked", _check_counit)
+    return _epsilon_raw(S)
+
+
+def _check_counit(S: JoinSemilattice) -> bool:
     eps = _epsilon_raw(S)
     inv = epsilon_inverse(S)
     if compose(eps, inv) != identity_mapping(S) or compose(inv, eps) != identity_mapping(
         eps.target
     ):
         raise ValidationError("counit compositions are not identities", law="thm4.4:epsilon")
-    return eps
+    return True
 
 
 def _epsilon_raw(S: JoinSemilattice) -> ApproximableMapping:
     """``a`` goes to its principal ideal, a compact of the completion."""
     kidl = k_semilattice(ideal_completion(S))
-    return ApproximableMapping(S, kidl, ideal_names(S))
+    return _trusted(ApproximableMapping, S, kidl, ideal_names(S))
 
 
 def epsilon_inverse(S: JoinSemilattice) -> ApproximableMapping:
     """Built as a relation and validated, so the counit check in ``epsilon``
-    composes a value-table mapping with an independently checked one."""
+    composes a value-table mapping with an independently checked one.
+
+    The relation is validated once per value ``S``.  The memo keeps the
+    value table, not the mapping: a mapping holds ``S``, so keeping it on
+    ``S`` would make a reference cycle, and ``S`` with every memo on it
+    would then outlive its last use until the cyclic collector ran.
+    """
     kidl = k_semilattice(ideal_completion(S))
+    return _trusted(ApproximableMapping, kidl, S, _memo(S, "_epsilon_inverse", _inverse_table))
+
+
+def _inverse_table(S: JoinSemilattice) -> tuple[str, ...]:
     pairs = (
         (name, a)
         for b, name in zip(S.elements, ideal_names(S))
         for a in S.elements
         if S.le(a, b)
     )
-    return validate_am(kidl, S, pairs)
+    return validate_am(k_semilattice(ideal_completion(S)), S, pairs).values
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +361,23 @@ def enumerate_mappings(S: JoinSemilattice, T: JoinSemilattice) -> list[Approxima
     ``ENUMERATION_GUARD``, or as soon as the search finds more than
     ``ENUMERATION_OUTPUT_GUARD`` mappings, before any of them is built.
     """
+    picks, build = _sorted_picks(S, T)
+    return [build(pick) for pick in picks]
+
+
+def choose_mapping(
+    rng: random.Random, S: JoinSemilattice, T: JoinSemilattice
+) -> ApproximableMapping:
+    """``rng.choice(enumerate_mappings(S, T))``, with the same draw from
+    ``rng``, building only the mapping drawn."""
+    picks, build = _sorted_picks(S, T)
+    return build(rng.choice(picks))
+
+
+def _sorted_picks(S: JoinSemilattice, T: JoinSemilattice) -> tuple[list, Callable]:
+    """The monotone maps from ``S`` to ``T`` as target indices in a linear
+    extension of ``S``, sorted as ``enumerate_mappings`` lists them, and the
+    builder of the mapping of one of them."""
     P, Q = S.poset, T.poset
     _guard("enumerate_mappings", P.n * Q.n, ENUMERATION_GUARD)
     # source in a linear extension (by cone size, ties by canonical order)
@@ -344,4 +403,9 @@ def enumerate_mappings(S: JoinSemilattice, T: JoinSemilattice) -> list[Approxima
         bit[i][j] = 1 << (len(ranked) - 1 - r)
     pm = [[sum(row[b] for b in _bits(down)) for down in Q.down_masks] for row in bit]
     picks.sort(key=lambda pick: -sum(pm[i][pick[p]] for i, p in enumerate(pos)))
-    return [ApproximableMapping(S, T, tuple(Q.elements[pick[p]] for p in pos)) for pick in picks]
+    els = Q.elements
+
+    def build(pick) -> ApproximableMapping:
+        return _trusted(ApproximableMapping, S, T, tuple(els[pick[p]] for p in pos))
+
+    return picks, build

@@ -630,6 +630,22 @@ def test_laws_verb_unknown(capsys):
     assert main(["laws", "thm9.9"]) == 2
 
 
+def test_laws_verb_does_not_misreport_an_error_inside_a_suite(monkeypatch, capsys):
+    """A ``KeyError`` raised while a known suite runs is the suite's own
+    error, not an unknown suite name."""
+    from cxtcat.laws import LAWS
+
+    def broken(seed=None, max_sem=None):
+        raise KeyError("inner")
+
+    monkeypatch.setitem(LAWS, "thm4.4", broken)
+    with pytest.raises(KeyError, match="inner"):
+        main(["laws", "thm4.4"])
+    assert "unknown law suite" not in capsys.readouterr().err
+    assert main(["laws", "thm9.9"]) == 2
+    assert capsys.readouterr().err.startswith("unknown law suite 'thm9.9'; choose from [")
+
+
 @pytest.mark.parametrize("value", ["-3", "0", "two"])
 def test_laws_max_sem_must_be_a_positive_int(value, capsys):
     assert main(["laws", "prop5.10", "--max-sem", value]) == 2
