@@ -16,7 +16,14 @@ from pathlib import Path
 
 from . import formats
 from .category import funcspace, product, tensor
-from .context import FormalContext, alg_lattice, context_of_semilattice, sem_lattice
+from .context import (
+    FormalContext,
+    alg_lattice,
+    closed_masks,
+    concept_names,
+    context_of_semilattice,
+    sem_lattice,
+)
 from .corpus import DEFAULT_SEED
 from .errors import CxtcatError, FormatError, SizeGuardExceeded, ValidationError
 from .laws import LAWS, run_law
@@ -141,18 +148,17 @@ def cmd_validate(args) -> int:
         return EXIT_OK
     else:
         raise FormatError(f"cannot validate kind {kind!r}")
-    sem = sem_lattice(P)
     print(
         f"OK context: {len(P.objects)} objects, {len(P.attributes)} attributes; "
-        f"Sem size {len(sem.elements)}"
+        f"Sem size {len(closed_masks(P))}"
     )
     return EXIT_OK
 
 
 def cmd_concepts(args) -> int:
-    P = _load_context(args.file)
-    structure = alg_lattice(P) if args.which == "alg" else sem_lattice(P)
-    for name in structure.elements:
+    # Sem and Alg have the same elements on a finite context, so ``--which``
+    # picks no different list; neither order is built.
+    for name in concept_names(_load_context(args.file)):
         print(name)
     return EXIT_OK
 

@@ -51,13 +51,14 @@ class FormalContext:
                     )
                 seen.add(x)
         objs, attrs = set(self.objects), set(self.attributes)
-        for o, a in sorted(self.incidence):
-            if o not in objs or a not in attrs:
-                raise ValidationError(
-                    f"incidence pair ({o!r}, {a!r}) references undeclared names",
-                    law="unknown-element",
-                    witness={"pair": [o, a]},
-                )
+        bad = [(o, a) for o, a in self.incidence if o not in objs or a not in attrs]
+        if bad:
+            o, a = min(bad)
+            raise ValidationError(
+                f"incidence pair ({o!r}, {a!r}) references undeclared names",
+                law="unknown-element",
+                witness={"pair": [o, a]},
+            )
 
     @cached_property
     def obj_index(self) -> dict[str, int]:
@@ -66,6 +67,12 @@ class FormalContext:
     @cached_property
     def attr_index(self) -> dict[str, int]:
         return {a: i for i, a in enumerate(self.attributes)}
+
+    @cached_property
+    def attr_bits_by_name(self) -> tuple[tuple[str, int], ...]:
+        """``(attribute, its mask bit)`` in name order, as ``set_id`` sorts."""
+        ai = self.attr_index
+        return tuple((a, 1 << ai[a]) for a in sorted(self.attributes))
 
     @cached_property
     def rows(self) -> list[int]:
@@ -149,28 +156,58 @@ def is_closed(P: FormalContext, ys: Iterable[str]) -> bool:
     return attr_closure(P, ys) == ys
 
 
-def _concept_tables(P: FormalContext):
-    """Closed intents of ``P`` on masks, ordered by inclusion.
+def closed_masks(P: FormalContext) -> set[int]:
+    """The closed attribute sets of ``P`` as masks, without their order.
 
     Every intent is an intersection of object rows (the empty intersection
     is the full attribute set), so the family grows one row at a time and
-    the guard stops it as soon as it passes ``CLOSED_SET_GUARD``.  The intents
-    form a closure system, so their inclusion order is a lattice by
-    construction: its cones are built from the attribute columns and
-    nothing re-checks them.  Names are made once per intent, and elements
-    are sorted by name.
-
-    Returns ``(poset, intents)``: ``intents`` decodes names to attribute sets.
+    the guard stops it as soon as it passes ``CLOSED_SET_GUARD``.  Its size
+    is the size of ``sem_lattice(P)`` and of ``alg_lattice(P)``.
     """
     fam = {P.full_attr_mask}
     for r in P.rows:
+        # The family is closed under intersection, so a row already in it
+        # adds nothing.
+        if r in fam:
+            continue
         fam |= {s & r for s in fam}
         _guard("closed attribute sets", len(fam), CLOSED_SET_GUARD)
-    sets = {m: P.attrs_of_mask(m) for m in fam}
-    named = sorted((set_id(ys), m) for m, ys in sets.items())
-    cones = kernels.inclusion_cones([m for _, m in named], len(P.attributes))
-    poset = FinitePoset._from_masks(tuple(n for n, _ in named), *cones)
-    return poset, {n: sets[m] for n, m in named}
+    return fam
+
+
+def _named_masks(P: FormalContext, fam: set[int]) -> list[tuple[str, int, list[str]]]:
+    """``(name, mask, members)`` for each mask of ``fam``, sorted by name and
+    mask.  The members are walked in name order, so the name is ``set_id``
+    of the member set."""
+    by_name = P.attr_bits_by_name
+    named = []
+    for m in fam:
+        members = [a for a, bit in by_name if m & bit]
+        named.append(("{" + ",".join(members) + "}", m, members))
+    named.sort()
+    return named
+
+
+def concept_names(P: FormalContext) -> list[str]:
+    """The elements of ``sem_lattice(P)`` and ``alg_lattice(P)``, in order,
+    without building the order."""
+    return [n for n, _, _ in _named_masks(P, closed_masks(P))]
+
+
+def _concept_tables(P: FormalContext):
+    """Closed intents of ``P`` on masks, ordered by inclusion.
+
+    Three stages: the guarded masks (``closed_masks``), their sorted names
+    (``_named_masks``), then the inclusion cones.  The intents form a closure
+    system, so their inclusion order is a lattice by construction: its cones
+    are built from the attribute columns and nothing re-checks them.
+
+    Returns ``(poset, intents)``: ``intents`` decodes names to attribute sets.
+    """
+    named = _named_masks(P, closed_masks(P))
+    cones = kernels.inclusion_cones([m for _, m, _ in named], len(P.attributes))
+    poset = FinitePoset._from_masks(tuple(n for n, _, _ in named), *cones)
+    return poset, {n: frozenset(members) for n, _, members in named}
 
 
 def _check_closed(P: FormalContext, intents: dict[str, frozenset[str]], law: str, what: str):

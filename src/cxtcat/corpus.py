@@ -11,7 +11,7 @@ import random
 from typing import Callable, TypeVar
 
 from .canon import set_id
-from .context import FormalContext, make_context, sem_lattice
+from .context import FormalContext, closed_masks, make_context
 from .logic import InformationSystem, close_entailment
 from .order import (
     FiniteLattice,
@@ -169,7 +169,7 @@ def random_context_with_sem_at_most(
 ) -> FormalContext:
     def build():
         P = random_context(rng, max_objects, max_attributes)
-        return P if len(sem_lattice(P).elements) <= max_sem else None
+        return P if len(closed_masks(P)) <= max_sem else None
 
     return _rejection(rng, build)
 

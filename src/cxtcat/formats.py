@@ -17,7 +17,7 @@ from .context import FormalContext, make_context
 from .errors import FormatError
 from .logic import InformationSystem
 from .mappings import ApproximableMapping, validate_am
-from .order import FinitePoset, JoinSemilattice, _bits, validate_poset
+from .order import FinitePoset, JoinSemilattice, validate_poset
 from .topology import TopSpace
 
 VERSION = 1
@@ -159,8 +159,17 @@ def _poset_members(P: FinitePoset, depth: int) -> dict[str, str]:
     heads = ["[" + inner + q + "," + inner for q in quoted]
     tails = [q + item + "]" for q in quoted]
     rows = []
+    rank = [0] * P.n
+    for r, i in enumerate(order):
+        rank[i] = r
     for i in order:
-        above = sorted(_bits(P.up_masks[i]), key=els.__getitem__)
+        above = []
+        cone = P.up_masks[i]
+        while cone:
+            low = cone & -cone
+            above.append(low.bit_length() - 1)
+            cone ^= low
+        above.sort(key=rank.__getitem__)
         rows.append(heads[i] + ("," + item + heads[i]).join([tails[j] for j in above]))
     return {
         "elements": _array([quoted[i] for i in order], depth),
@@ -232,14 +241,14 @@ def parse_cxt(text: str) -> FormalContext:
         raise FormatError(f"CXT expects {need} lines, found {len(lines)}")
     objects = lines[5 : 5 + n_obj]
     attributes = lines[5 + n_obj : 5 + n_obj + n_attr]
-    incidence = set()
-    for i, row in enumerate(lines[5 + n_obj + n_attr :]):
-        if len(row) != n_attr or any(ch not in "X." for ch in row):
+    rows = lines[5 + n_obj + n_attr :]
+    for i, row in enumerate(rows):
+        if len(row) != n_attr or row.strip("X."):
             raise FormatError(f"CXT row {i + 1} is not a string over X and .")
-        for j, ch in enumerate(row):
-            if ch == "X":
-                incidence.add((objects[i], attributes[j]))
-    return make_context(objects, attributes, incidence)
+    incidence = frozenset({
+        (o, a) for o, row in zip(objects, rows) for a, ch in zip(attributes, row) if ch == "X"
+    })
+    return FormalContext(tuple(objects), tuple(attributes), incidence)
 
 
 def _cxt_count(lines: list[str], number: int) -> int:

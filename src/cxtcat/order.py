@@ -203,10 +203,16 @@ class FinitePoset:
         strict = [m & ~(1 << i) for i, m in enumerate(self.up_masks)]
         out = []
         for a, cone in zip(els, strict):
-            above = 0
-            for j in _bits(cone):
-                above |= strict[j]
-            out.extend((a, els[k]) for k in _bits(cone & ~above))
+            above, rest = 0, cone
+            while rest:
+                low = rest & -rest
+                above |= strict[low.bit_length() - 1]
+                rest ^= low
+            rest = cone & ~above
+            while rest:
+                low = rest & -rest
+                out.append((a, els[low.bit_length() - 1]))
+                rest ^= low
         return sorted(out)
 
 
@@ -919,29 +925,42 @@ def order_isomorphism(P: FinitePoset, Q: FinitePoset) -> dict[str, str] | None:
         return None
     order = sorted(P.elements, key=lambda x: len(cands[x]))
     assign: dict[str, str] = {}
-    used: set[str] = set()
+    return dict(assign) if _extend_iso(P, Q, order, cands, assign, set(), 0) else None
 
-    def bt(i: int) -> bool:
-        if i == len(order):
-            return True
-        x = order[i]
-        for y in cands[x]:
-            if y in used:
-                continue
-            ok = all(
-                P.le(x, z) == Q.le(y, assign[z]) and P.le(z, x) == Q.le(assign[z], y)
-                for z in assign
-            )
-            if ok:
-                assign[x] = y
-                used.add(y)
-                if bt(i + 1):
-                    return True
-                del assign[x]
-                used.remove(y)
-        return False
 
-    return dict(assign) if bt(0) else None
+def _extend_iso(
+    P: FinitePoset,
+    Q: FinitePoset,
+    order: list[str],
+    cands: dict[str, list[str]],
+    assign: dict[str, str],
+    used: set[str],
+    i: int,
+) -> bool:
+    """Extend ``assign`` to ``order[i:]`` by backtracking over ``cands``.
+
+    A module function, not a closure: a closure that calls itself refers to
+    itself through its own cell, and that cycle would keep ``P`` and ``Q``
+    alive until the cyclic collector ran.
+    """
+    if i == len(order):
+        return True
+    x = order[i]
+    for y in cands[x]:
+        if y in used:
+            continue
+        ok = all(
+            P.le(x, z) == Q.le(y, assign[z]) and P.le(z, x) == Q.le(assign[z], y)
+            for z in assign
+        )
+        if ok:
+            assign[x] = y
+            used.add(y)
+            if _extend_iso(P, Q, order, cands, assign, used, i + 1):
+                return True
+            del assign[x]
+            used.remove(y)
+    return False
 
 
 def is_order_iso(P: FinitePoset, Q: FinitePoset, f: Mapping[str, str]) -> bool:

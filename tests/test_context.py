@@ -1,11 +1,17 @@
+import contextlib
+import io
 import random
+import tempfile
 from itertools import chain as ichain, combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cxtcat import formats
 from cxtcat.canon import set_id
+from cxtcat.cli import main
 from cxtcat.context import (
     CLOSED_SET_GUARD,
     ConceptLattice,
@@ -15,6 +21,8 @@ from cxtcat.context import (
     approx_closure,
     attr_closure,
     attr_closure_operator,
+    closed_masks,
+    concept_names,
     context_of_semilattice,
     is_closed,
     make_context,
@@ -86,6 +94,16 @@ def test_duplicate_declarations_rejected():
         make_context(["o", "o"], ["a"], [])
     with pytest.raises(ValidationError):
         make_context(["o"], ["a"], [("o", "b")])
+
+
+def test_undeclared_incidence_reports_the_least_pair():
+    with pytest.raises(ValidationError) as exc:
+        make_context(["o", "p"], ["a"], [("z", "a"), ("p", "q"), ("o", "b"), ("o", "a")])
+    assert (exc.value.law, str(exc.value), exc.value.witness) == (
+        "unknown-element",
+        "incidence pair ('o', 'b') references undeclared names",
+        {"pair": ["o", "b"]},
+    )
 
 
 def test_duplicate_rows_are_kept():
@@ -348,3 +366,76 @@ def test_contranominal_scale_stops_at_the_guard():
         with pytest.raises(SizeGuardExceeded) as exc:
             build(P)
         assert CLOSED_SET_GUARD < exc.value.size <= 2 * CLOSED_SET_GUARD
+
+
+# ---------------------------------------------------------------------------
+# the staged build: masks, then names, then the order
+
+
+# Names with the characters ``set_id`` writes (``,``, ``{``, ``}``), spaces
+# and non-ASCII text; ``,`` lets two different sets share a name.
+_NAMES = st.text(alphabet=["a", "b", ",", "{", "}", " ", "é", "Ж", "𝔸"], max_size=3)
+
+
+@st.composite
+def contexts(draw):
+    objects = draw(st.lists(_NAMES, max_size=6, unique=True))
+    attrs = draw(st.lists(_NAMES, max_size=6, unique=True))
+    pairs = [(o, a) for o in objects for a in attrs]
+    incidence = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return make_context(objects, attrs, incidence)
+
+
+@given(contexts())
+@settings(max_examples=150, deadline=None)
+def test_staged_build_agrees_with_the_lattices(P):
+    """The mask count and the names are those of both lattices, and the
+    lattices' intents are those of the per-set naming of the masks."""
+    sem, alg = sem_lattice(P), alg_lattice(P)
+    masks = closed_masks(P)
+    assert len(masks) == len(sem.elements) == len(alg.elements)
+    assert concept_names(P) == list(sem.elements) == list(alg.elements)
+    assert concept_names(P) == powerset_oracle_names(P)
+    named = sorted((set_id(P.attrs_of_mask(m)), m) for m in masks)
+    assert sem.intents == alg.intents == {n: P.attrs_of_mask(m) for n, m in named}
+
+
+def _cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _context_files(P, folder: Path) -> list[Path]:
+    files = [folder / "p.json"]
+    files[0].write_text(formats.dump_context(P), encoding="utf-8")
+    files.append(folder / "p.cxt")
+    files[1].write_text(formats.dump_cxt(P), encoding="utf-8")
+    return files
+
+
+@given(contexts())
+@settings(max_examples=60, deadline=None)
+def test_validate_and_concepts_print_what_the_lattices_hold(P):
+    sem, alg = sem_lattice(P), alg_lattice(P)
+    validate = (
+        f"OK context: {len(P.objects)} objects, {len(P.attributes)} attributes; "
+        f"Sem size {len(sem.elements)}\n"
+    )
+    with tempfile.TemporaryDirectory() as folder:
+        for path in _context_files(P, Path(folder)):
+            assert _cli(["validate", str(path)]) == (0, validate, "")
+            for which, structure in (([], alg), (["--which", "alg"], alg), (["--which", "sem"], sem)):
+                listing = "".join(n + "\n" for n in structure.elements)
+                assert _cli(["concepts", str(path), *which]) == (0, listing, "")
+
+
+def test_verbs_over_the_guard_exit_3_with_the_lattice_message(tmp_path):
+    attrs = [f"a{i}" for i in range(10)]
+    P = make_context(attrs, attrs, [(o, a) for o in attrs for a in attrs if o != a])
+    with pytest.raises(SizeGuardExceeded) as exc:
+        sem_lattice(P)
+    for path in _context_files(P, tmp_path):
+        for argv in (["validate"], ["concepts"], ["concepts", "--which", "sem"]):
+            assert _cli([argv[0], str(path), *argv[1:]]) == (3, "", f"{exc.value}\n")

@@ -23,7 +23,7 @@ from cxtcat.corpus import (
     random_join_semilattice,
     random_poset,
 )
-from cxtcat.errors import FormatError
+from cxtcat.errors import FormatError, ValidationError
 from cxtcat.logic import close_entailment
 from cxtcat.mappings import enumerate_mappings, identity_mapping
 from cxtcat.order import JoinSemilattice, validate_poset
@@ -217,6 +217,90 @@ def test_cxt_parse_errors():
         formats.parse_cxt("C\n\n0\n0\n\n")
     with pytest.raises(FormatError):
         formats.parse_cxt("B\n\n1\n1\n\no\na\nY\n")  # bad cell character
+    head = "B\n\n2\n2\n\no\np\na\nb\nX.\n"
+    for row in ("X", "X.X", "X\r", "X.\r", "X ", " .", "Ｘ.", ".x"):
+        with pytest.raises(FormatError) as exc:
+            formats.parse_cxt(head + row + "\n")
+        assert str(exc.value) == "CXT row 2 is not a string over X and ."
+
+
+def parse_cxt_per_character(text: str):
+    """The reference CXT reader: every cell tested one character at a time."""
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    else:
+        raise FormatError("CXT file must end with a newline")
+    if len(lines) < 5 or lines[0] != "B":
+        raise FormatError("CXT file must start with a 'B' line")
+    if lines[1] != "" or lines[4] != "":
+        raise FormatError("CXT lines 2 and 5 must be empty")
+    counts = []
+    for number in (3, 4):
+        count = lines[number - 1]
+        if not (count.isascii() and count.isdigit()):
+            raise FormatError(
+                f"CXT line {number} must be a non-negative count in ASCII digits, found {count!r}"
+            )
+        counts.append(int(count))
+    n_obj, n_attr = counts
+    need = 5 + n_obj + n_attr + n_obj
+    if len(lines) != need:
+        raise FormatError(f"CXT expects {need} lines, found {len(lines)}")
+    objects = lines[5 : 5 + n_obj]
+    attributes = lines[5 + n_obj : 5 + n_obj + n_attr]
+    incidence = set()
+    for i, row in enumerate(lines[5 + n_obj + n_attr :]):
+        if len(row) != n_attr or any(ch not in "X." for ch in row):
+            raise FormatError(f"CXT row {i + 1} is not a string over X and .")
+        for j, ch in enumerate(row):
+            if ch == "X":
+                incidence.add((objects[i], attributes[j]))
+    return make_context(objects, attributes, incidence)
+
+
+_CXT_NAMES = st.text(alphabet=["a", "b", "X", ".", " ", "é", "\r", ","], max_size=2)
+_CXT_CELLS = st.sampled_from(["X", ".", "X", ".", "x", " ", "\r", "Ｘ", "\u0307", "0"])
+
+
+@st.composite
+def cxt_texts(draw):
+    """CXT text that is mostly well formed: now and then a count, a row, the
+    header or the final newline is spoiled."""
+    n_obj, n_attr = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    objects = draw(st.lists(_CXT_NAMES, min_size=n_obj, max_size=n_obj, unique=True))
+    attrs = draw(st.lists(_CXT_NAMES, min_size=n_attr, max_size=n_attr, unique=True))
+    good_row = st.text(alphabet="X.", min_size=n_attr, max_size=n_attr)
+    rows = draw(st.lists(good_row, min_size=n_obj, max_size=n_obj))
+    if rows and draw(st.booleans()):
+        i = draw(st.integers(0, n_obj - 1))
+        width = draw(st.integers(max(0, n_attr - 1), n_attr + 1))
+        rows[i] = "".join(draw(st.lists(_CXT_CELLS, min_size=width, max_size=width)))
+    counts = [str(n_obj), str(n_attr)]
+    if draw(st.integers(0, 9)) == 7:
+        counts[draw(st.integers(0, 1))] = draw(st.sampled_from(["+1", "1 ", "٣", "", "9"]))
+    text = "\n".join(["B", "", *counts, "", *objects, *attrs, *rows]) + "\n"
+    spoil = draw(st.integers(0, 19))
+    if spoil == 11:
+        text = text[:-1]
+    elif spoil == 13:
+        text = "b" + text[1:]
+    return text
+
+
+def _parse_outcome(parse, text):
+    try:
+        return ("context", parse(text))
+    except FormatError as exc:
+        return ("format", str(exc))
+    except ValidationError as exc:
+        return ("validation", str(exc), exc.law, exc.witness)
+
+
+@given(cxt_texts())
+@settings(max_examples=400, deadline=None)
+def test_parse_cxt_matches_the_per_character_reader(text):
+    assert _parse_outcome(formats.parse_cxt, text) == _parse_outcome(parse_cxt_per_character, text)
 
 
 # ---------------------------------------------------------------------------

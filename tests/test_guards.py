@@ -180,3 +180,13 @@ SIGNATURES = {
 @pytest.mark.parametrize("fn", SIGNATURES, ids=lambda fn: fn.__qualname__)
 def test_only_the_cli_guards_and_verify_are_parameters(fn):
     assert list(inspect.signature(fn).parameters) == SIGNATURES[fn]
+
+
+@pytest.mark.parametrize("stage", ["closed_masks", "concept_names"])
+def test_orderless_closed_set_stages_stop_at_the_same_guard(stage):
+    """``validate`` and ``concepts`` stop at the cap with the message of
+    ``sem_lattice``."""
+    cap = context.CLOSED_SET_GUARD
+    with pytest.raises(SizeGuardExceeded) as exc:
+        getattr(context, stage)(with_closed_sets(cap + 1))
+    assert str(exc.value) == f"closed attribute sets: size {cap + 1} exceeds guard {cap}"

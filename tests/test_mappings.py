@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cxtcat import mappings, order
 from cxtcat.canon import pair_id, set_id
 from cxtcat.context import make_context, sem_lattice
 from cxtcat.corpus import (
@@ -413,6 +414,32 @@ def test_eta_singleton_and_two_chain():
     assert eta(L1).values == ("{c0}",)
     L2 = FiniteLattice(chain_poset(2))
     assert eta(L2).values == ("{c0}", "{c0,c1}")
+
+
+def test_eta_checks_its_iso_once_per_value(monkeypatch):
+    calls = []
+
+    def counted(P, Q, f):
+        calls.append(f)
+        return order.is_order_iso(P, Q, f)
+
+    monkeypatch.setattr(mappings, "is_order_iso", counted)
+    L = FiniteLattice(diamond_poset())
+    units = [eta(L) for _ in range(5)]
+    assert len(calls) == 1 and units == [units[0]] * 5
+    eta(FiniteLattice(diamond_poset()))  # an equal value checks again
+    assert len(calls) == 2
+
+
+def test_eta_refuses_a_unit_that_is_not_an_iso(monkeypatch):
+    monkeypatch.setattr(mappings, "unit_names", lambda L: order.unit_names(L)[::-1])
+    L = FiniteLattice(diamond_poset())
+    for _ in range(2):  # a failed check is not remembered
+        with pytest.raises(ValidationError) as exc:
+            eta(L)
+        assert (exc.value.law, str(exc.value)) == (
+            "thm4.4:eta", "completion unit is not an order-isomorphism"
+        )
 
 
 def test_epsilon_diamond_relates_cones():

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from itertools import combinations
 
 import pytest
@@ -763,6 +765,21 @@ def test_order_isomorphism_finds_relabelings(seed):
     )
     f = order_isomorphism(P, Q)
     assert f is not None and is_order_iso(P, Q, f)
+
+
+def test_order_isomorphism_leaves_no_reference_cycle():
+    """With the cyclic collector off, the posets searched die with their
+    last reference."""
+    gc.collect()
+    gc.disable()
+    try:
+        P, Q = diamond_poset(), diamond_poset()
+        refs = [weakref.ref(P), weakref.ref(Q)]
+        assert order_isomorphism(P, Q) == {x: x for x in P.elements}
+        del P, Q
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_filter_validation():
