@@ -33,14 +33,12 @@ from .order import (
     JoinSemilattice,
     MeetSemilattice,
     compacts,
-    flt_lattice,
     ideal_completion,
 )
 from .topology import (
     Locale,
     corollary_6_17_spaces,
     lemma_6_16_check,
-    lower_set_locale,
     scott_topology,
     specialization_order,
 )
@@ -294,7 +292,7 @@ def cmd_topology(args) -> int:
     if args.report == "stone":
         S = MeetSemilattice(poset)
         lemma = lemma_6_16_check(S)
-        rep = corollary_6_17_spaces(S, flt_lattice(S), lower_set_locale(S))
+        rep = corollary_6_17_spaces(S)
         doc = {"lemma6.16": lemma.as_dict(), "cor6.17": rep.as_dict()}
         print(json.dumps(doc, indent=2, sort_keys=True))
         return EXIT_OK if lemma.ok and rep.ok else EXIT_FAIL

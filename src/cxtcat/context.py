@@ -178,13 +178,21 @@ def closed_masks(P: FormalContext) -> set[int]:
 def _named_masks(P: FormalContext, fam: set[int]) -> list[tuple[str, int, list[str]]]:
     """``(name, mask, members)`` for each mask of ``fam``, sorted by name and
     mask.  The members are walked in name order, so the name is ``set_id``
-    of the member set."""
+    of the member set; as ``set_id`` is not injective, a shared name is refused."""
     by_name = P.attr_bits_by_name
     named = []
     for m in fam:
         members = [a for a, bit in by_name if m & bit]
         named.append(("{" + ",".join(members) + "}", m, members))
     named.sort()
+    for (a, _, xs), (b, _, ys) in zip(named, named[1:]):
+        if a == b:
+            xs, ys = sorted((xs, ys))
+            raise ValidationError(
+                f"closed attribute sets {xs!r} and {ys!r} share the name {a!r}",
+                law="context:names",
+                witness={"name": a, "members": [xs, ys]},
+            )
     return named
 
 

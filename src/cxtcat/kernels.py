@@ -157,28 +157,25 @@ def monotone_maps(
     found more than ``limit`` assignments, so a longer result means the
     full output is larger than ``limit``.
     """
-    n_tgt = len(tgt_up)
+    full = (1 << len(tgt_up)) - 1
     out: list[tuple[int, ...]] = []
-    pick = [0] * n_src
-
-    def extend(i: int) -> bool:
-        """Fill ``pick[i:]`` every way; True once past ``limit``."""
+    pick = [-1] * n_src
+    i = 0
+    while i >= 0:
         if i == n_src:
             out.append(tuple(pick))
-            return len(out) > limit
-        for t in range(n_tgt):
-            ok = True
-            for j in preds[i]:
-                if not tgt_up[pick[j]] >> t & 1:
-                    ok = False
-                    break
-            if ok:
-                pick[i] = t
-                if extend(i + 1):
-                    return True
-        return False
-
-    if n_src == 0:
-        return [()]
-    extend(0)
+            if len(out) > limit:
+                break
+            i -= 1
+            continue
+        # the targets after pick[i] that lie above the picks of its predecessors
+        free = full & -1 << pick[i] + 1
+        for j in preds[i]:
+            free &= tgt_up[pick[j]]
+        if free:
+            pick[i] = (free & -free).bit_length() - 1
+            i += 1
+        else:
+            pick[i] = -1
+            i -= 1
     return out

@@ -52,7 +52,6 @@ from .topology import (
     lower_set_locale,
     spectrality_check,
 )
-from .order import flt_lattice
 
 
 @dataclass
@@ -334,7 +333,7 @@ def law_cor6_17(seed: int | None = None, max_sem: int | None = None) -> LawRepor
         loc = lower_set_locale(S)
         if not spectrality_check(loc).ok:
             return rep.fail("lower-set locale is not spectral", elements=sorted(S.elements))
-        r = corollary_6_17_spaces(S, flt_lattice(S), loc)
+        r = corollary_6_17_spaces(S)
         if not r.ok:
             return rep.fail(
                 "spaces are not homeomorphic",

@@ -26,12 +26,12 @@ from .order import (
     down_set,
     filters,
     flt_lattice,
+    ideal_names,
     is_algebraic,
     is_distributive,
     is_order_iso,
     lattice_from_sets,
     meet_primes,
-    order_isomorphism,
     up_set,
 )
 
@@ -284,13 +284,17 @@ def lower_set_locale(S: MeetSemilattice | JoinSemilattice) -> Locale:
     """Locale of all lower sets, checked against the Scott opens of the
     filter lattice; built once per value ``S``.  A join-semilattice stands
     for its dual."""
-    return order._memo(S, "_lower_set_locale", _build_lower_set_locale)
+    return order._memo(S, "_stone_data", _stone_data)[0]
 
 
-def _build_lower_set_locale(S: MeetSemilattice | JoinSemilattice) -> Locale:
+def _stone_data(S: MeetSemilattice | JoinSemilattice) -> tuple[Locale, TopSpace, dict[str, str]]:
+    """The lower-set locale, the Scott space of ``flt_lattice(S)`` and ψ, the
+    checked order-iso from Scott opens onto lower sets (by name).  Memoized
+    on ``S`` as ``_stone_data``; none of the three holds ``S``."""
     lat, decode = _lower_set_lattice(S)
     loc = _set_family_locale(lat)
-    olat, _ = open_set_lattice(scott_topology(flt_lattice(S)))
+    sigma = scott_topology(flt_lattice(S))
+    olat, _ = open_set_lattice(sigma)
     filt_members = {set_id(f.members): f.members for f in filters(S)}
     fmap = {
         e: set_id(name for name, members in filt_members.items() if members & decode[e])
@@ -301,7 +305,7 @@ def _build_lower_set_locale(S: MeetSemilattice | JoinSemilattice) -> Locale:
             "lower-set locale does not match the Scott opens of the filter lattice",
             law="locale:lower-sets",
         )
-    return loc
+    return loc, sigma, {o: e for e, o in fmap.items()}
 
 
 def locale_points(loc: Locale) -> list[LocalePoint]:
@@ -404,28 +408,21 @@ def _image_space_check(
         details.append(f"{name}: open families do not correspond")
 
 
-def corollary_6_17_spaces(
-    S: MeetSemilattice | JoinSemilattice, L: FiniteLattice, loc: Locale
-) -> Cor617Report:
-    """Build the Scott space, the filter space, and the point space, and
-    check that the point bijections carry opens onto opens.
-
-    Preconditions: the dual of ``S`` must be isomorphic to the compacts of
-    ``L``, and ``loc`` to the Scott open-set lattice of ``L``.  A
-    join-semilattice stands for its dual.
+def corollary_6_17_spaces(S: MeetSemilattice | JoinSemilattice) -> Cor617Report:
+    """Build the Scott space of ``flt_lattice(S)``, the filter space, and the
+    point space of ``lower_set_locale(S)``, and check that the point
+    bijections carry opens onto opens.  They come from isomorphisms known by
+    construction: φ sends ``a`` to ``↑a`` (``ideal_names`` of the dual), and
+    ψ inverts the map that ``lower_set_locale`` checks.  A join-semilattice
+    stands for its dual.
     """
-    phi = order_isomorphism(_join_dual(S).poset, compacts(L))
-    if phi is None:
+    L = flt_lattice(S)
+    loc, sigma, psi = order._memo(S, "_stone_data", _stone_data)
+    D = _join_dual(S)
+    phi = dict(zip(D.elements, ideal_names(D)))
+    if not is_order_iso(D.poset, compacts(L), phi):
         raise ValidationError(
             "dual of the semilattice is not isomorphic to the compacts",
-            law="cor6.17:precondition",
-        )
-    sigma = scott_topology(L)
-    olat, odecode = open_set_lattice(sigma)
-    psi = order_isomorphism(olat.poset, loc.lattice.poset)
-    if psi is None:
-        raise ValidationError(
-            "locale is not isomorphic to the Scott open-set lattice",
             law="cor6.17:precondition",
         )
 
@@ -451,7 +448,7 @@ def corollary_6_17_spaces(
     )
     point_space = TopSpace(pnames, popens)
 
-    # explicit bijections induced by the precondition isos
+    # explicit bijections induced by φ and ψ
     to_filters = {
         x: set_id(frozenset(a for a in S.elements if L.le(phi[a], x)))
         for x in L.elements

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import random
 import tempfile
 from itertools import chain as ichain, combinations
@@ -386,11 +387,33 @@ def contexts(draw):
     return make_context(objects, attrs, incidence)
 
 
+def name_collision(P):
+    """The least name two closed sets share by the powerset scan, with the
+    member lists of the first two in mask order, sorted; or None."""
+    masks = sorted(closed_masks_powerset(P.rows, len(P.attributes)))
+    by_name = {}
+    for m in masks:
+        members = [a for a in sorted(P.attributes) if a in P.attrs_of_mask(m)]
+        by_name.setdefault(set_id(members), []).append(members)
+    shared = sorted(n for n, lists in by_name.items() if len(lists) > 1)
+    return (shared[0], sorted(by_name[shared[0]][:2])) if shared else None
+
+
 @given(contexts())
 @settings(max_examples=150, deadline=None)
 def test_staged_build_agrees_with_the_lattices(P):
     """The mask count and the names are those of both lattices, and the
-    lattices' intents are those of the per-set naming of the masks."""
+    lattices' intents are those of the per-set naming of the masks.  Two
+    closed sets with one name are refused by all three builds alike."""
+    collision = name_collision(P)
+    if collision is not None:
+        name, lists = collision
+        for build in (concept_names, sem_lattice, alg_lattice):
+            with pytest.raises(ValidationError) as exc:
+                build(P)
+            assert exc.value.law == "context:names"
+            assert exc.value.witness == {"name": name, "members": lists}
+        return
     sem, alg = sem_lattice(P), alg_lattice(P)
     masks = closed_masks(P)
     assert len(masks) == len(sem.elements) == len(alg.elements)
@@ -418,17 +441,54 @@ def _context_files(P, folder: Path) -> list[Path]:
 @given(contexts())
 @settings(max_examples=60, deadline=None)
 def test_validate_and_concepts_print_what_the_lattices_hold(P):
-    sem, alg = sem_lattice(P), alg_lattice(P)
+    """``validate`` counts the closed sets; ``concepts`` lists the lattices'
+    names, or prints the witness of two closed sets with one name."""
+    try:
+        sem, alg = sem_lattice(P), alg_lattice(P)
+        size = len(sem.elements)
+    except ValidationError as exc:
+        sem = alg = exc
+        size = len(closed_masks_powerset(P.rows, len(P.attributes)))
     validate = (
         f"OK context: {len(P.objects)} objects, {len(P.attributes)} attributes; "
-        f"Sem size {len(sem.elements)}\n"
+        f"Sem size {size}\n"
     )
     with tempfile.TemporaryDirectory() as folder:
         for path in _context_files(P, Path(folder)):
             assert _cli(["validate", str(path)]) == (0, validate, "")
             for which, structure in (([], alg), (["--which", "alg"], alg), (["--which", "sem"], sem)):
+                if isinstance(structure, ValidationError):
+                    witness = json.dumps(structure.report(), indent=2, sort_keys=True) + "\n"
+                    assert _cli(["concepts", str(path), *which]) == (1, witness, "")
+                    continue
                 listing = "".join(n + "\n" for n in structure.elements)
                 assert _cli(["concepts", str(path), *which]) == (0, listing, "")
+
+
+@pytest.mark.parametrize(
+    "attrs, incidence, name, lists",
+    [
+        # {a, b} and {a,b}
+        (["a", "b", "a,b"], [("o1", "a"), ("o1", "b"), ("o2", "a,b")], "{a,b}", [["a", "b"], ["a,b"]]),
+        # the empty set and {""}
+        (["", "x"], [("o1", ""), ("o2", "x")], "{}", [[], [""]]),
+    ],
+)
+def test_closed_sets_sharing_a_name_are_refused(tmp_path, attrs, incidence, name, lists):
+    """Output verbs stop with the shared name and both member lists;
+    ``validate`` only counts the closed sets."""
+    P = make_context(["o1", "o2"], attrs, incidence)
+    with pytest.raises(ValidationError) as exc:
+        sem_lattice(P)
+    assert exc.value.law == "context:names"
+    assert exc.value.witness == {"name": name, "members": lists}
+    witness = json.dumps(exc.value.report(), indent=2, sort_keys=True) + "\n"
+    path = tmp_path / "p.json"
+    path.write_text(formats.dump_context(P), encoding="utf-8")
+    rc, out, _ = _cli(["validate", str(path)])
+    assert rc == 0 and out.startswith("OK context")
+    for argv in (["concepts"], ["convert", "--to", "semilattice"], ["dot"]):
+        assert _cli([argv[0], str(path), *argv[1:]]) == (1, witness, "")
 
 
 def test_verbs_over_the_guard_exit_3_with_the_lattice_message(tmp_path):

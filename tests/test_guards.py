@@ -173,6 +173,7 @@ SIGNATURES = {
     topology.scott_base_and_coherence: ["L"],
     topology.lower_sets: ["S"],
     topology.lower_set_locale: ["S"],
+    topology.corollary_6_17_spaces: ["S"],
     topology.spectrality_check: ["loc"],
 }
 

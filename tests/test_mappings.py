@@ -1,3 +1,4 @@
+import gc
 import random
 import time
 from itertools import product as iproduct
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cxtcat import mappings, order
+from cxtcat import kernels, mappings, order
 from cxtcat.canon import pair_id, set_id
 from cxtcat.context import make_context, sem_lattice
 from cxtcat.corpus import (
@@ -647,3 +648,18 @@ def test_functor_laws_and_naturality(seed):
     assert compose(epsilon(S), k_on_morphism(idl_on_morphism(m1))) == compose(
         m1, epsilon(R)
     )
+
+
+def test_monotone_maps_leaves_no_reference_cycle():
+    """The search is a loop, so with the cyclic collector off its output and
+    state die with their last reference."""
+    gc.collect()
+    gc.disable()
+    try:
+        # a V (0 below 1 and 2) into a 3-chain
+        maps = kernels.monotone_maps(3, [[], [0], [0]], [0b111, 0b110, 0b100], 1 << 15)
+        assert len(maps) == 14 and maps[0] == (0, 0, 0) and maps[-1] == (2, 2, 2)
+        del maps
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

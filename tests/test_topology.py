@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import combinations
 from itertools import product as iproduct
@@ -18,8 +19,12 @@ from cxtcat.errors import SizeGuardExceeded, ValidationError
 from cxtcat.order import (
     FiniteLattice,
     MeetSemilattice,
+    _join_dual,
+    compacts,
     filters,
     flt_lattice,
+    ideal_names,
+    order_isomorphism,
     up_set,
 )
 from cxtcat.topology import (
@@ -293,7 +298,7 @@ def test_lower_set_locales_are_spectral(seed):
 
 def test_cor617_two_chain():
     S = MeetSemilattice(chain_poset(2))
-    r = corollary_6_17_spaces(S, flt_lattice(S), lower_set_locale(S))
+    r = corollary_6_17_spaces(S)
     assert r.ok
     assert len(r.scott_space.points) == 2
     assert len(r.scott_space.opens) == 3
@@ -301,14 +306,14 @@ def test_cor617_two_chain():
 
 def test_cor617_singleton():
     S = MeetSemilattice(chain_poset(1))
-    r = corollary_6_17_spaces(S, flt_lattice(S), lower_set_locale(S))
+    r = corollary_6_17_spaces(S)
     assert r.ok
     assert len(r.scott_space.points) == 1
 
 
 def test_cor617_diamond():
     S = MeetSemilattice(diamond_poset())
-    r = corollary_6_17_spaces(S, flt_lattice(S), lower_set_locale(S))
+    r = corollary_6_17_spaces(S)
     assert r.ok
     assert len(r.scott_space.points) == 4
     assert r.as_dict()["open_counts"] == [6, 6, 6]
@@ -327,7 +332,7 @@ def test_filter_queries_share_one_ideal_scan_per_value(monkeypatch):
     for S in (M, M.dual()):
         scans.clear()
         lemma_6_16_check(S)
-        corollary_6_17_spaces(S, flt_lattice(S), lower_set_locale(S))
+        corollary_6_17_spaces(S)
         filters(S)
         assert len(scans) == 1
         monkeypatch.setattr(order, "IDEAL_SCAN_GUARD", 8)
@@ -345,7 +350,7 @@ def test_a_join_semilattice_stands_for_its_dual(seed):
         results = []
         for S in (M, M.dual()):
             loc = lower_set_locale(S)
-            results.append((lemma_6_16_check(S), loc, corollary_6_17_spaces(S, flt_lattice(S), loc)))
+            results.append((lemma_6_16_check(S), loc, corollary_6_17_spaces(S)))
         assert results[0] == results[1]
         assert results[0][0].ok and results[0][2].ok
 
@@ -366,7 +371,7 @@ def test_cor617_builds_one_locale_per_semilattice(monkeypatch):
         built.clear()
         assert lemma_6_16_check(S).ok
         loc = lower_set_locale(S)
-        assert corollary_6_17_spaces(S, flt_lattice(S), loc).ok
+        assert corollary_6_17_spaces(S).ok
         assert built == [loc]
     built.clear()
     rep = run_law("cor6.17", seed=1)
@@ -401,11 +406,81 @@ def test_lemma_6_16_runs_past_the_scott_guard():
         lower_set_locale(S)
 
 
-def test_cor617_precondition_failure():
+def test_cor617_precondition_failure(monkeypatch):
+    """φ is read off ``ideal_names``; names that break the order are refused."""
+    from cxtcat import topology
+
     S = MeetSemilattice(diamond_poset())
-    wrong = FiniteLattice(chain_poset(2))
-    with pytest.raises(ValidationError):
-        corollary_6_17_spaces(S, wrong, lower_set_locale(S))
+    D = S.dual()
+    names = list(ideal_names(D))
+    i = D.elements.index(D.bottom)  # below every other element
+    j = (i + 1) % len(names)
+    names[i], names[j] = names[j], names[i]
+    monkeypatch.setattr(topology, "ideal_names", lambda D: tuple(names))
+    with pytest.raises(ValidationError) as exc:
+        corollary_6_17_spaces(S)
+    assert exc.value.law == "cor6.17:precondition"
+    assert str(exc.value) == "dual of the semilattice is not isomorphic to the compacts"
+
+
+def cor617_by_search(S):
+    """The report built from the isomorphisms that ``order_isomorphism``
+    finds: φ from the dual of ``S`` onto the compacts of the filter lattice,
+    ψ from the Scott open-set lattice onto the lower-set locale."""
+    from cxtcat import topology
+
+    L = flt_lattice(S)
+    loc = lower_set_locale(S)
+    sigma = scott_topology(L)
+    phi = order_isomorphism(_join_dual(S).poset, compacts(L))
+    psi = order_isomorphism(open_set_lattice(sigma)[0].poset, loc.lattice.poset)
+    assert phi is not None and psi is not None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(topology, "ideal_names", lambda D: tuple(phi[a] for a in D.elements))
+        mp.setitem(S.__dict__, "_stone_data", (loc, sigma, psi))
+        return corollary_6_17_spaces(S)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_cor617_isos_by_construction_match_the_search(seed):
+    M = random_meet_semilattice(random.Random(seed), 6)
+    for S in (M, M.dual()):
+        oracle = cor617_by_search(S)
+        r = corollary_6_17_spaces(S)
+        for field in dataclasses.fields(r):
+            assert getattr(r, field.name) == getattr(oracle, field.name), field.name
+        assert r.ok
+
+
+def test_cor617_runs_without_the_isomorphism_search(monkeypatch, capsys, tmp_path):
+    import cxtcat
+    from cxtcat import formats, order
+    from cxtcat.cli import main
+    from cxtcat.laws import run_law
+
+    def refuse(P, Q):
+        raise AssertionError("order_isomorphism called")
+
+    for module in (cxtcat, order):
+        monkeypatch.setattr(module, "order_isomorphism", refuse)
+    assert run_law("cor6.17", seed=1).ok
+    path = tmp_path / "diamond.json"
+    path.write_text(formats.dump_poset(diamond_poset()), encoding="utf-8")
+    assert main(["topology", str(path), "--report", "stone"]) == 0
+    assert '"ok": true' in capsys.readouterr().out
+
+
+def test_cor617_builds_one_scott_topology_per_semilattice(monkeypatch):
+    from cxtcat import topology
+    from cxtcat.laws import run_law
+
+    calls = []
+    real = topology.scott_topology
+    monkeypatch.setattr(topology, "scott_topology", lambda L, guard=None: calls.append(L) or real(L, guard))
+    rep = run_law("cor6.17", seed=1)
+    assert rep.ok and rep.lines == ["instances: 17 meet-semilattices"]
+    assert len(calls) == 15  # one per distinct semilattice
 
 
 # ---------------------------------------------------------------------------
