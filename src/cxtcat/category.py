@@ -103,6 +103,23 @@ class ProductContext:
         """The product concept whose factor concepts are the two given."""
         return self._combined[left_name, right_name]
 
+    @cached_property
+    def _split_pairs(self) -> tuple[tuple[int, int], ...]:
+        """``decompose`` on indices: the left and right factor index of each
+        product concept, in the product's element order."""
+        li = self.left_sem.semilattice.poset.index
+        ri = self.right_sem.semilattice.poset.index
+        return tuple((li[x], ri[y]) for x, y in map(self.decompose, self.sem.elements))
+
+    @cached_property
+    def _combine_rows(self) -> tuple[tuple[int, ...], ...]:
+        """``combine`` on indices: row ``x``, column ``y`` is the index of the
+        product concept of left concept ``x`` and right concept ``y``."""
+        rows = [[0] * len(self.right_sem.elements) for _ in self.left_sem.elements]
+        for z, (x, y) in enumerate(self._split_pairs):
+            rows[x][y] = z
+        return tuple(map(tuple, rows))
+
     def attr_sides(self) -> dict[str, tuple[str, str]]:
         return {a: untag(a) for a in self.context.attributes}
 
@@ -346,7 +363,12 @@ class FunctionSpaceContext:
     @cached_property
     def _concept_of_values(self) -> dict[tuple[str, ...], str]:
         """Each concept keyed by its mapping's value table."""
-        return {self._mappings[members].values: w for w, members in self.sem[1].items()}
+        return {values: w for w, values in self._values_of_concept.items()}
+
+    @cached_property
+    def _values_of_concept(self) -> dict[str, tuple[str, ...]]:
+        """The value table of each concept's mapping, by concept name."""
+        return {w: self._mappings[members].values for w, members in self.sem[1].items()}
 
     def literal_context(self, guard: int | None = None) -> FormalContext:
         """The context with one object per finite attribute set; ``guard``
@@ -402,11 +424,10 @@ def curry(
     _check_curry_interfaces(m.source, prod, fs)
     if m.target != fs.right_sem.semilattice:
         raise ValidationError("mapping target is not the function space codomain", law="curry:interface")
-    right = fs.left_sem.elements  # the product's right factor, keyed in this order
-    values = tuple(
-        fs._concept_of_values[tuple(m.apply(prod.combine(x, y)) for y in right)]
-        for x in prod.left_sem.elements
-    )
+    # Row x of the combine table lists the product concepts (x, y) in the
+    # order of the right factor, which is the function space's source.
+    concept, mv = fs._concept_of_values, m.values
+    values = tuple(concept[tuple(map(mv.__getitem__, row))] for row in prod._combine_rows)
     return _trusted(ApproximableMapping, prod.left_sem.semilattice, fs.sem[0], values)
 
 
@@ -417,7 +438,6 @@ def uncurry(
     _check_curry_interfaces(None, prod, fs)
     if m.source != prod.left_sem.semilattice or m.target != fs.sem[0]:
         raise ValidationError("mapping is not over the expected transpose", law="curry:interface")
-    values = tuple(
-        fs.mapping(m.apply(x)).apply(y) for x, y in map(prod.decompose, prod.sem.elements)
-    )
+    table, mv = fs._values_of_concept, m.values
+    values = tuple(table[mv[x]][y] for x, y in prod._split_pairs)
     return _trusted(ApproximableMapping, prod.sem.semilattice, fs.right_sem.semilattice, values)

@@ -18,6 +18,8 @@ from .order import (
     FinitePoset,
     JoinSemilattice,
     MeetSemilattice,
+    _bits,
+    _by_construction,
     ideal_completion,
     validate_poset,
 )
@@ -80,21 +82,20 @@ def random_poset(rng: random.Random, n: int, prefix: str = "e") -> FinitePoset:
     rank = list(range(n))
     rng.shuffle(rank)
     p = rng.uniform(0.25, 0.75)
-    above: dict[int, set[int]] = {i: {i} for i in range(n)}
+    above = [1 << i for i in range(n)]
     order = sorted(range(n), key=lambda i: rank[i])
     for ai, i in enumerate(order):
         for j in order[ai + 1:]:
             if rng.random() < p:
-                above[i].add(j)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            for j in list(above[i]):
-                if not above[j] <= above[i]:
-                    above[i] |= above[j]
-                    changed = True
-    leq = {(els[i], els[j]) for i in range(n) for j in above[i]}
+                above[i] |= 1 << j
+    # Every drawn edge goes forward in ``order``, a linear extension, so one
+    # pass from its end closes each cone over cones already closed.
+    for i in reversed(order):
+        cone = above[i]
+        for j in _bits(cone & ~(1 << i)):
+            cone |= above[j]
+        above[i] = cone
+    leq = {(els[i], els[j]) for i in range(n) for j in _bits(above[i])}
     return validate_poset(els, leq)
 
 
@@ -112,16 +113,18 @@ def random_join_semilattice(rng: random.Random, max_n: int) -> JoinSemilattice:
             # union-closed family of subsets of a small base
             base = rng.randint(2, 3)
             k = rng.randint(1, 3)
-            fam = {frozenset()}
+            fam = {0}
             for _ in range(k):
-                g = frozenset(b for b in range(base) if rng.random() < 0.6)
+                g = sum(1 << b for b in range(base) if rng.random() < 0.6)
                 fam |= {s | g for s in fam}
             if len(fam) > max_n:
                 return None
-            names = {s: set_id(str(x) for x in s) for s in fam}
-            els = tuple(sorted(names.values()))
-            leq = {(names[a], names[b]) for a in fam for b in fam if a <= b}
-            return JoinSemilattice(validate_poset(els, leq))
+            # Inclusion of distinct sets is a partial order, and a family
+            # closed under unions that holds the empty set has every join.
+            named = sorted((set_id(str(b) for b in _bits(s)), s) for s in fam)
+            up = [sum(1 << j for j, (_, t) in enumerate(named) if s & t == s) for _, s in named]
+            P = FinitePoset._from_masks(tuple(name for name, _ in named), up)
+            return _by_construction(JoinSemilattice, P)
         P = random_poset(rng, rng.randint(1, max_n))
         try:
             return JoinSemilattice(P)

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from . import kernels
 from .canon import set_id
-from .context import FormalContext, alg_lattice, attr_closure
+from .context import FormalContext, alg_lattice
 from .errors import ValidationError
 from .order import FiniteLattice, FinitePoset, MeetSemilattice, _bits, _guard, lattice_from_sets
 
@@ -419,11 +419,34 @@ def context_to_is(P: FormalContext) -> InformationSystem:
 # minimal-upper-bound entailment
 
 
+def _mub_mask(D: FinitePoset, xs: int) -> int:
+    """The minimal upper bounds of the element mask ``xs``, as a mask: the
+    AND of the members' up-cones, then the bounds whose down-cone holds no
+    other bound."""
+    up, down = D.up_masks, D.down_masks
+    ubs = (1 << D.n) - 1
+    for i in _bits(xs):
+        ubs &= up[i]
+    out = 0
+    for u in _bits(ubs):
+        if not down[u] & ubs & ~(1 << u):
+            out |= 1 << u
+    return out
+
+
+def _below_all(D: FinitePoset, mask: int) -> int:
+    """The elements below every member of ``mask`` (all of them when it is
+    empty)."""
+    common = (1 << D.n) - 1
+    for u in _bits(mask):
+        common &= D.down_masks[u]
+    return common
+
+
 def minimal_upper_bounds(D: FinitePoset, xs: Iterable[str]) -> frozenset[str]:
     xs = frozenset(xs)
     D.check_members(xs)
-    ubs = [u for u in D.elements if all(D.le(x, u) for x in xs)]
-    return D.minimal(ubs)
+    return D.set_of(_mub_mask(D, D.mask_of(xs)))
 
 
 def rz_entails(D: FinitePoset, xs: Iterable[str], ys: Iterable[str]) -> bool:
@@ -434,9 +457,10 @@ def rz_entails(D: FinitePoset, xs: Iterable[str], ys: Iterable[str]) -> bool:
     """
     ys = frozenset(ys)
     D.check_members(ys)
-    return all(
-        D.le(y, m) for m in minimal_upper_bounds(D, xs) for y in ys
-    )
+    xs = frozenset(xs)
+    D.check_members(xs)
+    y = D.mask_of(ys)
+    return _below_all(D, _mub_mask(D, D.mask_of(xs))) & y == y
 
 
 @dataclass(frozen=True)
@@ -451,21 +475,35 @@ class Thm67Report:
 
 def theorem_6_7_check(P: FormalContext) -> Thm67Report:
     """Intent closure agrees with minimal-upper-bound entailment over the
-    concept lattice, taking each attribute to the closure of its singleton."""
+    concept lattice, taking each attribute to the closure of its singleton.
+
+    Both sides are attribute masks: the closure from the object rows, and
+    the attributes whose image lies below every minimal upper bound of the
+    images of the set."""
     attrs = P.attributes
     _guard("theorem_6_7_check", len(attrs), PROPOSITION_GUARD)
     alg = alg_lattice(P)
     D = alg.lattice.poset
-    iota = {a: set_id(attr_closure(P, [a])) for a in attrs}
+    rows, full = P.rows, P.full_attr_mask
+    concept = {P.attr_mask(members): D.index[name] for name, members in alg.intents.items()}
+    iota = [concept[kernels.closure_mask(rows, full, 1 << a)] for a in range(len(attrs))]
     failures = []
     for m in range(1 << len(attrs)):
-        xs = frozenset(a for i, a in enumerate(attrs) if m >> i & 1)
-        lhs = attr_closure(P, xs)
-        rhs = frozenset(
-            a for a in attrs if rz_entails(D, [iota[x] for x in xs], [iota[a]])
-        )
+        lhs = kernels.closure_mask(rows, full, m)
+        images = 0
+        for a in _bits(m):
+            images |= 1 << iota[a]
+        below = _below_all(D, _mub_mask(D, images))
+        rhs = 0
+        for a, c in enumerate(iota):
+            if below >> c & 1:
+                rhs |= 1 << a
         if lhs != rhs:
             failures.append(
-                {"set": sorted(xs), "closure": sorted(lhs), "entailed": sorted(rhs)}
+                {
+                    "set": _names(attrs, m),
+                    "closure": _names(attrs, lhs),
+                    "entailed": _names(attrs, rhs),
+                }
             )
     return Thm67Report(not failures, P, tuple(failures))

@@ -242,20 +242,38 @@ class ScottFunction:
                 witness={"pair": [a, b]},
             )
         if src.poset.n <= SCOTT_CHECK_CAP:
-            P = src.poset
-            for mask in kernels.directed_masks(P.up_masks):
-                members = [P.elements[i] for i in range(P.n) if mask >> i & 1]
-                sup = src.join_all(members)
-                img_sup = tgt.join_all(self.apply(x) for x in members)
-                if self.apply(sup) != img_sup:
-                    raise ValidationError(
-                        "directed supremum not preserved",
-                        law="scott:directed-sups",
-                        witness={"directed": members},
-                    )
+            members = _directed_sup_breach(src, tgt, self.values)
+            if members is not None:
+                raise ValidationError(
+                    "directed supremum not preserved",
+                    law="scott:directed-sups",
+                    witness={"directed": members},
+                )
 
     def apply(self, x: str) -> str:
         return self.values[self.source.poset.index[x]]
+
+
+def _directed_sup_breach(src: FiniteLattice, tgt: FiniteLattice, values) -> list[str] | None:
+    """The members of the first directed subset of ``src``, in mask order,
+    whose supremum the table ``values`` does not send to the supremum of its
+    image, or None.  Both join tables are folded over each directed mask from
+    the bottoms; the masks are listed once per source value."""
+    P, Q = src.poset, tgt.poset
+    f = [Q.index[v] for v in values]
+    js, jt = src.join_table, tgt.join_table
+    s0, t0 = P.index[src.bottom], Q.index[tgt.bottom]
+    for mask in _memo(src, "_directed_masks", _directed_masks):
+        s, t = s0, t0
+        for i in _bits(mask):
+            s, t = js[s][i], jt[t][f[i]]
+        if f[s] != t:
+            return [P.elements[i] for i in _bits(mask)]
+    return None
+
+
+def _directed_masks(L: FiniteLattice) -> tuple[int, ...]:
+    return tuple(kernels.directed_masks(L.poset.up_masks))
 
 
 def identity_function(L: FiniteLattice) -> ScottFunction:
@@ -284,14 +302,33 @@ def idl_on_morphism(m: ApproximableMapping) -> ScottFunction:
 
 
 def k_on_morphism(f: ScottFunction) -> ApproximableMapping:
-    """Relate compacts to the compacts below their image, whose join is the value."""
+    """Relate compacts to the compacts below their image, whose join is the
+    value: the join table of the target's compacts folded over the
+    down-cone of ``f(a)``."""
     src_s = k_semilattice(f.source)
     tgt_s = k_semilattice(f.target)
-    values = tuple(
-        tgt_s.join_all(b for b in tgt_s.elements if f.target.le(b, f.apply(a)))
-        for a in src_s.elements
-    )
+    S, T = f.source.poset, f.target.poset
+    joins = _memo(f.target, "_compact_joins", _compact_joins)
+    values = tuple(joins[T.index[f.values[S.index[a]]]] for a in src_s.elements)
     return _trusted(ApproximableMapping, src_s, tgt_s, values)
+
+
+def _compact_joins(L: FiniteLattice) -> tuple[str, ...]:
+    """For each element of ``L``, in order, the join in ``k_semilattice(L)``
+    of the compacts below it: that join table folded over the element's
+    down-cone cut to the compacts."""
+    K = k_semilattice(L)
+    P, C = L.poset, K.poset
+    at = [C.index.get(x) for x in P.elements]  # each index of L in K, or None
+    compact = P.mask_of(C.elements)
+    join, bottom = K.join_table, C.index[K.bottom]
+    out = []
+    for cone in P.down_masks:
+        k = bottom
+        for j in _bits(cone & compact):
+            k = join[k][at[j]]
+        out.append(C.elements[k])
+    return tuple(out)
 
 
 def eta(L: FiniteLattice) -> ScottFunction:
@@ -386,15 +423,9 @@ def _sorted_picks(S: JoinSemilattice, T: JoinSemilattice) -> tuple[list, Callabl
     builder of the mapping of one of them."""
     P, Q = S.poset, T.poset
     _guard("enumerate_mappings", P.n * Q.n, ENUMERATION_GUARD)
-    # source in a linear extension (by cone size, ties by canonical order)
-    order = sorted(range(P.n), key=lambda i: (P.down_masks[i].bit_count(), i))
-    preds = [
-        [j for j in range(pos) if P.down_masks[order[pos]] >> order[j] & 1]
-        for pos in range(P.n)
-    ]
+    preds, pos = _memo(S, "_linear_extension", _linear_extension)
     picks = kernels.monotone_maps(P.n, preds, Q.up_masks, ENUMERATION_OUTPUT_GUARD)
     _guard("enumerate_mappings output", len(picks), ENUMERATION_OUTPUT_GUARD)
-    pos = sorted(range(P.n), key=order.__getitem__)  # where each source index is picked
     # Sort by pair-set name (set_id of pair_ids) without building it.  It joins
     # the sorted pair ids, none a prefix of another, so of two mappings the one
     # holding the lowest-ranked pair they do not share comes first; a pair list
@@ -415,3 +446,13 @@ def _sorted_picks(S: JoinSemilattice, T: JoinSemilattice) -> tuple[list, Callabl
         return _trusted(ApproximableMapping, S, T, tuple(els[pick[p]] for p in pos))
 
     return picks, build
+
+
+def _linear_extension(S: JoinSemilattice) -> tuple[list[list[int]], list[int]]:
+    """The source order ``monotone_maps`` walks: the elements by cone size,
+    ties by canonical order.  Returns, for each position, the earlier
+    positions below it, and for each source index its position."""
+    down = S.poset.down_masks
+    order = sorted(range(len(down)), key=lambda i: (down[i].bit_count(), i))
+    preds = [[j for j in range(at) if down[i] >> order[j] & 1] for at, i in enumerate(order)]
+    return preds, sorted(range(len(order)), key=order.__getitem__)

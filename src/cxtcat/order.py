@@ -732,8 +732,10 @@ def k_semilattice(L: FiniteLattice) -> JoinSemilattice:
 
 def unit_names(L: FiniteLattice) -> tuple[str, ...]:
     """The unit x ↦ down(x) ∩ K(L) into ``ideal_completion(k_semilattice(L))``:
-    the name of each image, in the element order of ``L``."""
-    return _cone_names(L.poset, L.poset.mask_of(compacts(L).elements))
+    the name of each image, in the element order of ``L``; memoized on ``L``."""
+    return _memo(
+        L, "_unit_names", lambda L: _cone_names(L.poset, L.poset.mask_of(compacts(L).elements))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -845,52 +847,76 @@ def finite_extension(op: ClosureOperator, base: Iterable[str]) -> ClosureOperato
 # primes, irreducibles, distributivity
 
 
+def _prime_breach(table, cone: int, n: int) -> tuple[int, int] | None:
+    """The first pair ``(y, z)`` in index order, both outside the mask
+    ``cone``, whose bound ``table[y][z]`` lies inside it; None when the cone
+    is prime for that bound."""
+    outside = list(_bits((1 << n) - 1 & ~cone))
+    for y in outside:
+        row = table[y]
+        for z in outside:
+            if cone >> row[z] & 1:
+                return y, z
+    return None
+
+
+def _primes(L: FiniteLattice, table, below, unit: str) -> frozenset[str]:
+    """The elements other than ``unit`` whose cone in ``below`` is prime
+    for ``table``: the meet-primes on the meet table and down-cones (the top
+    passes vacuously, so it is left out), the join-primes on the join table
+    and up-cones."""
+    els, n = L.elements, L.poset.n
+    return frozenset(
+        els[x]
+        for x, cone in enumerate(below)
+        if els[x] != unit and _prime_breach(table, cone, n) is None
+    )
+
+
 def meet_primes(L: FiniteLattice) -> frozenset[str]:
     """Meet-prime elements, excluding the top (which passes vacuously)."""
-    out = []
-    for x in L.elements:
-        if x == L.top:
-            continue
-        if all(
-            L.le(y, x) or L.le(z, x)
-            for y in L.elements
-            for z in L.elements
-            if L.le(L.meet(y, z), x)
-        ):
-            out.append(x)
-    return frozenset(out)
+    return _primes(L, L.meet_table, L.poset.down_masks, L.top)
 
 
 def join_primes(L: FiniteLattice) -> frozenset[str]:
-    return meet_primes(L.dual())
+    return _primes(L, L.join_table, L.poset.up_masks, L.bottom)
 
 
-def meet_irreducibles(L: FiniteLattice) -> frozenset[str]:
+def _irreducibles(L: FiniteLattice, table, above, unit: str) -> frozenset[str]:
+    """The elements ``x`` other than ``unit`` that are not the bound of two
+    elements both different from ``x``.  Such a pair lies strictly inside the
+    cone ``above[x]``: up-cones with the meet table, down-cones with the join
+    table."""
+    els = L.elements
     out = []
-    for x in L.elements:
-        if x == L.top:
+    for x, cone in enumerate(above):
+        if els[x] == unit:
             continue
-        if all(
-            y == x or z == x
-            for y in L.elements
-            for z in L.elements
-            if L.meet(y, z) == x
-        ):
-            out.append(x)
+        strict = list(_bits(cone & ~(1 << x)))
+        if not any(table[y][z] == x for y in strict for z in strict):
+            out.append(els[x])
     return frozenset(out)
 
 
+def meet_irreducibles(L: FiniteLattice) -> frozenset[str]:
+    return _irreducibles(L, L.meet_table, L.poset.up_masks, L.top)
+
+
 def join_irreducibles(L: FiniteLattice) -> frozenset[str]:
-    return meet_irreducibles(L.dual())
+    return _irreducibles(L, L.join_table, L.poset.down_masks, L.bottom)
 
 
 def is_distributive(L: FiniteLattice) -> tuple[bool, tuple[str, str, str] | None]:
-    """Check x ∧ (y ∨ z) = (x ∧ y) ∨ (x ∧ z) on all triples; witness on failure."""
-    for x in L.elements:
-        for y in L.elements:
-            for z in L.elements:
-                if L.meet(x, L.join(y, z)) != L.join(L.meet(x, y), L.meet(x, z)):
-                    return False, (x, y, z)
+    """Check x ∧ (y ∨ z) = (x ∧ y) ∨ (x ∧ z) on all triples, in element
+    order, on the bound tables; the first failing triple is the witness."""
+    J, M = L.join_table, L.meet_table
+    for x, mx in enumerate(M):
+        for y, jy in enumerate(J):
+            row = J[mx[y]]
+            for z, yz in enumerate(jy):
+                if mx[yz] != row[mx[z]]:
+                    els = L.elements
+                    return False, (els[x], els[y], els[z])
     return True, None
 
 
@@ -969,7 +995,16 @@ def is_order_iso(P: FinitePoset, Q: FinitePoset, f: Mapping[str, str]) -> bool:
         return False
     if len(set(f.values())) != len(P.elements):
         return False
-    return all(P.le(a, b) == Q.le(f[a], f[b]) for a in P.elements for b in P.elements)
+    # A bijection is an order-iso when it carries each up-cone onto the
+    # up-cone of the image.
+    at = [Q.index[f[x]] for x in P.elements]
+    for i, cone in enumerate(P.up_masks):
+        image = 0
+        for j in _bits(cone):
+            image |= 1 << at[j]
+        if image != Q.up_masks[at[i]]:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ homeomorphism tying lattice, filter space, and point space together.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -20,8 +21,10 @@ from .order import (
     FinitePoset,
     JoinSemilattice,
     MeetSemilattice,
+    _bits,
     _guard,
     _join_dual,
+    _prime_breach,
     compacts,
     down_set,
     filters,
@@ -50,7 +53,10 @@ class TopSpace:
     def __post_init__(self):
         pts = set(self.points)
         if len(pts) != len(self.points):
-            raise ValidationError("duplicate point", law="space:points")
+            repeated = min(x for x, k in Counter(self.points).items() if k > 1)
+            raise ValidationError(
+                "duplicate point", law="space:points", witness={"point": repeated}
+            )
         for o in self.opens:
             if not o <= pts:
                 raise ValidationError(
@@ -147,22 +153,23 @@ class LocalePoint:
 
     def __post_init__(self):
         L = self.lattice
+        P = L.poset
         if self.generator == L.top:
             raise ValidationError("point generated by the top", law="point:proper")
-        if self.members != down_set(L.poset, [self.generator]):
+        if self.members != down_set(P, [self.generator]):
             raise ValidationError(
                 "point is not the cone of its generator",
                 law="point:principal",
                 witness={"generator": self.generator},
             )
-        for x in L.elements:
-            for y in L.elements:
-                if L.meet(x, y) in self.members and x not in self.members and y not in self.members:
-                    raise ValidationError(
-                        "point is not prime",
-                        law="point:prime",
-                        witness={"pair": [x, y]},
-                    )
+        breach = _prime_breach(L.meet_table, P.down_masks[P.index[self.generator]], P.n)
+        if breach:
+            x, y = breach
+            raise ValidationError(
+                "point is not prime",
+                law="point:prime",
+                witness={"pair": [P.elements[x], P.elements[y]]},
+            )
 
 
 def scott_topology(L: FiniteLattice, guard: int | None = None) -> TopSpace:
@@ -359,9 +366,11 @@ class SpectralityReport:
 def spectrality_check(loc: Locale) -> SpectralityReport:
     L = loc.lattice
     alg = is_algebraic(L)
-    K = set(compacts(L).elements)
+    K = compacts(L).elements
     top_ok = L.top in K
-    meets_ok = all(L.meet(a, b) in K for a in K for b in K)
+    k = L.poset.mask_of(K)
+    M = L.meet_table
+    meets_ok = all(k >> M[a][b] & 1 for a in _bits(k) for b in _bits(k))
     return SpectralityReport(alg and top_ok and meets_ok, alg, top_ok, meets_ok)
 
 

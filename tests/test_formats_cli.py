@@ -463,6 +463,21 @@ def test_validate_failure_prints_witness(files, capsys):
     assert report["law"] == "poset:antisymmetry"
 
 
+def test_a_space_with_a_repeated_point_prints_the_point(files, capsys):
+    doc = {"kind": "space", "version": 1, "points": ["y", "x", "y"], "opens": [[], ["x", "y"]]}
+    text = json.dumps(doc)
+    with pytest.raises(ValidationError) as exc:
+        formats.load_space(text)
+    assert exc.value.witness == {"point": "y"}
+    bad = files["tmp"] / "space.json"
+    bad.write_text(text)
+    for argv in (["validate", str(bad)], ["dot", str(bad), "-o", str(files["tmp"] / "s.dot")]):
+        assert main(argv) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["law"] == "space:points"
+        assert report["witness"] == {"point": "y"}
+
+
 def test_usage_and_io_errors(files):
     assert main(["validate", str(files["tmp"] / "missing.cxt")]) == 2
     assert main(["nonsense"]) == 2

@@ -1,0 +1,543 @@
+"""The law checks run on index tables; the name-level scans they replaced
+are kept here as their oracles.
+
+Each oracle below is the definitional body over element names: bounds
+through ``join``/``meet``, order through ``le``.  Every index-table check
+must agree with its oracle, results and witnesses alike, on the inputs the
+law suites build at law seeds 1-3 (recorded by wrapping the check where the
+suites call it), on M3, N5, the diamond and chains 1-5, and on failing
+inputs: the M3 witness triple, non-prime generators, non-iso maps and a
+non-Scott table.
+"""
+
+import random
+from itertools import combinations
+
+import pytest
+
+from cxtcat import category, corpus, kernels, laws, logic, mappings, order, topology
+from cxtcat.canon import set_id
+from cxtcat.category import funcspace, product
+from cxtcat.context import alg_lattice, attr_closure, sem_lattice
+from cxtcat.corpus import chain_context, chain_poset, diamond_poset, k2_context, m3_poset
+from cxtcat.errors import ValidationError
+from cxtcat.mappings import enumerate_mappings
+from cxtcat.order import FiniteLattice, JoinSemilattice, down_set, validate_poset
+
+SEEDS = (1, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# the name-level oracles
+
+
+def is_distributive_oracle(L):
+    for x in L.elements:
+        for y in L.elements:
+            for z in L.elements:
+                if L.meet(x, L.join(y, z)) != L.join(L.meet(x, y), L.meet(x, z)):
+                    return False, (x, y, z)
+    return True, None
+
+
+def meet_primes_oracle(L):
+    out = []
+    for x in L.elements:
+        if x == L.top:
+            continue
+        if all(
+            L.le(y, x) or L.le(z, x)
+            for y in L.elements
+            for z in L.elements
+            if L.le(L.meet(y, z), x)
+        ):
+            out.append(x)
+    return frozenset(out)
+
+
+def meet_irreducibles_oracle(L):
+    out = []
+    for x in L.elements:
+        if x == L.top:
+            continue
+        if all(y == x or z == x for y in L.elements for z in L.elements if L.meet(y, z) == x):
+            out.append(x)
+    return frozenset(out)
+
+
+def point_prime_breach(L, members):
+    """The ``point:prime`` witness pair of a point with ``members``, or None."""
+    for x in L.elements:
+        for y in L.elements:
+            if L.meet(x, y) in members and x not in members and y not in members:
+                return [x, y]
+    return None
+
+
+def is_order_iso_oracle(P, Q, f):
+    if set(f.keys()) != set(P.elements) or set(f.values()) != set(Q.elements):
+        return False
+    if len(set(f.values())) != len(P.elements):
+        return False
+    return all(P.le(a, b) == Q.le(f[a], f[b]) for a in P.elements for b in P.elements)
+
+
+def minimal_upper_bounds_oracle(D, xs):
+    xs = frozenset(xs)
+    D.check_members(xs)
+    ubs = [u for u in D.elements if all(D.le(x, u) for x in xs)]
+    return D.minimal(ubs)
+
+
+def rz_entails_oracle(D, xs, ys):
+    ys = frozenset(ys)
+    D.check_members(ys)
+    return all(D.le(y, m) for m in minimal_upper_bounds_oracle(D, xs) for y in ys)
+
+
+def thm67_failures_oracle(P):
+    """The failures of ``theorem_6_7_check(P)``: the right-hand side by
+    name-level bound entailment over the concept lattice."""
+    attrs = P.attributes
+    D = alg_lattice(P).lattice.poset
+    iota = {a: set_id(attr_closure(P, [a])) for a in attrs}
+    failures = []
+    for m in range(1 << len(attrs)):
+        xs = frozenset(a for i, a in enumerate(attrs) if m >> i & 1)
+        lhs = attr_closure(P, xs)
+        rhs = frozenset(
+            a for a in attrs if rz_entails_oracle(D, [iota[x] for x in xs], [iota[a]])
+        )
+        if lhs != rhs:
+            failures.append({"set": sorted(xs), "closure": sorted(lhs), "entailed": sorted(rhs)})
+    return failures
+
+
+def curry_oracle(m, prod, fs):
+    right = fs.left_sem.elements
+    return tuple(
+        fs._concept_of_values[tuple(m.apply(prod.combine(x, y)) for y in right)]
+        for x in prod.left_sem.elements
+    )
+
+
+def uncurry_oracle(m, prod, fs):
+    return tuple(
+        fs.mapping(m.apply(x)).apply(y) for x, y in map(prod.decompose, prod.sem.elements)
+    )
+
+
+def k_on_morphism_oracle(f):
+    src_s = order.k_semilattice(f.source)
+    tgt_s = order.k_semilattice(f.target)
+    return tuple(
+        tgt_s.join_all(b for b in tgt_s.elements if f.target.le(b, f.apply(a)))
+        for a in src_s.elements
+    )
+
+
+def directed_sup_breach_oracle(src, tgt, values):
+    """The directed-suprema scan over names: the first directed mask whose
+    supremum is not sent to the supremum of the image."""
+    P = src.poset
+    apply = dict(zip(P.elements, values)).__getitem__
+    for mask in kernels.directed_masks(P.up_masks):
+        members = [P.elements[i] for i in range(P.n) if mask >> i & 1]
+        if apply(src.join_all(members)) != tgt.join_all(apply(x) for x in members):
+            return members
+    return None
+
+
+def random_poset_oracle(rng, n, prefix="e"):
+    """``corpus.random_poset`` with the set-based closure to a fixpoint."""
+    els = [f"{prefix}{i}" for i in range(n)]
+    rank = list(range(n))
+    rng.shuffle(rank)
+    p = rng.uniform(0.25, 0.75)
+    above = {i: {i} for i in range(n)}
+    ordered = sorted(range(n), key=lambda i: rank[i])
+    for ai, i in enumerate(ordered):
+        for j in ordered[ai + 1:]:
+            if rng.random() < p:
+                above[i].add(j)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            for j in list(above[i]):
+                if not above[j] <= above[i]:
+                    above[i] |= above[j]
+                    changed = True
+    return validate_poset(els, {(els[i], els[j]) for i in range(n) for j in above[i]})
+
+
+# ---------------------------------------------------------------------------
+# fixed lattices, and the law corpora recorded where the suites call
+#
+# The checks call through the modules (``order.meet_primes``, not an
+# imported name), so that a mutant patched into a module is what they test;
+# ``tests/test_mutants.py`` runs them under such mutants.
+
+
+def n5_poset():
+    els = ("0", "a", "b", "c", "1")
+    leq = {(e, e) for e in els} | {("0", e) for e in els} | {(e, "1") for e in els}
+    return validate_poset(els, leq | {("a", "b")})
+
+
+def fixed_lattices():
+    posets = [m3_poset(), n5_poset(), diamond_poset()] + [chain_poset(n) for n in range(1, 6)]
+    return [FiniteLattice(P) for P in posets]
+
+
+def recorded(owners, name, *specs):
+    """The ``(args, result)`` of every call to ``name`` while the suites of
+    ``specs`` run at seeds 1-3; the call is wrapped in each module of
+    ``owners``."""
+    calls = []
+    real = getattr(owners[0], name)
+
+    def spy(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        for owner in owners:
+            mp.setattr(owner, name, spy)
+        for suite, max_sem in specs:
+            for seed in SEEDS:
+                assert laws.run_law(suite, seed=seed, max_sem=max_sem).ok, (suite, seed)
+    return calls
+
+
+def law_lattices():
+    """Every lattice that ``cor6.17`` checks for distributivity at seeds 1-3,
+    the ``thm3.6`` lattice corpora, and the fixed lattices."""
+    out = {args[0] for args, _ in recorded([topology], "is_distributive", ("cor6.17", None))}
+    for seed in SEEDS:
+        out.update(corpus.corpus(50, lambda r: corpus.random_lattice(r, 6), seed))
+    return list(out) + fixed_lattices()
+
+
+# ---------------------------------------------------------------------------
+# lattice checks: distributivity, primes, irreducibles, points
+
+
+def check_lattice_agrees(L):
+    assert order.is_distributive(L) == is_distributive_oracle(L)
+    D = L.dual()
+    assert order.meet_primes(L) == meet_primes_oracle(L)
+    assert order.join_primes(L) == meet_primes_oracle(D)
+    assert order.meet_irreducibles(L) == meet_irreducibles_oracle(L)
+    assert order.join_irreducibles(L) == meet_irreducibles_oracle(D)
+
+
+def check_points_agree(L):
+    for g in L.elements:
+        if g == L.top:
+            continue
+        members = down_set(L.poset, [g])
+        want = point_prime_breach(L, members)
+        if want is None:
+            topology.LocalePoint(L, g, members)
+            continue
+        with pytest.raises(ValidationError) as exc:
+            topology.LocalePoint(L, g, members)
+        assert exc.value.law == "point:prime"
+        assert exc.value.witness == {"pair": want}
+
+
+def test_lattice_checks_agree_with_the_name_scans():
+    lattices = law_lattices()
+    assert len(lattices) > 60
+    verdicts = set()
+    for L in lattices:
+        check_lattice_agrees(L)
+        check_points_agree(L)
+        verdicts.add(order.is_distributive(L)[0])
+    assert verdicts == {True, False}
+
+
+def test_m3_witness_triple_and_non_prime_generators():
+    M3 = FiniteLattice(m3_poset())
+    assert order.is_distributive(M3) == is_distributive_oracle(M3) == (False, ("x", "y", "z"))
+    with pytest.raises(ValidationError) as exc:
+        topology.LocalePoint(M3, "x", frozenset({"0", "x"}))
+    assert exc.value.witness == {"pair": point_prime_breach(M3, {"0", "x"})} == {"pair": ["y", "z"]}
+    N5 = FiniteLattice(n5_poset())
+    assert order.is_distributive(N5) == is_distributive_oracle(N5)
+    assert not order.is_distributive(N5)[0]
+    for L in fixed_lattices():
+        check_lattice_agrees(L)
+        check_points_agree(L)
+
+
+def test_spectrality_meets_agree_with_the_name_scan():
+    checked = [args[0] for args, _ in recorded([laws], "spectrality_check", ("cor6.17", None))]
+    for loc in checked + [topology.Locale(L) for L in fixed_lattices()[2:]]:
+        L = loc.lattice
+        K = set(order.compacts(L).elements)
+        want = all(L.meet(a, b) in K for a in K for b in K)
+        assert topology.spectrality_check(loc).compact_meets_closed == want
+
+
+# ---------------------------------------------------------------------------
+# order isomorphisms
+
+
+def swapped(f, P):
+    """``f`` with the images of the first comparable pair of distinct
+    elements swapped: a bijection that is not an order-iso; None if ``P``
+    is an antichain."""
+    for a, b in combinations(P.elements, 2):
+        if P.le(a, b) or P.le(b, a):
+            g = dict(f)
+            g[a], g[b] = f[b], f[a]
+            return g
+    return None
+
+
+def test_order_iso_agrees_with_the_pair_scan():
+    calls = recorded(
+        [order, mappings, topology],
+        "is_order_iso",
+        ("thm3.6", None),
+        ("thm4.4", None),
+        ("cor6.17", None),
+    )
+    assert len(calls) > 100
+    for (P, Q, f), result in calls:
+        assert result is is_order_iso_oracle(P, Q, f) is True
+        g = swapped(f, P)
+        if g is not None:
+            assert order.is_order_iso(P, Q, g) is is_order_iso_oracle(P, Q, g) is False
+    # the fixed lattices onto themselves and onto their duals
+    for L in fixed_lattices():
+        P = L.poset
+        ident = dict(zip(P.elements, P.elements))
+        for Q in (P, L.dual().poset):
+            for g in filter(None, (ident, swapped(ident, P))):
+                assert order.is_order_iso(P, Q, g) is is_order_iso_oracle(P, Q, g)
+    # bijections that are not isos, onto another order: only the cone of
+    # the element sent to the bottom of the chain breaks
+    A = validate_poset(("a", "b"), {("a", "a"), ("b", "b")})
+    C = chain_poset(2)
+    for f in ({"a": "c0", "b": "c1"}, {"a": "c1", "b": "c0"}):
+        assert order.is_order_iso(A, C, f) is is_order_iso_oracle(A, C, f) is False
+        assert order.is_order_iso(C, A, {v: k for k, v in f.items()}) is False
+    # maps that are not bijections onto the elements
+    P = chain_poset(3)
+    f = dict(zip(P.elements, P.elements))
+    for g in ({**f, "c0": "c1"}, {"c0": "c0"}, {**f, "c0": "zz"}):
+        assert order.is_order_iso(P, P, g) is is_order_iso_oracle(P, P, g) is False
+
+
+# ---------------------------------------------------------------------------
+# bound entailment and Thm 6.7
+
+
+def check_bounds_agree(D, width=2):
+    for k in range(width + 1):
+        for xs in combinations(D.elements, k):
+            assert logic.minimal_upper_bounds(D, xs) == minimal_upper_bounds_oracle(D, xs)
+            for y in D.elements:
+                assert logic.rz_entails(D, xs, [y]) == rz_entails_oracle(D, xs, [y])
+            assert logic.rz_entails(D, xs, D.elements) == rz_entails_oracle(D, xs, D.elements)
+
+
+def test_bound_entailment_agrees_with_the_name_scan():
+    contexts = list({args[0] for args, _ in recorded([laws], "theorem_6_7_check", ("thm6.7", None))})
+    assert len(contexts) > 100
+    for P in contexts:
+        assert list(logic.theorem_6_7_check(P).failures) == thm67_failures_oracle(P) == []
+    for D in {alg_lattice(P).lattice.poset for P in contexts}:
+        check_bounds_agree(D)
+    for L in fixed_lattices():
+        check_bounds_agree(L.poset, width=3)
+    # posets where a pair has several minimal upper bounds, or none
+    rng = random.Random(5)
+    posets = [corpus.random_poset(rng, rng.randint(1, 7)) for _ in range(60)]
+    bowtie = {(x, x) for x in "abcd"} | {("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")}
+    posets.append(validate_poset("abcd", bowtie))
+    seen = set()
+    for D in posets:
+        check_bounds_agree(D, width=3)
+        seen.update(len(logic.minimal_upper_bounds(D, xs)) for xs in combinations(D.elements, 2))
+    assert {0, 1, 2} <= seen
+
+
+def test_bound_entailment_rejects_unknown_names_as_before():
+    D = chain_poset(2)
+    for xs, ys in (([], ["zz"]), (["zz"], []), (["zz"], ["yy"])):
+        with pytest.raises(ValidationError) as want:
+            rz_entails_oracle(D, xs, ys)
+        with pytest.raises(ValidationError) as got:
+            logic.rz_entails(D, xs, ys)
+        assert (got.value.law, got.value.witness) == (want.value.law, want.value.witness)
+
+
+# ---------------------------------------------------------------------------
+# currying
+
+
+def check_curry_agrees(m, prod, fs):
+    assert category.curry(m, prod, fs).values == curry_oracle(m, prod, fs)
+
+
+def check_uncurry_agrees(m, prod, fs):
+    assert category.uncurry(m, prod, fs).values == uncurry_oracle(m, prod, fs)
+
+
+def test_curry_and_uncurry_agree_with_the_name_tables():
+    specs = (("prop5.10", None), ("prop5.10", 3))
+    curried = recorded([category], "curry", *specs)
+    uncurried = recorded([category], "uncurry", *specs)
+    assert len(curried) > 100 and len(uncurried) > 100
+    for args, _ in curried:
+        check_curry_agrees(*args)
+    for args, _ in uncurried:
+        check_uncurry_agrees(*args)
+
+
+def test_curry_and_uncurry_agree_off_the_chains():
+    """Factors whose Sem is the diamond (K2), which the law corpora lack."""
+    K2, C2 = k2_context(), chain_context(2)
+    for P, Q, R in ((K2, C2, C2), (C2, K2, C2)):
+        prod, fs = product(P, Q), funcspace(Q, R)
+        for m in enumerate_mappings(prod.sem.semilattice, sem_lattice(R).semilattice):
+            check_curry_agrees(m, prod, fs)
+            c = category.curry(m, prod, fs)
+            check_uncurry_agrees(c, prod, fs)
+            assert category.uncurry(c, prod, fs) == m
+
+
+# ---------------------------------------------------------------------------
+# the compacts functor and the directed-suprema scan
+
+
+def test_compacts_functor_and_scott_scan_agree():
+    specs = (("thm4.4", None),)
+    kfs = recorded([laws], "k_on_morphism", *specs)
+    scott = recorded([laws], "ScottFunction", *specs)
+    assert len(kfs) > 100 and len(scott) > 100
+    for (f,), _ in kfs:
+        assert mappings.k_on_morphism(f).values == k_on_morphism_oracle(f)
+    for args, _ in scott:
+        assert mappings._directed_sup_breach(*args) is directed_sup_breach_oracle(*args) is None
+    # identities and constant maps between the fixed lattices
+    lattices = fixed_lattices()
+    for L in lattices:
+        for M in lattices:
+            tables = [(M.bottom,) * L.poset.n, (M.top,) * L.poset.n]
+            if M is L:
+                tables.append(L.elements)
+            for values in tables:
+                f = mappings.ScottFunction(L, M, values)
+                assert mappings.k_on_morphism(f).values == k_on_morphism_oracle(f)
+                assert directed_sup_breach_oracle(L, M, values) is None
+
+
+def test_a_non_scott_table_gets_the_same_witness():
+    """A rotated table is not monotone, so it fails the scan too; the scan
+    reports the directed set the name scan reports."""
+    found = 0
+    for L in fixed_lattices():
+        els = L.elements
+        for k in range(1, len(els)):
+            values = els[k:] + els[:k]
+            want = directed_sup_breach_oracle(L, L, values)
+            assert mappings._directed_sup_breach(L, L, values) == want
+            found += want is not None
+    assert found > 10
+
+
+# ---------------------------------------------------------------------------
+# corpus posets and semilattices
+
+
+def replayed_draws(owners, name, *calls):
+    """``(rng state before, args, result, rng state after)`` of each call to
+    ``name`` while ``thm3.6`` and ``thm4.4`` run at seeds 1-3, and of the
+    direct ``calls`` (argument tuples after the rng) at rng seeds 0, 1, ..."""
+    draws = []
+    real = getattr(owners[0], name)
+
+    def spy(rng, *args):
+        before = rng.getstate()
+        out = real(rng, *args)
+        draws.append((before, args, out, rng.getstate()))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        for owner in owners:
+            mp.setattr(owner, name, spy)
+        for seed in SEEDS:
+            for suite in ("thm3.6", "thm4.4"):
+                assert laws.run_law(suite, seed=seed).ok
+        for seed, args in enumerate(calls):
+            getattr(owners[0], name)(random.Random(seed), *args)
+    return draws
+
+
+def check_replay_agrees(oracle, before, args, got, after):
+    """The oracle, run from the same rng state, gives an equal value and
+    leaves the rng where the draw left it."""
+    rng = random.Random()
+    rng.setstate(before)
+    want = oracle(rng, *args)
+    assert want == got
+    assert rng.getstate() == after
+    return want
+
+
+def test_random_poset_closure_agrees_with_the_set_fixpoint():
+    """Each ``random_poset`` draw of the ``thm3.6`` and ``thm4.4`` corpora,
+    replayed from its rng state through the oracle: the same poset and the
+    same draws."""
+    draws = replayed_draws([corpus], "random_poset", *((1 + k % 9,) for k in range(50)))
+    assert len(draws) > 500
+    for draw in draws:
+        check_replay_agrees(random_poset_oracle, *draw)
+
+
+def random_join_semilattice_oracle(rng, max_n):
+    """``corpus.random_join_semilattice`` with each union-closed family named,
+    ordered by name pairs and validated by the public constructors."""
+
+    def build():
+        if rng.random() < 0.5:
+            base = rng.randint(2, 3)
+            k = rng.randint(1, 3)
+            fam = {frozenset()}
+            for _ in range(k):
+                g = frozenset(b for b in range(base) if rng.random() < 0.6)
+                fam |= {s | g for s in fam}
+            if len(fam) > max_n:
+                return None
+            names = {s: set_id(str(x) for x in s) for s in fam}
+            els = tuple(sorted(names.values()))
+            leq = {(names[a], names[b]) for a in fam for b in fam if a <= b}
+            return JoinSemilattice(validate_poset(els, leq))
+        P = random_poset_oracle(rng, rng.randint(1, max_n))
+        try:
+            return JoinSemilattice(P)
+        except ValidationError:
+            return None
+
+    return corpus._rejection(rng, build)
+
+
+def test_union_closed_semilattices_agree_with_the_validated_build():
+    """The union-closed families are ordered by inclusion of masks and enter
+    unchecked; replayed through the validated build, every draw of the
+    ``thm3.6`` and ``thm4.4`` corpora gives the same order, bottom and join
+    table."""
+    draws = replayed_draws(
+        [corpus, laws], "random_join_semilattice", *((2 + k % 7,) for k in range(100))
+    )
+    assert len(draws) > 500
+    for draw in draws:
+        want = check_replay_agrees(random_join_semilattice_oracle, *draw)
+        got = draw[2]
+        assert (got.bottom, got.join_table) == (want.bottom, want.join_table)

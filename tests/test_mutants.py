@@ -1,0 +1,307 @@
+"""Mutants the checks must catch: one row per law check or corpus build
+that works on index tables.
+
+Each row patches one seeded mutant into such a path and names what catches
+it: either a law suite, run through the command line at default settings,
+exits 1, or an oracle test of ``tests/test_index_oracles.py`` fails.  A row
+caught by its oracle only is marked ``oracle`` and names the law suite it
+escapes; the off-chain ``curry`` mutant is one, as every product factor in
+the ``prop5.10`` corpora is a chain.
+"""
+
+from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Callable
+
+import pytest
+import test_index_oracles as oracles
+
+from cxtcat import category, corpus, laws, logic, mappings, order, topology
+from cxtcat.cli import main
+from cxtcat.order import _bits, validate_poset
+
+
+def swap_two(table):
+    """``table`` with the first two different entries of its first row that
+    has two swapped."""
+    rows = [list(row) for row in table]
+    for row in rows:
+        j = next((j for j in range(1, len(row)) if row[j] != row[0]), None)
+        if j is not None:
+            row[0], row[j] = row[j], row[0]
+            break
+    return tuple(map(tuple, rows))
+
+
+def swap_values(values):
+    """``values`` with its first two different entries swapped."""
+    vals = list(values)
+    j = next((j for j in range(1, len(vals)) if vals[j] != vals[0]), None)
+    if j is not None:
+        vals[0], vals[j] = vals[j], vals[0]
+    return tuple(vals)
+
+
+def with_swapped_meets(L):
+    """A copy of the lattice ``L`` whose meet table has two entries swapped."""
+    X = object.__new__(type(L))
+    X.__dict__.update(L.__dict__)
+    X.__dict__["meet_table"] = swap_two(L.meet_table)
+    return X
+
+
+def on_swapped_meets(real):
+    return lambda L: real(with_swapped_meets(L))
+
+
+def point_on_swapped_meets(mp):
+    real = topology.LocalePoint.__post_init__
+
+    def post_init(self):
+        view = SimpleNamespace(
+            lattice=with_swapped_meets(self.lattice), generator=self.generator, members=self.members
+        )
+        real(view)
+
+    mp.setattr(topology.LocalePoint, "__post_init__", post_init)
+
+
+def iso_ignoring_the_first_cone(P, Q, f):
+    """``order.is_order_iso`` that never looks at the up-cone of element 0."""
+    if set(f) != set(P.elements) or set(f.values()) != set(Q.elements):
+        return False
+    at = [Q.index[f[x]] for x in P.elements]
+    for i, cone in enumerate(P.up_masks):
+        image = 0
+        for j in _bits(cone):
+            image |= 1 << at[j]
+        if i and image != Q.up_masks[at[i]]:
+            return False
+    return True
+
+
+def mubs_dropping_the_least(real):
+    return lambda D, xs: (lambda m: m & (m - 1))(real(D, xs))
+
+
+def swapped_table(real):
+    """A transpose whose table has two values swapped."""
+
+    def transpose(m, prod, fs):
+        t = real(m, prod, fs)
+        return mappings._trusted(type(t), t.source, t.target, swap_values(t.values))
+
+    return transpose
+
+
+def curry_off_the_chains(real):
+    """``curry`` that swaps its first and last values when the left factor of
+    the product is not a chain."""
+
+    def curry(m, prod, fs):
+        c = real(m, prod, fs)
+        P = prod.left_sem.semilattice.poset
+        if all(a | b == a or a | b == b for a in P.up_masks for b in P.up_masks):
+            return c
+        vals = list(c.values)
+        vals[0], vals[-1] = vals[-1], vals[0]
+        return mappings._trusted(type(c), c.source, c.target, tuple(vals))
+
+    return curry
+
+
+def joins_skipping_one_compact(L):
+    """``mappings._compact_joins`` that leaves the first compact (by index)
+    of each down-cone out of the fold."""
+    K = order.k_semilattice(L)
+    P, C = L.poset, K.poset
+    at = [C.index.get(x) for x in P.elements]
+    compact = P.mask_of(C.elements)
+    out = []
+    for cone in P.down_masks:
+        cone &= compact
+        k = C.index[K.bottom]
+        for j in _bits(cone & (cone - 1)):
+            k = K.join_table[k][at[j]]
+        out.append(C.elements[k])
+    return tuple(out)
+
+
+def random_poset_closing_forwards(rng, n, prefix="e"):
+    """``corpus.random_poset`` whose closure pass runs from the start of the
+    linear extension, so a cone can be read before it is closed."""
+    els = [f"{prefix}{i}" for i in range(n)]
+    rank = list(range(n))
+    rng.shuffle(rank)
+    p = rng.uniform(0.25, 0.75)
+    above = [1 << i for i in range(n)]
+    ordered = sorted(range(n), key=lambda i: rank[i])
+    for ai, i in enumerate(ordered):
+        for j in ordered[ai + 1:]:
+            if rng.random() < p:
+                above[i] |= 1 << j
+    for i in ordered:
+        for j in _bits(above[i] & ~(1 << i)):
+            above[i] |= above[j]
+    return validate_poset(els, {(els[i], els[j]) for i in range(n) for j in _bits(above[i])})
+
+
+def union_family_with_two_names_swapped(real):
+    """``order._by_construction`` as the corpus calls it, on the order with
+    its first two element names swapped."""
+
+    def build(cls, P):
+        els = list(P.elements)
+        els[:2] = els[1::-1]
+        return real(cls, order.FinitePoset._from_masks(tuple(els), P.up_masks))
+
+    return build
+
+
+SPECTRALITY_CHECK = topology.spectrality_check
+
+
+def spectrality_without_the_bottom(loc):
+    """``topology.spectrality_check`` whose meets test leaves the bottom out
+    of the compact mask."""
+    L = loc.lattice
+    rep = SPECTRALITY_CHECK(loc)
+    k = L.poset.mask_of(order.compacts(L).elements) & ~(1 << L.poset.index[L.bottom])
+    M = L.meet_table
+    meets_ok = all(k >> M[a][b] & 1 for a in _bits(k) for b in _bits(k))
+    return topology.SpectralityReport(
+        rep.algebraic and rep.top_compact and meets_ok, rep.algebraic, rep.top_compact, meets_ok
+    )
+
+
+def patch(owners, name, make):
+    """An installer that replaces ``name`` in every module of ``owners`` by
+    ``make(real)``."""
+
+    def install(mp):
+        real = getattr(owners[0], name)
+        for owner in owners:
+            mp.setattr(owner, name, make(real))
+
+    return install
+
+
+def replace(owners, name, mutant):
+    return patch(owners, name, lambda real: mutant)
+
+
+@dataclass
+class Row:
+    path: str
+    mutant: str
+    install: Callable
+    caught_by: str  # "laws <suite>" or "oracle <test>; escapes <suite>"
+
+
+ROWS = [
+    Row(
+        "order.is_distributive",
+        "two swapped meet-table entries",
+        patch([order, topology], "is_distributive", on_swapped_meets),
+        "laws cor6.17",
+    ),
+    Row(
+        "order.meet_primes",
+        "two swapped meet-table entries",
+        patch([order, topology], "meet_primes", on_swapped_meets),
+        "laws cor6.17",
+    ),
+    Row(
+        "order.meet_irreducibles",
+        "two swapped meet-table entries",
+        patch([order], "meet_irreducibles", on_swapped_meets),
+        "oracle test_m3_witness_triple_and_non_prime_generators; no suite reads it",
+    ),
+    Row(
+        "topology.LocalePoint point:prime",
+        "two swapped meet-table entries",
+        point_on_swapped_meets,
+        "laws cor6.17",
+    ),
+    Row(
+        "topology.spectrality_check meets",
+        "the bottom left out of the compact mask",
+        replace([topology, laws], "spectrality_check", spectrality_without_the_bottom),
+        "oracle test_spectrality_meets_agree_with_the_name_scan; escapes cor6.17",
+    ),
+    Row(
+        "order.is_order_iso",
+        "the up-cone of element 0 ignored",
+        replace([order, mappings, topology], "is_order_iso", iso_ignoring_the_first_cone),
+        "oracle test_order_iso_agrees_with_the_pair_scan; escapes thm3.6, thm4.4, cor6.17",
+    ),
+    Row(
+        "logic._mub_mask",
+        "the least minimal upper bound dropped",
+        patch([logic], "_mub_mask", mubs_dropping_the_least),
+        "laws thm6.7",
+    ),
+    Row(
+        "category.curry",
+        "two values swapped",
+        patch([category], "curry", swapped_table),
+        "laws prop5.10",
+    ),
+    Row(
+        "category.curry",
+        "first and last values swapped off the chains",
+        patch([category], "curry", curry_off_the_chains),
+        "oracle test_curry_and_uncurry_agree_off_the_chains; escapes prop5.10",
+    ),
+    Row(
+        "category.uncurry",
+        "two values swapped",
+        patch([category], "uncurry", swapped_table),
+        "laws prop5.10",
+    ),
+    Row(
+        "mappings.k_on_morphism",
+        "the first compact below each value skipped",
+        replace([mappings], "_compact_joins", joins_skipping_one_compact),
+        "laws thm4.4",
+    ),
+    Row(
+        "mappings.ScottFunction directed sups",
+        "the scan finds no breach",
+        replace([mappings], "_directed_sup_breach", lambda src, tgt, values: None),
+        "oracle test_a_non_scott_table_gets_the_same_witness; escapes thm4.4",
+    ),
+    Row(
+        "corpus.random_join_semilattice union-closed families",
+        "two element names swapped",
+        patch([corpus], "_by_construction", union_family_with_two_names_swapped),
+        "oracle test_union_closed_semilattices_agree_with_the_validated_build; escapes thm3.6, thm4.4",
+    ),
+    Row(
+        "corpus.random_poset",
+        "the closure pass runs forwards",
+        replace([corpus], "random_poset", random_poset_closing_forwards),
+        "laws thm3.6",
+    ),
+]
+
+
+@pytest.mark.parametrize("row", ROWS, ids=[f"{r.path}: {r.mutant}" for r in ROWS])
+def test_the_mutant_is_caught(row, monkeypatch, capsys):
+    row.install(monkeypatch)
+    kind, what = row.caught_by.split(";")[0].split(" ", 1)
+    if kind == "laws":
+        assert main(["laws", what]) == 1
+        assert f"{what}: PASS" not in capsys.readouterr().out
+    else:
+        with pytest.raises(AssertionError):
+            getattr(oracles, what)()
+
+
+def test_the_suites_and_oracles_pass_unmutated(capsys):
+    for row in ROWS:
+        kind, what = row.caught_by.split(";")[0].split(" ", 1)
+        if kind == "laws":
+            assert main(["laws", what]) == 0, what
+        else:
+            getattr(oracles, what)()

@@ -128,6 +128,14 @@ def test_space_validation():
         )  # p | q missing
 
 
+def test_a_repeated_point_is_named():
+    full = frozenset({"p", "q"})
+    with pytest.raises(ValidationError) as exc:
+        TopSpace(("q", "p", "q", "p"), frozenset({frozenset(), full}))
+    assert exc.value.law == "space:points"
+    assert exc.value.witness == {"point": "p"}
+
+
 # ---------------------------------------------------------------------------
 # specialization
 
