@@ -171,8 +171,7 @@ def cmd_idl(args) -> int:
 
 def cmd_compacts(args) -> int:
     L = FiniteLattice(formats.load_poset(_read(args.file)))
-    K = compacts(L, guard=args.guard)
-    for x in K.elements:
+    for x in compacts(L).elements:
         print(x)
     return EXIT_OK
 
@@ -377,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("compacts", cmd_compacts, help="compact elements of a lattice (poset JSON)")
     p.add_argument("file")
-    p.add_argument("--guard", type=_non_negative_int)
 
     for name in ("product", "tensor"):
         p = add(name, cmd_product if name == "product" else cmd_tensor,

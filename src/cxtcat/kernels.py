@@ -2,13 +2,12 @@
 
 Hot inner loops shared by the whole package: derivation-operator closures on
 bitmask-encoded incidence rows, exhaustive subset scans (directed sets,
-ideals, Scott opens, compact elements), and monotone-map enumeration.
+ideals), and monotone-map enumeration.
 
 Conventions: a subset of an ``n``-element universe is an ``int`` with bit
 ``i`` set for member ``i``.  ``rows[o]`` is the attribute mask of object
 ``o``.  ``up[i]``/``down[i]`` are the strict-and-reflexive upper/lower cones
-of element ``i`` as masks.  ``join[i][j]`` is the index of the join of
-elements ``i`` and ``j``.
+of element ``i`` as masks.
 """
 
 
@@ -61,11 +60,7 @@ def inclusion_cones(sets: list[int], width: int) -> tuple[list[int], list[int]]:
 def directed_masks(up: list[int]) -> list[int]:
     """All non-empty directed subsets: every two members have an upper bound inside."""
     n = len(up)
-    out = []
-    for d in range(1, 1 << n):
-        if _is_directed(d, up, n):
-            out.append(d)
-    return out
+    return [d for d in range(1, 1 << n) if _is_directed(d, up, n)]
 
 
 def _is_directed(d: int, up: list[int], n: int) -> bool:
@@ -89,60 +84,6 @@ def ideal_masks(down: list[int], up: list[int]) -> list[int]:
                 break
         if ok and _is_directed(d, up, n):
             out.append(d)
-    return out
-
-
-def compact_mask(up: list[int], down: list[int], join: list[int]) -> int:
-    """Mask of compact elements: no directed set violates the access condition.
-
-    ``c`` fails iff some directed ``D`` has ``c <= sup D`` but no member of
-    ``D`` above ``c``.
-    """
-    n = len(up)
-    compact = (1 << n) - 1
-    for d in range(1, 1 << n):
-        if not _is_directed(d, up, n):
-            continue
-        sup = -1
-        covered = 0
-        for i in range(n):
-            if d >> i & 1:
-                covered |= down[i]
-                sup = i if sup < 0 else join[sup][i]
-        compact &= ~(down[sup] & ~covered)
-    return compact
-
-
-def scott_open_masks(up: list[int], down: list[int], join: list[int]) -> list[int]:
-    """All Scott-open subsets, by the definitional test on every candidate.
-
-    A candidate must be an upper set and, for every directed ``D`` whose
-    supremum it contains, meet ``D``.
-    """
-    n = len(up)
-    directed = []
-    for d in range(1, 1 << n):
-        if _is_directed(d, up, n):
-            sup = -1
-            for i in range(n):
-                if d >> i & 1:
-                    sup = i if sup < 0 else join[sup][i]
-            directed.append((d, sup))
-    out = []
-    for u in range(1 << n):
-        ok = True
-        for i in range(n):
-            if u >> i & 1 and up[i] & ~u:
-                ok = False
-                break
-        if not ok:
-            continue
-        for d, sup in directed:
-            if u >> sup & 1 and not d & u:
-                ok = False
-                break
-        if ok:
-            out.append(u)
     return out
 
 

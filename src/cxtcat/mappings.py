@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
 
-from . import kernels
+from . import kernels, order
 from .canon import pair_id
 from .errors import ValidationError
 from .order import (
@@ -22,7 +22,9 @@ from .order import (
     FinitePoset,
     JoinSemilattice,
     _bits,
+    _directed_sups,
     _guard,
+    _linear_extension,
     _memo,
     ideal_completion,
     ideal_names,
@@ -32,9 +34,6 @@ from .order import (
     unit_names,
 )
 
-# The exhaustive directed-suprema check runs on carriers up to this size;
-# beyond it monotonicity (equivalent on finite orders) is the certificate.
-SCOTT_CHECK_CAP = 16
 ENUMERATION_GUARD = 512
 # Most mappings ``enumerate_mappings`` may return.  ``ENUMERATION_GUARD``
 # bounds the search space, not the output: M10 into a 20-chain passes it and
@@ -220,8 +219,9 @@ class ScottFunction:
     Monotonicity and preservation of directed suprema coincide on finite
     carriers (a finite directed set contains its supremum).
     ``ScottFunction(source, target, values)`` checks the table's length,
-    members and monotonicity, and then, up to ``SCOTT_CHECK_CAP`` elements,
-    runs the definitional scan over every directed subset, which must agree.
+    members and monotonicity, and then, up to ``order.DIRECTED_SCAN_CAP``
+    elements, runs the definitional scan over every directed subset, which
+    must agree.
     Identities, composites, ``idl_on_morphism`` and ``eta`` are monotone by
     construction and enter through ``_trusted``; ``thm4.4`` re-enters the
     functor's images through this constructor.
@@ -241,7 +241,7 @@ class ScottFunction:
                 law="scott:monotone",
                 witness={"pair": [a, b]},
             )
-        if src.poset.n <= SCOTT_CHECK_CAP:
+        if src.poset.n <= order.DIRECTED_SCAN_CAP:
             members = _directed_sup_breach(src, tgt, self.values)
             if members is not None:
                 raise ValidationError(
@@ -257,23 +257,19 @@ class ScottFunction:
 def _directed_sup_breach(src: FiniteLattice, tgt: FiniteLattice, values) -> list[str] | None:
     """The members of the first directed subset of ``src``, in mask order,
     whose supremum the table ``values`` does not send to the supremum of its
-    image, or None.  Both join tables are folded over each directed mask from
-    the bottoms; the masks are listed once per source value."""
+    image, or None.  The target's join table is folded over the image of
+    each directed mask from its bottom; the masks and their suprema are
+    listed once per source value."""
     P, Q = src.poset, tgt.poset
     f = [Q.index[v] for v in values]
-    js, jt = src.join_table, tgt.join_table
-    s0, t0 = P.index[src.bottom], Q.index[tgt.bottom]
-    for mask in _memo(src, "_directed_masks", _directed_masks):
-        s, t = s0, t0
+    jt, t0 = tgt.join_table, Q.index[tgt.bottom]
+    for mask, s in _directed_sups(src):
+        t = t0
         for i in _bits(mask):
-            s, t = js[s][i], jt[t][f[i]]
+            t = jt[t][f[i]]
         if f[s] != t:
             return [P.elements[i] for i in _bits(mask)]
     return None
-
-
-def _directed_masks(L: FiniteLattice) -> tuple[int, ...]:
-    return tuple(kernels.directed_masks(L.poset.up_masks))
 
 
 def identity_function(L: FiniteLattice) -> ScottFunction:
@@ -423,7 +419,7 @@ def _sorted_picks(S: JoinSemilattice, T: JoinSemilattice) -> tuple[list, Callabl
     builder of the mapping of one of them."""
     P, Q = S.poset, T.poset
     _guard("enumerate_mappings", P.n * Q.n, ENUMERATION_GUARD)
-    preds, pos = _memo(S, "_linear_extension", _linear_extension)
+    preds, pos = _memo(P, "_linear_extension", _linear_extension)
     picks = kernels.monotone_maps(P.n, preds, Q.up_masks, ENUMERATION_OUTPUT_GUARD)
     _guard("enumerate_mappings output", len(picks), ENUMERATION_OUTPUT_GUARD)
     # Sort by pair-set name (set_id of pair_ids) without building it.  It joins
@@ -446,13 +442,3 @@ def _sorted_picks(S: JoinSemilattice, T: JoinSemilattice) -> tuple[list, Callabl
         return _trusted(ApproximableMapping, S, T, tuple(els[pick[p]] for p in pos))
 
     return picks, build
-
-
-def _linear_extension(S: JoinSemilattice) -> tuple[list[list[int]], list[int]]:
-    """The source order ``monotone_maps`` walks: the elements by cone size,
-    ties by canonical order.  Returns, for each position, the earlier
-    positions below it, and for each source index its position."""
-    down = S.poset.down_masks
-    order = sorted(range(len(down)), key=lambda i: (down[i].bit_count(), i))
-    preds = [[j for j in range(at) if down[i] >> order[j] & 1] for at, i in enumerate(order)]
-    return preds, sorted(range(len(order)), key=order.__getitem__)

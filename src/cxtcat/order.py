@@ -17,12 +17,12 @@ from . import kernels
 from .canon import set_id
 from .errors import SizeGuardExceeded, ValidationError
 
-# Default cap for 2^n subset enumerations (directed sets, ideals, opens).
+# Cap on the elements of a poset whose lower sets are listed.
 SUBSET_SCAN_GUARD = 20
-# Below this size the ideal/filter family is found by a full definitional
-# subset scan; above it the principal family is constructed directly (the two
-# agree: every finite directed set contains its maximum).
-IDEAL_SCAN_GUARD = 16
+# Up to this size the definitional directed-set scans cross-check the finite
+# theorems (ideals, compacts, Scott opens, Scott functions; a finite directed
+# set holds its supremum).  Past it only the theorem is used.
+DIRECTED_SCAN_CAP = 16
 POWERSET_GUARD = 10
 
 
@@ -595,29 +595,94 @@ def _memo(value, name: str, build: Callable):
     return cache[name]
 
 
-def compacts(L: FiniteLattice, guard: int | None = None) -> FinitePoset:
-    """Sub-poset of compact elements, by the definitional directed-set test.
-
-    ``guard`` defaults to ``SUBSET_SCAN_GUARD`` and is checked on every call;
-    the result is memoized on ``L``.
-    """
-    _guard("compacts", L.poset.n, SUBSET_SCAN_GUARD if guard is None else guard)
-    return _memo(L, "_compacts", _compact_poset)
+def compacts(L: FiniteLattice) -> FinitePoset:
+    """Sub-poset of compact elements: all of ``L``, as a finite directed set
+    holds its supremum.  Up to ``DIRECTED_SCAN_CAP`` elements the
+    definitional fold must agree; it runs once per value ``L``."""
+    return _memo(L, "_compacts", lambda L: _checked_compacts(L, L.poset))
 
 
-def _compact_poset(L: FiniteLattice) -> FinitePoset:
+def _checked_compacts(L: FiniteLattice, K: FinitePoset) -> FinitePoset:
+    """``K``, once the definitional fold agrees with its elements."""
     P = L.poset
-    return P.restrict(P.set_of(kernels.compact_mask(P.up_masks, P.down_masks, L.join_table)))
+    if P.n <= DIRECTED_SCAN_CAP:
+        diff = P.mask_of(K.elements) ^ _compact_fold(L)
+        if diff:
+            x = min(P.elements[i] for i in _bits(diff))
+            raise ValidationError(
+                f"compact elements disagree with the directed-set test at {x!r}",
+                law="compacts:directed",
+                witness={"element": x},
+            )
+    return K
+
+
+def _compact_fold(L: FiniteLattice) -> int:
+    """Mask of the compact elements by definition: ``c`` is not compact when
+    some directed ``D`` has ``c <= sup D`` and no member above ``c``."""
+    down = L.poset.down_masks
+    compact = (1 << L.poset.n) - 1
+    for d, sup in _directed_sups(L):
+        covered, rest = 0, d
+        while rest:
+            low = rest & -rest
+            covered |= down[low.bit_length() - 1]
+            rest ^= low
+        compact &= ~(down[sup] & ~covered)
+    return compact
+
+
+def _directed_sups(L: FiniteLattice) -> tuple[tuple[int, int], ...]:
+    """Each non-empty directed subset of ``L`` as a mask, with the index of
+    its supremum; listed once per value for every oracle that reads them."""
+    return _memo(L, "_directed_sups", _fold_directed)
+
+
+def _fold_directed(L: FiniteLattice) -> tuple[tuple[int, int], ...]:
+    J, bottom = L.join_table, L.poset.index[L.bottom]
+    out = []
+    for d in kernels.directed_masks(L.poset.up_masks):
+        sup, rest = bottom, d
+        while rest:
+            low = rest & -rest
+            sup = J[sup][low.bit_length() - 1]
+            rest ^= low
+        out.append((d, sup))
+    return tuple(out)
 
 
 def is_algebraic(L: FiniteLattice) -> bool:
-    """Every element is the join of the compacts below it."""
-    K = set(compacts(L).elements)
-    for x in L.elements:
-        below = [c for c in K if L.le(c, x)]
-        if L.join_all(below) != x:
+    """Every element is the join of the compacts below it: the join table
+    folded over its down-cone cut to the compacts."""
+    P = L.poset
+    J, bottom = L.join_table, P.index[L.bottom]
+    k = P.mask_of(compacts(L).elements)
+    for x, cone in enumerate(P.down_masks):
+        j = bottom
+        for i in _bits(cone & k):
+            j = J[j][i]
+        if j != x:
             return False
     return True
+
+
+def _linear_extension(P: FinitePoset) -> tuple[list[list[int]], list[int]]:
+    """The order ``kernels.monotone_maps`` walks ``P`` in: the elements by
+    down-cone size, ties by index.  Returns, for each position, the earlier
+    positions below it, and for each index its position."""
+    down = P.down_masks
+    order = sorted(range(len(down)), key=lambda i: (down[i].bit_count(), i))
+    preds = [[j for j in range(at) if down[i] >> order[j] & 1] for at, i in enumerate(order)]
+    return preds, sorted(range(len(order)), key=order.__getitem__)
+
+
+def _upper_set_masks(P: FinitePoset) -> list[int]:
+    """Every upper set of ``P`` as a mask, in increasing order.  An upper set
+    is the part mapped to the top by a monotone map into the 2-chain, so the
+    monotone-map search lists them, in polynomial time per set."""
+    preds, pos = _memo(P, "_linear_extension", _linear_extension)
+    maps = kernels.monotone_maps(P.n, preds, [0b11, 0b10], 1 << P.n)
+    return sorted(sum(pick[p] << i for i, p in enumerate(pos)) for pick in maps)
 
 
 def principal_ideal(P: FinitePoset, x: str) -> frozenset[str]:
@@ -627,7 +692,7 @@ def principal_ideal(P: FinitePoset, x: str) -> frozenset[str]:
 def ideals(S: JoinSemilattice) -> tuple[Ideal, ...]:
     """All ideals, sorted by canonical encoding; memoized on ``S``.
 
-    Up to ``IDEAL_SCAN_GUARD`` elements the family is found by the
+    Up to ``DIRECTED_SCAN_CAP`` elements the family is found by the
     definitional subset scan and checked against the principal family; in a
     finite order the two always coincide.
     """
@@ -637,7 +702,7 @@ def ideals(S: JoinSemilattice) -> tuple[Ideal, ...]:
 def _scan_ideals(S: JoinSemilattice) -> tuple[Ideal, ...]:
     P = S.poset
     principal = {principal_ideal(P, x) for x in P.elements}
-    if P.n <= IDEAL_SCAN_GUARD:
+    if P.n <= DIRECTED_SCAN_CAP:
         scanned = {
             P.set_of(m) for m in kernels.ideal_masks(P.down_masks, P.up_masks)
         }

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
 
-from . import kernels, order
+from . import order
 from .canon import set_id
 from .errors import ValidationError
 from .order import (
@@ -173,17 +173,31 @@ class LocalePoint:
 
 
 def scott_topology(L: FiniteLattice, guard: int | None = None) -> TopSpace:
-    """Opens by the definitional test; on a finite lattice these are exactly
-    the upper sets, which is asserted.  ``guard`` defaults to ``SCOTT_GUARD``."""
+    """The upper sets, which on a finite lattice are exactly the Scott opens.
+    Up to ``order.DIRECTED_SCAN_CAP`` elements the definitional test of every
+    subset must agree.  ``guard`` defaults to ``SCOTT_GUARD``."""
     P = L.poset
     _guard("scott_topology", P.n, SCOTT_GUARD if guard is None else guard)
-    masks = kernels.scott_open_masks(P.up_masks, P.down_masks, L.join_table)
-    if sorted(masks) != _cone_closed_masks(P.up_masks):
+    masks = order._upper_set_masks(P)
+    if P.n <= order.DIRECTED_SCAN_CAP and _scott_open_scan(L) != masks:
         raise ValidationError(
             "scott opens of a finite lattice are not the upper sets",
             law="scott:upper-sets",
         )
     return TopSpace(P.elements, frozenset(P.set_of(m) for m in masks))
+
+
+def _scott_open_scan(L: FiniteLattice) -> list[int]:
+    """Every Scott-open subset by definition, as masks in increasing order:
+    an upper set that meets each directed set whose supremum it holds."""
+    up = L.poset.up_masks
+    directed = order._directed_sups(L)
+    return [
+        u
+        for u in range(1 << L.poset.n)
+        if not any(up[i] & ~u for i in _bits(u))
+        and all(d & u or not u >> sup & 1 for d, sup in directed)
+    ]
 
 
 def specialization_order(T: TopSpace) -> FinitePoset:
@@ -238,34 +252,22 @@ def scott_base_and_coherence(L: FiniteLattice) -> BaseCoherenceReport:
             ok = False
             details.append(f"open {set_id(o)} is not the union of base members inside it")
     lat, decode = open_set_lattice(T)
-    kopens = {decode[e] for e in compacts(lat).elements}
-    finite_unions = set()
-    for m in range(1 << len(base)):
-        u = frozenset()
-        for i, b in enumerate(base):
-            if m >> i & 1:
-                u |= b
-        finite_unions.add(u)
-    if kopens != finite_unions:
+    kopens = sorted((decode[e] for e in compacts(lat).elements), key=set_id)
+    finite_unions = {
+        frozenset().union(*(b for i, b in enumerate(base) if m >> i & 1))
+        for m in range(1 << len(base))
+    }
+    if set(kopens) != finite_unions:
         ok = False
         details.append("compact opens differ from finite unions of base members")
-    for a in sorted(kopens, key=set_id):
-        for b in sorted(kopens, key=set_id):
-            if a & b not in kopens:
+    masks = [L.poset.mask_of(o) for o in kopens]
+    closed = set(masks)
+    for a in masks:
+        for b in masks:
+            if a & b not in closed:
                 ok = False
-                details.append(f"intersection {set_id(a & b)} is not compact")
-    return BaseCoherenceReport(ok, tuple(base), tuple(sorted(kopens, key=set_id)), tuple(details))
-
-
-def _cone_closed_masks(cones: list[int]) -> list[int]:
-    """Every subset mask, in increasing order, that holds the cone of each of
-    its members: the upper sets on up-cones, the lower sets on down-cones."""
-    n = len(cones)
-    return [
-        m
-        for m in range(1 << n)
-        if all(not (cones[i] & ~m) for i in range(n) if m >> i & 1)
-    ]
+                details.append(f"intersection {set_id(L.poset.set_of(a & b))} is not compact")
+    return BaseCoherenceReport(ok, tuple(base), tuple(kopens), tuple(details))
 
 
 def lower_sets(S: MeetSemilattice | JoinSemilattice) -> list[frozenset[str]]:
@@ -276,7 +278,7 @@ def lower_sets(S: MeetSemilattice | JoinSemilattice) -> list[frozenset[str]]:
     """
     P = _join_dual(S).poset
     _guard("lower_sets", P.n, order.SUBSET_SCAN_GUARD)
-    return sorted(map(P.set_of, _cone_closed_masks(P.up_masks)), key=set_id)
+    return sorted(map(P.set_of, order._upper_set_masks(P)), key=set_id)
 
 
 def _lower_set_lattice(
@@ -364,6 +366,9 @@ class SpectralityReport:
 
 
 def spectrality_check(loc: Locale) -> SpectralityReport:
+    """Algebraic, top compact, compacts closed under meets.  On a finite
+    lattice this holds by the finite theorem (every element is compact);
+    the check that can fail is the cross-check inside ``compacts``."""
     L = loc.lattice
     alg = is_algebraic(L)
     K = compacts(L).elements

@@ -552,11 +552,11 @@ def test_non_utf8_input_exits_2_naming_the_path(files, capsys):
 def test_guard_exit_code(files):
     big = files["tmp"] / "big.json"
     big.write_text(formats.dump_poset(chain_poset(6)))
-    assert main(["compacts", str(big), "--guard", "3"]) == 3
+    assert main(["topology", str(big), "--guard", "3"]) == 3
 
 
 @pytest.mark.parametrize("value", ["-1", "two", "1.5"])
-@pytest.mark.parametrize("verb", ["compacts", "funcspace", "topology"])
+@pytest.mark.parametrize("verb", ["funcspace", "topology"])
 def test_guard_flags_take_a_non_negative_int(files, verb, value, capsys):
     """A bad ``--guard`` is a usage error naming the flag, not a guard stop."""
     args = [str(files["k2"]), str(files["k2"])] if verb == "funcspace" else [str(files["poset"])]
@@ -571,7 +571,7 @@ def test_guard_flags_take_a_non_negative_int(files, verb, value, capsys):
 def test_int_flags_name_their_type(files, flag, kind, capsys):
     """Text that is no integer is reported by the kind of integer expected;
     an integer out of range keeps its range message."""
-    verb = ["laws", "prop5.10"] if flag == "--max-sem" else ["compacts", str(files["poset"])]
+    verb = ["laws", "prop5.10"] if flag == "--max-sem" else ["topology", str(files["poset"])]
     low = "0" if flag == "--max-sem" else "-1"
     assert main([*verb, flag, "two"]) == 2
     err = capsys.readouterr().err
@@ -590,7 +590,7 @@ def test_int_flags_take_ascii_digits_only(files, flag, kind, value, capsys):
     """Integer flags read an optional ``-`` and ASCII digits, as the CXT
     counts are read: ``int``'s spaces, signs, underscores and non-ASCII
     digits are usage errors."""
-    verb = ["compacts", str(files["poset"])] if flag == "--guard" else ["laws", "prop6.9"]
+    verb = ["topology", str(files["poset"])] if flag == "--guard" else ["laws", "prop6.9"]
     assert main([*verb, flag, value]) == 2
     assert f"argument {flag}: invalid {kind} value: {value!r}\n" in capsys.readouterr().err
 
@@ -611,17 +611,16 @@ def test_python_dash_m_runs_the_cli(files):
 
 
 def test_guard_flags_accept_zero_and_default_to_the_constants(files, capsys):
-    from cxtcat import category, order, topology
+    from cxtcat import category, topology
 
     lattice = files["tmp"] / "chain3.json"
     lattice.write_text(formats.dump_poset(chain_poset(3)))
     chain = files["tmp"] / "chain2.cxt"  # a function space of 2 x 2 attributes
     chain.write_text(formats.dump_cxt(chain_context(2)))
-    assert main(["compacts", str(lattice), "--guard", "3"]) == 0
-    assert main(["compacts", str(lattice), "--guard", "0"]) == 3
-    assert capsys.readouterr().err == "compacts: size 3 exceeds guard 0\n"
+    assert main(["topology", str(lattice), "--guard", "3"]) == 0
+    assert main(["topology", str(lattice), "--guard", "0"]) == 3
+    assert capsys.readouterr().err == "scott_topology: size 3 exceeds guard 0\n"
     for verb, args, module, name in (
-        ("compacts", [str(lattice)], order, "SUBSET_SCAN_GUARD"),
         ("topology", [str(lattice)], topology, "SCOTT_GUARD"),
         ("funcspace", [str(chain), str(chain), "--engine", "literal"], category,
          "LITERAL_OBJECT_GUARD"),
@@ -640,6 +639,17 @@ def test_idl_and_compacts(files, capsys):
     assert len(lat.elements) == 2
     assert main(["compacts", str(files["poset"])]) == 0
     assert capsys.readouterr().out.splitlines() == ["c0", "c1"]
+
+
+def test_compacts_of_a_64_chain_are_every_element(files, capsys):
+    """``compacts`` has no size guard: a finite lattice is all compact, and
+    past the cross-check cap nothing else runs."""
+    chain = files["tmp"] / "chain64.json"
+    chain.write_text(formats.dump_poset(chain_poset(64)))
+    assert main(["compacts", str(chain)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == list(formats.load_poset(chain.read_text()).elements)
+    assert sorted(printed) == sorted(chain_poset(64).elements)
 
 
 def test_product_and_tensor_verbs(files):

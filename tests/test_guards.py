@@ -1,7 +1,7 @@
 """Size caps are module constants, read when each check runs.
 
 Every exhaustive stage refuses work past its cap with ``SizeGuardExceeded``
-naming the stage, the size reached and the cap.  Only three library calls take
+naming the stage, the size reached and the cap.  Only two library calls take
 a cap as a parameter (the ones the CLI's ``--guard`` flags set), and a guard
 never changes a result, so no memo is keyed by one.
 """
@@ -30,7 +30,7 @@ from cxtcat.logic import (
     theorem_6_7_check,
 )
 from cxtcat.mappings import enumerate_mappings
-from cxtcat.order import FiniteLattice, MeetSemilattice, compacts, powerset_lattice
+from cxtcat.order import FiniteLattice, MeetSemilattice, powerset_lattice
 from cxtcat.topology import lower_sets, scott_topology
 
 from test_mappings import chain_s, m_n
@@ -70,7 +70,6 @@ def with_closed_sets(n):
 # (module, constant, stage, build, lowered): ``build(n)`` returns a call that
 # brings the stage to size ``n``; ``lowered`` is a second value of the cap.
 CAPS = [
-    (order, "SUBSET_SCAN_GUARD", "compacts", lambda n: lambda: compacts(chain_lattice(n)), 3),
     (order, "SUBSET_SCAN_GUARD", "lower_sets",
      lambda n: lambda: lower_sets(MeetSemilattice(chain_poset(n))), 3),
     (order, "POWERSET_GUARD", "powerset_lattice", lambda n: lambda: powerset_lattice(names(n)), 2),
@@ -126,7 +125,7 @@ def test_each_cap_stops_its_stage_one_past_the_constant(
 
 def test_the_default_caps():
     """The values the README's table of caps lists."""
-    assert (order.SUBSET_SCAN_GUARD, order.IDEAL_SCAN_GUARD, order.POWERSET_GUARD) == (20, 16, 10)
+    assert (order.SUBSET_SCAN_GUARD, order.DIRECTED_SCAN_CAP, order.POWERSET_GUARD) == (20, 16, 10)
     assert (context.APPROX_CLOSURE_GUARD, context.CLOSED_SET_GUARD) == (16, 512)
     assert (mappings.ENUMERATION_GUARD, mappings.ENUMERATION_OUTPUT_GUARD) == (512, 1 << 15)
     assert (category.LITERAL_OBJECT_GUARD, category.FUNCSPACE_ATTRIBUTE_GUARD) == (12, 64)
@@ -134,22 +133,10 @@ def test_the_default_caps():
     assert topology.SCOTT_GUARD == 14
 
 
-def test_compacts_guard_is_checked_before_the_memo():
-    L = chain_lattice(5)
-    K = compacts(L)
-    for g in range(5, 9):
-        assert compacts(L, guard=g) is K
-    for g in range(5):
-        with pytest.raises(SizeGuardExceeded) as exc:
-            compacts(L, guard=g)
-        assert (exc.value.what, exc.value.size, exc.value.cap) == ("compacts", 5, g)
-    assert compacts(L) is K
-
-
-# Every cap parameter left in the library: the three guards the CLI's
+# Every cap parameter left in the library: the two guards the CLI's
 # ``--guard`` flags set.
 SIGNATURES = {
-    order.compacts: ["L", "guard"],
+    order.compacts: ["L"],
     order.is_algebraic: ["L"],
     order.k_semilattice: ["L"],
     order.powerset_lattice: ["base"],

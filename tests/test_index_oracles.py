@@ -148,6 +148,34 @@ def directed_sup_breach_oracle(src, tgt, values):
     return None
 
 
+def is_algebraic_oracle(L):
+    """Every element is the join of the compacts below it, by name."""
+    K = set(order.compacts(L).elements)
+    return all(L.join_all(c for c in K if L.le(c, x)) == x for x in L.elements)
+
+
+def compacts_oracle(L):
+    """The compact elements by name: ``c`` fails when some directed ``D``
+    has ``c <= sup D`` and no member above ``c``."""
+    els = L.elements
+    subsets = [[e for i, e in enumerate(els) if r >> i & 1] for r in range(1, 1 << len(els))]
+    directed = [
+        D for D in subsets if all(any(L.le(a, u) and L.le(b, u) for u in D) for a in D for b in D)
+    ]
+    return {
+        c
+        for c in els
+        if not any(L.le(c, L.join_all(D)) and not any(L.le(c, d) for d in D) for D in directed)
+    }
+
+
+def cone_closed_masks(cones):
+    """Every subset mask, in increasing order, that holds the cone of each of
+    its members: the upper sets on up-cones, the lower sets on down-cones."""
+    n = len(cones)
+    return [m for m in range(1 << n) if all(not cones[i] & ~m for i in range(n) if m >> i & 1)]
+
+
 def random_poset_oracle(rng, n, prefix="e"):
     """``corpus.random_poset`` with the set-based closure to a fixpoint."""
     els = [f"{prefix}{i}" for i in range(n)]
@@ -450,6 +478,80 @@ def test_a_non_scott_table_gets_the_same_witness():
             assert mappings._directed_sup_breach(L, L, values) == want
             found += want is not None
     assert found > 10
+
+
+# ---------------------------------------------------------------------------
+# the finite theorems as engines: compacts, upper and lower sets
+#
+# ``compacts`` is the lattice itself and the upper sets come from the
+# monotone-map search; the definitional folds over the directed sets are
+# their oracles in the library, and the name scans here are the oracles of
+# those folds.
+
+
+def theorem_inputs():
+    """300 random posets of 1-9 elements and 300 random lattices of up to 9,
+    chains 1-10, the diamond, M3 and N5."""
+    rng = random.Random(22)
+    posets = [corpus.random_poset(rng, rng.randint(1, 9)) for _ in range(300)]
+    fixed = [chain_poset(n) for n in range(1, 11)] + [diamond_poset(), m3_poset(), n5_poset()]
+    lattices = [corpus.random_lattice(rng, 9) for _ in range(300)]
+    return posets + fixed, lattices + [FiniteLattice(P) for P in fixed]
+
+
+def test_upper_and_lower_sets_agree_with_the_cone_scan():
+    posets, lattices = theorem_inputs()
+    for L in lattices:
+        assert topology._scott_open_scan(L) == cone_closed_masks(L.poset.up_masks)
+    for P in posets:
+        assert order._upper_set_masks(P) == cone_closed_masks(P.up_masks)
+        assert order._upper_set_masks(P.dual()) == cone_closed_masks(P.down_masks)
+    for L in lattices:
+        P = L.poset
+        want = sorted((P.set_of(m) for m in cone_closed_masks(P.down_masks)), key=set_id)
+        assert topology.lower_sets(order.MeetSemilattice(P)) == want
+        assert topology.scott_topology(L).opens == set(map(P.set_of, cone_closed_masks(P.up_masks)))
+
+
+def test_compacts_agree_with_the_definitional_fold():
+    _, lattices = theorem_inputs()
+    for L in lattices:
+        P = L.poset
+        if P.n <= 6:
+            assert order._compact_fold(L) == P.mask_of(compacts_oracle(L))
+        assert order._compact_fold(L) == (1 << P.n) - 1
+        assert order.compacts(L) is P
+        assert order.is_algebraic(L) == is_algebraic_oracle(L) is True
+
+
+def test_is_algebraic_agrees_when_compacts_fall_short():
+    """With only the bottom taken as compact, no lattice of two or more
+    elements is the join of its compacts; both checks say so."""
+    lattices = fixed_lattices()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(order, "compacts", lambda L: L.poset.restrict([L.bottom]))
+        for L in lattices:
+            assert order.is_algebraic(L) == is_algebraic_oracle(L) == (L.poset.n == 1)
+
+
+def test_a_compacts_mismatch_names_the_least_element():
+    L = FiniteLattice(m3_poset())
+    K = L.poset.restrict(x for x in L.elements if x not in ("0", "y"))
+    with pytest.raises(ValidationError) as exc:
+        order._checked_compacts(L, K)
+    assert (exc.value.law, exc.value.witness) == ("compacts:directed", {"element": "0"})
+
+
+def test_directed_sets_are_listed_once_per_lattice_in_thm4_4(monkeypatch):
+    """The compacts cross-check and the ``ScottFunction`` scan read one list
+    of directed sets per lattice value."""
+    scans, lattices = [], []
+    real_scan, real_fold = kernels.directed_masks, order._fold_directed
+    monkeypatch.setattr(kernels, "directed_masks", lambda up: scans.append(up) or real_scan(up))
+    monkeypatch.setattr(order, "_fold_directed", lambda L: lattices.append(L) or real_fold(L))
+    assert laws.run_law("thm4.4").ok
+    assert len(scans) == len(lattices) > 10
+    assert len({id(L) for L in lattices}) == len(lattices)
 
 
 # ---------------------------------------------------------------------------

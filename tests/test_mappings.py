@@ -583,9 +583,9 @@ def test_ideal_scans_run_once_per_value(monkeypatch):
         ideal_completion(T)
     assert len(scans) == 2
     assert isinstance(ideals(T), tuple) and ideals(T) is ideals(T)
-    monkeypatch.setattr(order, "IDEAL_SCAN_GUARD", 0)
+    monkeypatch.setattr(order, "DIRECTED_SCAN_CAP", 0)
     assert ideals(diamond_s()) == ideals(T) and len(scans) == 2  # principal family only
-    monkeypatch.setattr(order, "IDEAL_SCAN_GUARD", 8)
+    monkeypatch.setattr(order, "DIRECTED_SCAN_CAP", 8)
     ideal_completion(T)
     assert len(scans) == 2
     ideal_completion(diamond_s())

@@ -1,5 +1,7 @@
 """Mutants the checks must catch: one row per law check or corpus build
-that works on index tables.
+that works on index tables, and per finite theorem that serves as an engine
+(``compacts`` is the lattice, upper and lower sets come from the monotone-map
+search) or definitional fold that cross-checks one.
 
 Each row patches one seeded mutant into such a path and names what catches
 it: either a law suite, run through the command line at default settings,
@@ -18,6 +20,8 @@ import test_index_oracles as oracles
 
 from cxtcat import category, corpus, laws, logic, mappings, order, topology
 from cxtcat.cli import main
+from cxtcat.corpus import diamond_poset
+from cxtcat.errors import ValidationError
 from cxtcat.order import _bits, validate_poset
 
 
@@ -174,6 +178,56 @@ def spectrality_without_the_bottom(loc):
     )
 
 
+def compacts_without_the_bottom(L):
+    """``order.compacts`` whose engine leaves the bottom out."""
+    return order._checked_compacts(L, L.poset.restrict(x for x in L.elements if x != L.bottom))
+
+
+def upper_sets_without_the_full_set(real):
+    return lambda P: [m for m in real(P) if m != (1 << P.n) - 1]
+
+
+def lower_sets_without_the_empty_set(real):
+    return lambda S: [s for s in real(S) if s]
+
+
+def compact_fold_without_the_supremum(L):
+    """``order._compact_fold`` that leaves the supremum of each directed set
+    out of the members whose cones it unions."""
+    down = L.poset.down_masks
+    compact = (1 << L.poset.n) - 1
+    for d, sup in order._directed_sups(L):
+        covered = 0
+        for i in _bits(d & ~(1 << sup)):
+            covered |= down[i]
+        compact &= ~(down[sup] & ~covered)
+    return compact
+
+
+def scott_scan_without_the_upper_set_test(L):
+    """``topology._scott_open_scan`` that tests only the directed sets."""
+    directed = order._directed_sups(L)
+    return [
+        u
+        for u in range(1 << L.poset.n)
+        if all(d & u or not u >> sup & 1 for d, sup in directed)
+    ]
+
+
+def algebraic_but_for_the_last(L):
+    """``order.is_algebraic`` that never checks the last element."""
+    P = L.poset
+    J, bottom = L.join_table, P.index[L.bottom]
+    k = P.mask_of(order.compacts(L).elements)
+    for x, cone in enumerate(P.down_masks[:-1]):
+        j = bottom
+        for i in _bits(cone & k):
+            j = J[j][i]
+        if j != x:
+            return False
+    return True
+
+
 def patch(owners, name, make):
     """An installer that replaces ``name`` in every module of ``owners`` by
     ``make(real)``."""
@@ -283,6 +337,42 @@ ROWS = [
         replace([corpus], "random_poset", random_poset_closing_forwards),
         "laws thm3.6",
     ),
+    Row(
+        "order.compacts",
+        "the bottom left out of the engine",
+        replace([order, topology], "compacts", compacts_without_the_bottom),
+        "laws thm3.6",
+    ),
+    Row(
+        "order._upper_set_masks",
+        "the full set dropped",
+        patch([order], "_upper_set_masks", upper_sets_without_the_full_set),
+        "laws cor6.17",
+    ),
+    Row(
+        "topology.lower_sets",
+        "the empty set dropped",
+        patch([topology], "lower_sets", lower_sets_without_the_empty_set),
+        "laws cor6.17",
+    ),
+    Row(
+        "order._compact_fold",
+        "the supremum left out of the covered cones",
+        replace([order], "_compact_fold", compact_fold_without_the_supremum),
+        "oracle test_compacts_agree_with_the_definitional_fold",
+    ),
+    Row(
+        "topology._scott_open_scan",
+        "the upper-set test skipped",
+        replace([topology], "_scott_open_scan", scott_scan_without_the_upper_set_test),
+        "oracle test_upper_and_lower_sets_agree_with_the_cone_scan",
+    ),
+    Row(
+        "order.is_algebraic",
+        "the last element left out of the check",
+        replace([order, topology], "is_algebraic", algebraic_but_for_the_last),
+        "oracle test_is_algebraic_agrees_when_compacts_fall_short; escapes cor6.17",
+    ),
 ]
 
 
@@ -305,3 +395,12 @@ def test_the_suites_and_oracles_pass_unmutated(capsys):
             assert main(["laws", what]) == 0, what
         else:
             getattr(oracles, what)()
+
+
+def test_the_upper_set_mutant_fails_the_scott_cross_check(monkeypatch):
+    """In ``cor6.17`` the lemma reads the lower sets first and fails first;
+    the Scott topology's own cross-check fails on the same mutant."""
+    patch([order], "_upper_set_masks", upper_sets_without_the_full_set)(monkeypatch)
+    with pytest.raises(ValidationError) as exc:
+        topology.scott_topology(order.FiniteLattice(diamond_poset()))
+    assert exc.value.law == "scott:upper-sets"

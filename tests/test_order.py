@@ -17,7 +17,7 @@ from cxtcat.corpus import (
     random_meet_semilattice,
     random_poset,
 )
-from cxtcat.errors import SizeGuardExceeded, ValidationError
+from cxtcat.errors import ValidationError
 from cxtcat.order import (
     ClosureOperator,
     Filter,
@@ -316,11 +316,6 @@ def test_joins_and_bottom_are_compact(seed):
             assert L.join(a, b) in K
 
 
-def test_compacts_guard():
-    with pytest.raises(SizeGuardExceeded):
-        compacts(chain_lattice(5), guard=3)
-
-
 # ---------------------------------------------------------------------------
 # ideals and completion
 
@@ -367,7 +362,7 @@ def test_ideal_completion_is_memoized_on_the_value(monkeypatch):
     assert ideal_completion(S2) == L and ideal_completion(S2) is not L
     assert len(scans) == 2
     assert S == S2 and (hash(S), repr(S)) == fresh == (hash(S2), repr(S2))
-    monkeypatch.setattr(order, "IDEAL_SCAN_GUARD", 0)  # no subset scan past guard 0
+    monkeypatch.setattr(order, "DIRECTED_SCAN_CAP", 0)  # no subset scan past guard 0
     S3 = JoinSemilattice(diamond_poset())
     other = ideal_completion(S3)
     assert other is not L and other == L and ideal_completion(S3) is other
@@ -385,9 +380,11 @@ def test_compacts_and_k_semilattice_are_memoized_on_the_value(monkeypatch):
     assert k_semilattice(L) is K
     assert k_semilattice(L2) == K and k_semilattice(L2) is not K
     assert L == L2 and hash(L) == fresh == hash(L2)
-    monkeypatch.setattr(order, "SUBSET_SCAN_GUARD", 3)
-    with pytest.raises(SizeGuardExceeded):
-        k_semilattice(FiniteLattice(diamond_poset()))
+    scans = []
+    real = order.kernels.directed_masks
+    monkeypatch.setattr(order.kernels, "directed_masks", lambda *a: scans.append(1) or real(*a))
+    monkeypatch.setattr(order, "DIRECTED_SCAN_CAP", 3)  # no cross-check past the cap
+    assert k_semilattice(FiniteLattice(diamond_poset())) == K and scans == []
 
 
 def test_principal_ideals_are_the_compact_ones():
@@ -453,7 +450,7 @@ def test_filter_lattice_is_memoized_on_the_value(monkeypatch):
     S = MeetSemilattice(diamond_poset())
     L = flt_lattice(S)
     assert flt_lattice(S) is L
-    monkeypatch.setattr(order, "IDEAL_SCAN_GUARD", 0)
+    monkeypatch.setattr(order, "DIRECTED_SCAN_CAP", 0)
     S2 = MeetSemilattice(diamond_poset())
     assert flt_lattice(S2) == L and flt_lattice(S2) is not L and flt_lattice(S) is L
     J = S.dual()

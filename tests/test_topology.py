@@ -45,6 +45,8 @@ from cxtcat.topology import (
     spectrality_check,
 )
 
+from test_mappings import m_n
+
 
 def diamond_lattice():
     return FiniteLattice(diamond_poset())
@@ -234,6 +236,18 @@ def test_diamond_intersection_compact():
     assert scott_base_and_coherence(L).ok
 
 
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_base_and_coherence_of_m_k(k):
+    """M_k (a bottom, ``k`` atoms and a top) has 2^k + 2 Scott opens, all
+    compact; the opens lattice of M_5 and M_6 passes the old 20-element
+    compacts guard."""
+    L = FiniteLattice(m_n(k).poset)
+    r = scott_base_and_coherence(L)
+    assert r.ok and r.details == ()
+    assert len(r.compact_opens) == (1 << k) + 2
+    assert set(r.compact_opens) == scott_topology(L).opens
+
+
 # ---------------------------------------------------------------------------
 # locales
 
@@ -343,7 +357,7 @@ def test_filter_queries_share_one_ideal_scan_per_value(monkeypatch):
         corollary_6_17_spaces(S)
         filters(S)
         assert len(scans) == 1
-        monkeypatch.setattr(order, "IDEAL_SCAN_GUARD", 8)
+        monkeypatch.setattr(order, "DIRECTED_SCAN_CAP", 8)
         filters(S)
         flt_lattice(S)
         assert len(scans) == 1
