@@ -31,7 +31,6 @@ from .order import (
     is_order_iso,
     k_semilattice,
     principal_ideal,
-    unit_names,
 )
 
 ENUMERATION_GUARD = 512
@@ -299,45 +298,26 @@ def idl_on_morphism(m: ApproximableMapping) -> ScottFunction:
 
 def k_on_morphism(f: ScottFunction) -> ApproximableMapping:
     """Relate compacts to the compacts below their image, whose join is the
-    value: the join table of the target's compacts folded over the
-    down-cone of ``f(a)``."""
-    src_s = k_semilattice(f.source)
-    tgt_s = k_semilattice(f.target)
-    S, T = f.source.poset, f.target.poset
-    joins = _memo(f.target, "_compact_joins", _compact_joins)
-    values = tuple(joins[T.index[f.values[S.index[a]]]] for a in src_s.elements)
-    return _trusted(ApproximableMapping, src_s, tgt_s, values)
-
-
-def _compact_joins(L: FiniteLattice) -> tuple[str, ...]:
-    """For each element of ``L``, in order, the join in ``k_semilattice(L)``
-    of the compacts below it: that join table folded over the element's
-    down-cone cut to the compacts."""
-    K = k_semilattice(L)
-    P, C = L.poset, K.poset
-    at = [C.index.get(x) for x in P.elements]  # each index of L in K, or None
-    compact = P.mask_of(C.elements)
-    join, bottom = K.join_table, C.index[K.bottom]
-    out = []
-    for cone in P.down_masks:
-        k = bottom
-        for j in _bits(cone & compact):
-            k = join[k][at[j]]
-        out.append(C.elements[k])
-    return tuple(out)
+    value.  Every element of a finite lattice is compact, so the join of the
+    compacts below ``f(a)`` is ``f(a)`` and the table is ``f``'s own."""
+    return _trusted(
+        ApproximableMapping, k_semilattice(f.source), k_semilattice(f.target), f.values
+    )
 
 
 def eta(L: FiniteLattice) -> ScottFunction:
     """The iso sending a lattice element to the ideal of compacts below it;
     the iso check runs once per value ``L``."""
-    idl_k = ideal_completion(k_semilattice(L))
+    K = k_semilattice(L)
+    idl_k = ideal_completion(K)
     _memo(L, "_eta_checked", _check_unit)
-    return _trusted(ScottFunction, L, idl_k, unit_names(L))
+    return _trusted(ScottFunction, L, idl_k, ideal_names(K))
 
 
 def _check_unit(L: FiniteLattice) -> bool:
-    idl_k = ideal_completion(k_semilattice(L))
-    if not is_order_iso(L.poset, idl_k.poset, dict(zip(L.elements, unit_names(L)))):
+    K = k_semilattice(L)
+    idl_k = ideal_completion(K)
+    if not is_order_iso(L.poset, idl_k.poset, dict(zip(L.elements, ideal_names(K)))):
         raise ValidationError("completion unit is not an order-isomorphism", law="thm4.4:eta")
     return True
 

@@ -68,21 +68,27 @@ class TopSpace:
             raise ValidationError(
                 "empty or full set missing", law="space:bounds"
             )
-        opens = sorted(self.opens, key=set_id)
-        for a in opens:
-            for b in opens:
-                if a | b not in self.opens:
-                    raise ValidationError(
-                        "opens not closed under union",
-                        law="space:unions",
-                        witness={"pair": [sorted(a), sorted(b)]},
-                    )
-                if a & b not in self.opens:
-                    raise ValidationError(
-                        "opens not closed under intersection",
-                        law="space:intersections",
-                        witness={"pair": [sorted(a), sorted(b)]},
-                    )
+        # Pairs are walked as masks, each unordered pair once: both tests
+        # are symmetric and hold on the diagonal, so the first failing pair
+        # (i, j) of the ordered walk has i < j.
+        bit = {p: 1 << i for i, p in enumerate(self.points)}
+        masks = [sum(map(bit.__getitem__, o)) for o in self.sorted_opens]
+        have = set(masks)
+        for i, a in enumerate(masks):
+            rest = masks[i + 1:]
+            if {a | b for b in rest} <= have and {a & b for b in rest} <= have:
+                continue
+            for j, b in enumerate(rest, i + 1):
+                if a | b not in have:
+                    law, what = "space:unions", "union"
+                elif a & b not in have:
+                    law, what = "space:intersections", "intersection"
+                else:
+                    continue
+                pair = [sorted(self.sorted_opens[i]), sorted(self.sorted_opens[j])]
+                raise ValidationError(
+                    f"opens not closed under {what}", law=law, witness={"pair": pair}
+                )
 
     @cached_property
     def sorted_opens(self) -> list[frozenset[str]]:
@@ -175,14 +181,20 @@ class LocalePoint:
 def scott_topology(L: FiniteLattice, guard: int | None = None) -> TopSpace:
     """The upper sets, which on a finite lattice are exactly the Scott opens.
     Up to ``order.DIRECTED_SCAN_CAP`` elements the definitional test of every
-    subset must agree.  ``guard`` defaults to ``SCOTT_GUARD``."""
+    subset must agree; a mismatch names the least subset, by ``set_id``, on
+    which the two differ.  ``guard`` defaults to ``SCOTT_GUARD``."""
     P = L.poset
     _guard("scott_topology", P.n, SCOTT_GUARD if guard is None else guard)
     masks = order._upper_set_masks(P)
-    if P.n <= order.DIRECTED_SCAN_CAP and _scott_open_scan(L) != masks:
+    scan = _scott_open_scan(L) if P.n <= order.DIRECTED_SCAN_CAP else masks
+    if scan != masks:
+        count = Counter(scan)
+        count.subtract(masks)
+        differ = min((P.set_of(m) for m, k in count.items() if k), key=set_id)
         raise ValidationError(
             "scott opens of a finite lattice are not the upper sets",
             law="scott:upper-sets",
+            witness={"open": sorted(differ)},
         )
     return TopSpace(P.elements, frozenset(P.set_of(m) for m in masks))
 

@@ -169,6 +169,39 @@ def compacts_oracle(L):
     }
 
 
+def topspace_oracle(points, opens):
+    """The ``TopSpace`` checks over frozensets: every ordered pair of opens,
+    in ``set_id`` order, is tested for its union and then its intersection."""
+    pts = set(points)
+    if len(pts) != len(points):
+        repeated = min(x for x in pts if points.count(x) > 1)
+        raise ValidationError("duplicate point", law="space:points", witness={"point": repeated})
+    for o in opens:
+        if not o <= pts:
+            raise ValidationError(
+                "open set contains unknown points",
+                law="unknown-element",
+                witness={"open": sorted(o)},
+            )
+    if frozenset() not in opens or frozenset(pts) not in opens:
+        raise ValidationError("empty or full set missing", law="space:bounds")
+    ordered = sorted(opens, key=set_id)
+    for a in ordered:
+        for b in ordered:
+            if a | b not in opens:
+                raise ValidationError(
+                    "opens not closed under union",
+                    law="space:unions",
+                    witness={"pair": [sorted(a), sorted(b)]},
+                )
+            if a & b not in opens:
+                raise ValidationError(
+                    "opens not closed under intersection",
+                    law="space:intersections",
+                    witness={"pair": [sorted(a), sorted(b)]},
+                )
+
+
 def cone_closed_masks(cones):
     """Every subset mask, in increasing order, that holds the cone of each of
     its members: the upper sets on up-cones, the lower sets on down-cones."""
@@ -444,6 +477,22 @@ def test_curry_and_uncurry_agree_off_the_chains():
 # the compacts functor and the directed-suprema scan
 
 
+def test_k_semilattice_agrees_with_the_eager_constructor():
+    """``k_semilattice`` enters ``L``'s order unchecked; the validating
+    constructor gives an equal value with the same bottom and join table."""
+    from test_order import NAME_LATTICES
+
+    calls = recorded([order, mappings], "k_semilattice", ("thm3.6", None), ("thm4.4", None))
+    assert len(calls) > 100
+    for L in {args[0] for args, _ in calls} | set(NAME_LATTICES):
+        K, want = order.k_semilattice(L), JoinSemilattice(L.poset)
+        assert K == want
+        assert (K.bottom, K.join_table) == (want.bottom, want.join_table) == (
+            L.bottom,
+            L.join_table,
+        )
+
+
 def test_compacts_functor_and_scott_scan_agree():
     specs = (("thm4.4", None),)
     kfs = recorded([laws], "k_on_morphism", *specs)
@@ -511,6 +560,60 @@ def test_upper_and_lower_sets_agree_with_the_cone_scan():
         want = sorted((P.set_of(m) for m in cone_closed_masks(P.down_masks)), key=set_id)
         assert topology.lower_sets(order.MeetSemilattice(P)) == want
         assert topology.scott_topology(L).opens == set(map(P.set_of, cone_closed_masks(P.up_masks)))
+
+
+def random_families():
+    """Families of subsets of up to five points: closures of random
+    generators under unions, intersections or both, some with one member
+    dropped or the bounds left out, and arbitrary families."""
+    rng = random.Random(23)
+    out = []
+    for _ in range(400):
+        points = tuple(f"p{i}" for i in range(rng.randint(0, 5)))
+        subsets = [
+            frozenset(p for i, p in enumerate(points) if m >> i & 1)
+            for m in range(1 << len(points))
+        ]
+        fam = {frozenset(), frozenset(points)}
+        fam.update(rng.sample(subsets, rng.randint(0, min(4, len(subsets)))))
+        ops = rng.choice([(), (frozenset.union,), (frozenset.intersection,)] + [
+            (frozenset.union, frozenset.intersection)
+        ] * 2)
+        grown = True
+        while grown and ops:
+            new = {op(a, b) for op in ops for a in fam for b in fam} - fam
+            fam |= new
+            grown = bool(new)
+        if rng.random() < 0.3 and len(fam) > 2:
+            fam.discard(rng.choice(sorted(fam, key=set_id)))
+        if rng.random() < 0.1:
+            fam.discard(frozenset())
+        out.append((points, frozenset(fam)))
+    return out
+
+
+def test_topspace_closure_agrees_with_the_frozenset_scan():
+    """The mask walk reports what the frozenset scan reports: the same law,
+    message and witness, or no failure."""
+    families = random_families()
+    for L in fixed_lattices():
+        P = L.poset
+        families.append((P.elements, frozenset(map(P.set_of, order._upper_set_masks(P)))))
+    seen = set()
+    for points, opens in families:
+        try:
+            topspace_oracle(points, opens)
+            want = None
+        except ValidationError as e:
+            want = (e.law, str(e), e.witness)
+        try:
+            topology.TopSpace(points, opens)
+            got = None
+        except ValidationError as e:
+            got = (e.law, str(e), e.witness)
+        assert got == want, (points, sorted(map(sorted, opens)))
+        seen.add(want and want[0])
+    assert seen == {None, "space:bounds", "space:unions", "space:intersections"}
 
 
 def test_compacts_agree_with_the_definitional_fold():

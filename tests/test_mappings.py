@@ -433,7 +433,7 @@ def test_eta_checks_its_iso_once_per_value(monkeypatch):
 
 
 def test_eta_refuses_a_unit_that_is_not_an_iso(monkeypatch):
-    monkeypatch.setattr(mappings, "unit_names", lambda L: order.unit_names(L)[::-1])
+    monkeypatch.setattr(mappings, "ideal_names", lambda S: order.ideal_names(S)[::-1])
     L = FiniteLattice(diamond_poset())
     for _ in range(2):  # a failed check is not remembered
         with pytest.raises(ValidationError) as exc:
@@ -460,7 +460,8 @@ def test_epsilon_inverse_composes_to_identities():
 
 # The completion functor, unit and counit written with ``set_id`` of each
 # principal ideal and each cone of compacts: the reference the name tables
-# of ``order.ideal_names`` and ``order.unit_names`` must reproduce.
+# of ``order.ideal_names`` (of ``S``, and of ``k_semilattice(L)`` for the
+# unit) must reproduce.
 
 
 def idl_on_morphism_reference(m):

@@ -89,13 +89,13 @@ def mubs_dropping_the_least(real):
 
 
 def swapped_table(real):
-    """A transpose whose table has two values swapped."""
+    """A morphism builder whose table has two values swapped."""
 
-    def transpose(m, prod, fs):
-        t = real(m, prod, fs)
+    def build(*args):
+        t = real(*args)
         return mappings._trusted(type(t), t.source, t.target, swap_values(t.values))
 
-    return transpose
+    return build
 
 
 def curry_off_the_chains(real):
@@ -112,23 +112,6 @@ def curry_off_the_chains(real):
         return mappings._trusted(type(c), c.source, c.target, tuple(vals))
 
     return curry
-
-
-def joins_skipping_one_compact(L):
-    """``mappings._compact_joins`` that leaves the first compact (by index)
-    of each down-cone out of the fold."""
-    K = order.k_semilattice(L)
-    P, C = L.poset, K.poset
-    at = [C.index.get(x) for x in P.elements]
-    compact = P.mask_of(C.elements)
-    out = []
-    for cone in P.down_masks:
-        cone &= compact
-        k = C.index[K.bottom]
-        for j in _bits(cone & (cone - 1)):
-            k = K.join_table[k][at[j]]
-        out.append(C.elements[k])
-    return tuple(out)
 
 
 def random_poset_closing_forwards(rng, n, prefix="e"):
@@ -150,16 +133,46 @@ def random_poset_closing_forwards(rng, n, prefix="e"):
     return validate_poset(els, {(els[i], els[j]) for i in range(n) for j in _bits(above[i])})
 
 
+def with_two_names_swapped(P):
+    """The order ``P`` with its first two element names swapped."""
+    els = list(P.elements)
+    els[:2] = els[1::-1]
+    return order.FinitePoset._from_masks(tuple(els), P.up_masks)
+
+
 def union_family_with_two_names_swapped(real):
     """``order._by_construction`` as the corpus calls it, on the order with
     its first two element names swapped."""
+    return lambda cls, P: real(cls, with_two_names_swapped(P))
 
-    def build(cls, P):
-        els = list(P.elements)
-        els[:2] = els[1::-1]
-        return real(cls, order.FinitePoset._from_masks(tuple(els), P.up_masks))
 
-    return build
+def k_semilattice_with_two_names_swapped(real):
+    """``order.k_semilattice`` on ``L``'s order with its first two element
+    names swapped."""
+    return lambda L: order._by_construction(
+        order.JoinSemilattice, with_two_names_swapped(real(L).poset)
+    )
+
+
+TOPSPACE_CHECKS = topology.TopSpace.__post_init__
+
+
+def opens_tested_for_unions_only(self):
+    """``TopSpace.__post_init__`` whose pair walk skips the intersection
+    test; the checks before the walk are the real ones."""
+    pts = frozenset(self.points)
+    if len(pts) != len(self.points) or not all(o <= pts for o in self.opens):
+        return TOPSPACE_CHECKS(self)
+    if not {frozenset(), pts} <= self.opens:
+        return TOPSPACE_CHECKS(self)
+    for a in self.sorted_opens:
+        for b in self.sorted_opens:
+            if a | b not in self.opens:
+                raise ValidationError(
+                    "opens not closed under union",
+                    law="space:unions",
+                    witness={"pair": [sorted(a), sorted(b)]},
+                )
 
 
 SPECTRALITY_CHECK = topology.spectrality_check
@@ -315,8 +328,14 @@ ROWS = [
     ),
     Row(
         "mappings.k_on_morphism",
-        "the first compact below each value skipped",
-        replace([mappings], "_compact_joins", joins_skipping_one_compact),
+        "two values swapped",
+        patch([mappings, laws], "k_on_morphism", swapped_table),
+        "laws thm4.4",
+    ),
+    Row(
+        "order.k_semilattice",
+        "two element names swapped",
+        patch([order, mappings], "k_semilattice", k_semilattice_with_two_names_swapped),
         "laws thm4.4",
     ),
     Row(
@@ -373,6 +392,12 @@ ROWS = [
         replace([order, topology], "is_algebraic", algebraic_but_for_the_last),
         "oracle test_is_algebraic_agrees_when_compacts_fall_short; escapes cor6.17",
     ),
+    Row(
+        "topology.TopSpace closure",
+        "the intersection test skipped",
+        lambda mp: mp.setattr(topology.TopSpace, "__post_init__", opens_tested_for_unions_only),
+        "oracle test_topspace_closure_agrees_with_the_frozenset_scan; escapes cor6.17",
+    ),
 ]
 
 
@@ -401,6 +426,8 @@ def test_the_upper_set_mutant_fails_the_scott_cross_check(monkeypatch):
     """In ``cor6.17`` the lemma reads the lower sets first and fails first;
     the Scott topology's own cross-check fails on the same mutant."""
     patch([order], "_upper_set_masks", upper_sets_without_the_full_set)(monkeypatch)
+    L = order.FiniteLattice(diamond_poset())
     with pytest.raises(ValidationError) as exc:
-        topology.scott_topology(order.FiniteLattice(diamond_poset()))
+        topology.scott_topology(L)
     assert exc.value.law == "scott:upper-sets"
+    assert exc.value.witness == {"open": sorted(L.elements)}

@@ -48,7 +48,6 @@ from cxtcat.order import (
     powerset_members,
     principal_ideal,
     theorem_3_6_isos,
-    unit_names,
     up_set,
     validate_poset,
 )
@@ -508,7 +507,7 @@ def test_unit_names_are_the_compacts_below_each_element():
     for L in NAME_LATTICES:
         kset = set(compacts(L).elements)
         want = tuple(set_id(down_set(L.poset, [x]) & kset) for x in L.elements)
-        assert unit_names(L) == want
+        assert ideal_names(k_semilattice(L)) == want
         assert set(want) == set(ideal_completion(k_semilattice(L)).elements)
 
 
