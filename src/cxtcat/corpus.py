@@ -89,14 +89,15 @@ def random_poset(rng: random.Random, n: int, prefix: str = "e") -> FinitePoset:
             if rng.random() < p:
                 above[i] |= 1 << j
     # Every drawn edge goes forward in ``order``, a linear extension, so one
-    # pass from its end closes each cone over cones already closed.
+    # pass from its end closes each cone over cones already closed.  The
+    # cones are then reflexive and transitive, and antisymmetric as no edge
+    # goes back: a partial order by construction.
     for i in reversed(order):
         cone = above[i]
         for j in _bits(cone & ~(1 << i)):
             cone |= above[j]
         above[i] = cone
-    leq = {(els[i], els[j]) for i in range(n) for j in _bits(above[i])}
-    return validate_poset(els, leq)
+    return FinitePoset._from_masks(tuple(els), above)
 
 
 def _rejection(rng: random.Random, build: Callable, tries: int = 200):

@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Callable, Iterable
 
 from . import kernels, order
-from .canon import pair_id
+from .canon import _esc
 from .errors import ValidationError
 from .order import (
     FiniteLattice,
@@ -407,18 +407,39 @@ def _sorted_picks(S: JoinSemilattice, T: JoinSemilattice) -> tuple[list, Callabl
     # holding the lowest-ranked pair they do not share comes first; a pair list
     # that is a prefix of another sorts after it, as "," < "}".  Pair (i, j) of
     # rank r among all N = |S|*|T| pairs is bit N-1-r, and the key is minus the
-    # mapping's pair mask; pm[i][v] holds the bits of the pairs (i, b), b <= v.
-    ranked = sorted(
-        (pair_id(a, b), i, j) for i, a in enumerate(P.elements) for j, b in enumerate(Q.elements)
-    )
-    bit = [[0] * Q.n for _ in range(P.n)]
-    for r, (_, i, j) in enumerate(ranked):
-        bit[i][j] = 1 << (len(ranked) - 1 - r)
-    pm = [[sum(row[b] for b in _bits(down)) for down in Q.down_masks] for row in bit]
-    picks.sort(key=lambda pick: -sum(pm[i][pick[p]] for i, p in enumerate(pos)))
+    # mapping's pair mask.  Pairs rank by first name, then by second, so r is
+    # |T|*rank_S(i) + rank_T(j), and the bits of the pairs (i, b), b <= v,
+    # are the down-cone bits of v over T shifted by |T|*(|S|-1-rank_S(i)).
+    cone_bits = _memo(Q, "_pair_cone_bits", _pair_cone_bits)
+    ranks = _memo(P, "_pair_ranks", lambda P: _pair_ranks(P, ","))
+    rows = [None] * P.n
+    for i, p in enumerate(pos):
+        shift = (P.n - 1 - ranks[i]) * Q.n
+        rows[p] = [bits << shift for bits in cone_bits]
+    picks.sort(key=lambda pick: -sum(map(list.__getitem__, rows, pick)))
     els = Q.elements
 
     def build(pick) -> ApproximableMapping:
         return _trusted(ApproximableMapping, S, T, tuple(els[pick[p]] for p in pos))
 
     return picks, build
+
+
+def _pair_ranks(P: FinitePoset, end: str) -> list[int]:
+    """The rank of each element of ``P`` among its names as written in pair
+    ids: ``_esc(a) + ","`` as a first name, ``_esc(b) + ")"`` as a second
+    (``end``).  ``_esc`` escapes both ends, so two such keys first differ
+    before either end, and the rank of a pair is its first name's rank,
+    then its second's."""
+    keys = [_esc(x) + end for x in P.elements]
+    ranks = [0] * P.n
+    for r, i in enumerate(sorted(range(P.n), key=keys.__getitem__)):
+        ranks[i] = r
+    return ranks
+
+
+def _pair_cone_bits(Q: FinitePoset) -> list[int]:
+    """For each element ``v`` of ``Q``, the second names ``b <= v`` as a
+    mask, the second name of rank ``r`` at bit ``|Q|-1-r``."""
+    ranks = _pair_ranks(Q, ")")
+    return [sum(1 << (Q.n - 1 - ranks[b]) for b in _bits(down)) for down in Q.down_masks]

@@ -690,43 +690,72 @@ def principal_ideal(P: FinitePoset, x: str) -> frozenset[str]:
 
 
 def ideals(S: JoinSemilattice) -> tuple[Ideal, ...]:
-    """All ideals, sorted by canonical encoding; memoized on ``S``.
-
-    Up to ``DIRECTED_SCAN_CAP`` elements the family is found by the
-    definitional subset scan and checked against the principal family; in a
-    finite order the two always coincide.
-    """
-    return _memo(S, "_ideals", _scan_ideals)
+    """All ideals, sorted by canonical encoding, ties by element index;
+    memoized on ``S``.  In a finite order every ideal is the principal
+    ideal of its supremum; ``_principal_check`` cross-checks this."""
+    return _memo(S, "_ideals", _principal_ideals)
 
 
-def _scan_ideals(S: JoinSemilattice) -> tuple[Ideal, ...]:
+def _principal_ideals(S: JoinSemilattice) -> tuple[Ideal, ...]:
+    _memo(S, "_principal_check", _principal_check)
     P = S.poset
-    principal = {principal_ideal(P, x) for x in P.elements}
+    return tuple(Ideal(P, P.set_of(P.down_masks[i])) for i in _ideal_order(S))
+
+
+def _principal_check(S: JoinSemilattice) -> bool:
+    """Up to ``DIRECTED_SCAN_CAP`` elements the definitional subset scan
+    must find exactly the down-cones; it runs once per value ``S``, for the
+    ideals and the completion alike, and names only a failure's witness."""
+    P = S.poset
     if P.n <= DIRECTED_SCAN_CAP:
-        scanned = {
-            P.set_of(m) for m in kernels.ideal_masks(P.down_masks, P.up_masks)
-        }
-        if scanned != principal:
+        scanned = set(kernels.ideal_masks(P.down_masks, P.up_masks))
+        differ = scanned ^ set(P.down_masks)
+        if differ:
             raise ValidationError(
                 "non-principal ideal found in a finite order",
                 law="ideal:principal",
-                witness={"extra": sorted(set_id(s) for s in scanned ^ principal)},
+                witness={"extra": sorted(set_id(P.set_of(m)) for m in differ)},
             )
-    return tuple(Ideal(P, m) for m in sorted(principal, key=set_id))
+    return True
+
+
+def _ideal_order(S: JoinSemilattice) -> list[int]:
+    """The elements of ``S`` by the names of their principal ideals, ties
+    (names ``set_id`` does not tell apart) by index."""
+    return sorted(range(S.poset.n), key=ideal_names(S).__getitem__)
 
 
 def ideal_completion(S: JoinSemilattice) -> FiniteLattice:
     """Lattice of all ideals under inclusion; meets are intersections, joins
     are the least ideals containing the union.
 
-    Memoized on ``S``, so the ideal scan and its checks run once for each
-    semilattice value.
+    Every ideal of a finite order is principal, and ``down(a) <= down(b)``
+    exactly when ``a <= b``, so the completion is the order of ``S`` with
+    each ``a`` renamed to ``down(a)``, listed in name order.  Memoized on
+    ``S``; the ideal scan of ``_principal_check`` runs once per value.
     """
     return _memo(S, "_ideal_completion", _build_ideal_completion)
 
 
 def _build_ideal_completion(S: JoinSemilattice) -> FiniteLattice:
-    return lattice_from_sets(i.members for i in ideals(S))[0]
+    _memo(S, "_principal_check", _principal_check)
+    P, names, order = S.poset, ideal_names(S), _ideal_order(S)
+    at = [0] * P.n
+    for k, i in enumerate(order):
+        at[i] = k
+
+    def moved(cone: int) -> int:
+        m = 0
+        for j in _bits(cone):
+            m |= 1 << at[j]
+        return m
+
+    R = FinitePoset._from_masks(
+        tuple(names[i] for i in order),
+        [moved(P.up_masks[i]) for i in order],
+        [moved(P.down_masks[i]) for i in order],
+    )
+    return _by_construction(FiniteLattice, R)
 
 
 def ideal_names(S: JoinSemilattice) -> tuple[str, ...]:

@@ -51,12 +51,8 @@ class TopSpace:
     opens: frozenset[frozenset[str]]
 
     def __post_init__(self):
+        _check_points(self.points)
         pts = set(self.points)
-        if len(pts) != len(self.points):
-            repeated = min(x for x, k in Counter(self.points).items() if k > 1)
-            raise ValidationError(
-                "duplicate point", law="space:points", witness={"point": repeated}
-            )
         for o in self.opens:
             if not o <= pts:
                 raise ValidationError(
@@ -93,6 +89,24 @@ class TopSpace:
     @cached_property
     def sorted_opens(self) -> list[frozenset[str]]:
         return sorted(self.opens, key=set_id)
+
+
+def _check_points(points: tuple[str, ...]) -> None:
+    if len(set(points)) != len(points):
+        repeated = min(x for x, k in Counter(points).items() if k > 1)
+        raise ValidationError("duplicate point", law="space:points", witness={"point": repeated})
+
+
+def _upper_set_space(P: FinitePoset, masks: list[int]) -> TopSpace:
+    """``TopSpace`` of the upper sets of ``P``, given as masks.  They hold
+    the empty and the full set and are closed under unions and
+    intersections, so only the points are checked (a lattice built from
+    sets may repeat a name); ``tests/`` rebuilds every such space through
+    the public constructor."""
+    _check_points(P.elements)
+    T = object.__new__(TopSpace)
+    T.__dict__.update(points=P.elements, opens=frozenset(map(P.set_of, masks)))
+    return T
 
 
 @dataclass(frozen=True)
@@ -196,7 +210,7 @@ def scott_topology(L: FiniteLattice, guard: int | None = None) -> TopSpace:
             law="scott:upper-sets",
             witness={"open": sorted(differ)},
         )
-    return TopSpace(P.elements, frozenset(P.set_of(m) for m in masks))
+    return _upper_set_space(P, masks)
 
 
 def _scott_open_scan(L: FiniteLattice) -> list[int]:

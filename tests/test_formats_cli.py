@@ -26,7 +26,7 @@ from cxtcat.corpus import (
 from cxtcat.errors import FormatError, ValidationError
 from cxtcat.logic import close_entailment
 from cxtcat.mappings import enumerate_mappings, identity_mapping
-from cxtcat.order import JoinSemilattice, validate_poset
+from cxtcat.order import JoinSemilattice, ideal_completion, validate_poset
 from cxtcat.topology import TopSpace, scott_topology
 from cxtcat.order import FiniteLattice
 
@@ -639,6 +639,33 @@ def test_idl_and_compacts(files, capsys):
     assert len(lat.elements) == 2
     assert main(["compacts", str(files["poset"])]) == 0
     assert capsys.readouterr().out.splitlines() == ["c0", "c1"]
+
+
+def test_idl_names_colliding_ideals_in_element_order(tmp_path):
+    """In this poset ``down(b)`` and ``down(a,b)`` are both named
+    ``{0,a,b}``, as ``set_id`` does not escape the comma.  The completion
+    lists such ideals in the element order of the source, ``down(b)``
+    first, so ``idl`` writes the same bytes whatever the hash seed.  The
+    names still collide."""
+    els = ("0", "a", "b", "a,b", "t")
+    leq = {(x, x) for x in els} | {("0", x) for x in els} | {(x, "t") for x in els}
+    P = validate_poset(els, leq | {("a", "b")})
+    L = ideal_completion(JoinSemilattice(P))
+    assert L.elements == ("{0,a,a,b,b,t}", "{0,a,b}", "{0,a,b}", "{0,a}", "{0}")
+    assert L.poset.up_masks[3] == 0b1011  # {0,a} lies below down(b), at 1
+    src = tmp_path / "collide.json"
+    src.write_text(formats.dump_poset(P))
+    env = dict(os.environ, PYTHONPATH=str(Path(formats.__file__).parents[1]))
+    outs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"idl{hash_seed}.json"
+        run = subprocess.run(
+            [sys.executable, "-m", "cxtcat", "idl", str(src), "-o", str(out)],
+            env=dict(env, PYTHONHASHSEED=hash_seed), capture_output=True, text=True,
+        )
+        assert run.returncode == 0, run.stderr
+        outs.append(out.read_text())
+    assert outs[0] == outs[1] == formats.dump_poset(L.poset)
 
 
 def test_compacts_of_a_64_chain_are_every_element(files, capsys):

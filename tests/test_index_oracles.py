@@ -16,7 +16,7 @@ from itertools import combinations
 import pytest
 
 from cxtcat import category, corpus, kernels, laws, logic, mappings, order, topology
-from cxtcat.canon import set_id
+from cxtcat.canon import pair_id, set_id
 from cxtcat.category import funcspace, product
 from cxtcat.context import alg_lattice, attr_closure, sem_lattice
 from cxtcat.corpus import chain_context, chain_poset, diamond_poset, k2_context, m3_poset
@@ -746,3 +746,64 @@ def test_union_closed_semilattices_agree_with_the_validated_build():
         want = check_replay_agrees(random_join_semilattice_oracle, *draw)
         got = draw[2]
         assert (got.bottom, got.join_table) == (want.bottom, want.join_table)
+
+
+# ---------------------------------------------------------------------------
+# completions and the order of enumerated mappings
+
+
+def ideal_completion_oracle(S):
+    """The ideals of ``S`` found by the definitional subset scan, named by
+    ``set_id``, ordered by inclusion of their members and validated by the
+    public constructors."""
+    P = S.poset
+    ideals = {set_id(s): s for s in map(P.set_of, kernels.ideal_masks(P.down_masks, P.up_masks))}
+    els = tuple(sorted(ideals))
+    leq = {(a, b) for a in els for b in els if ideals[a] <= ideals[b]}
+    return FiniteLattice(validate_poset(els, leq))
+
+
+def test_completions_agree_with_the_inclusion_build():
+    """``S`` renamed is the completion the scan finds, on every semilattice
+    whose completion ``thm3.6``, ``thm4.4`` and ``cor6.17`` build at seeds
+    1-3 and on the fixed lattices (``tests/test_closure_builds.py`` draws
+    random ones)."""
+    calls = recorded(
+        [order], "_build_ideal_completion", ("thm3.6", None), ("thm4.4", None), ("cor6.17", None)
+    )
+    assert len(calls) > 300
+    for S in [args[0] for args, _ in calls] + [L.as_join_semilattice() for L in fixed_lattices()]:
+        L, want = order.ideal_completion(S), ideal_completion_oracle(S)
+        assert L == want and (L.bottom, L.top) == (want.bottom, want.top)
+        P = S.poset
+        assert order.ideal_names(S) == tuple(set_id(down_set(P, [a])) for a in P.elements)
+
+
+# Names that need escaping, the empty name, characters below "," and ")",
+# and names that are prefixes of each other: their order as names differs
+# from the order of their escaped forms inside a pair id.
+ODD_NAMES = (
+    "", ",", "(", ")", "\\", " ", "!", "+", "}", "a", "a ", "a!", "a+", "a,", "a(", "a)",
+    "a\\", "a,b", "ab", "b",
+)
+
+
+def renamed(S, names):
+    """``S`` with element ``i`` named ``names[i]``, through the public
+    constructors."""
+    P = S.poset
+    leq = {(names[i], names[j]) for i, cone in enumerate(P.up_masks) for j in order._bits(cone)}
+    return JoinSemilattice(validate_poset(names, leq))
+
+
+def test_enumerated_mappings_sort_as_their_pair_set_names():
+    """``enumerate_mappings`` lists the mappings as sorting them by the
+    ``set_id`` of their ``pair_id``s does, on semilattices whose names need
+    escaping or sort apart from their escaped forms."""
+    rng = random.Random(25)
+    for _ in range(200):
+        S, T = (corpus.random_join_semilattice(rng, 5) for _ in range(2))
+        S, T = (renamed(X, tuple(rng.sample(ODD_NAMES, X.poset.n))) for X in (S, T))
+        got = enumerate_mappings(S, T)
+        want = sorted(got, key=lambda m: set_id(pair_id(a, b) for a, b in m.pairs))
+        assert got == want, (S.elements, T.elements)

@@ -1,7 +1,9 @@
 """Mutants the checks must catch: one row per law check or corpus build
 that works on index tables, and per finite theorem that serves as an engine
-(``compacts`` is the lattice, upper and lower sets come from the monotone-map
-search) or definitional fold that cross-checks one.
+(``compacts`` is the lattice, the ideal completion is the semilattice
+renamed, upper and lower sets come from the monotone-map search and enter
+their space unchecked, the order of a hom-set is read off per-element
+ranks) or definitional fold that cross-checks one.
 
 Each row patches one seeded mutant into such a path and names what catches
 it: either a law suite, run through the command line at default settings,
@@ -22,7 +24,7 @@ from cxtcat import category, corpus, laws, logic, mappings, order, topology
 from cxtcat.cli import main
 from cxtcat.corpus import diamond_poset
 from cxtcat.errors import ValidationError
-from cxtcat.order import _bits, validate_poset
+from cxtcat.order import _bits
 
 
 def swap_two(table):
@@ -116,7 +118,8 @@ def curry_off_the_chains(real):
 
 def random_poset_closing_forwards(rng, n, prefix="e"):
     """``corpus.random_poset`` whose closure pass runs from the start of the
-    linear extension, so a cone can be read before it is closed."""
+    linear extension, so a cone can be read before it is closed and the
+    masks it enters need not be transitive."""
     els = [f"{prefix}{i}" for i in range(n)]
     rank = list(range(n))
     rng.shuffle(rank)
@@ -130,7 +133,50 @@ def random_poset_closing_forwards(rng, n, prefix="e"):
     for i in ordered:
         for j in _bits(above[i] & ~(1 << i)):
             above[i] |= above[j]
-    return validate_poset(els, {(els[i], els[j]) for i in range(n) for j in _bits(above[i])})
+    return order.FinitePoset._from_masks(tuple(els), above)
+
+
+def completion_with_two_positions_swapped(S):
+    """``order._build_ideal_completion`` whose cones are moved by the name
+    order with its first two positions swapped, while the names keep their
+    places: two ideals trade cones."""
+    P, names, perm = S.poset, order.ideal_names(S), order._ideal_order(S)
+    swapped = list(perm)
+    swapped[:2] = swapped[1::-1]
+    at = [0] * P.n
+    for k, i in enumerate(swapped):
+        at[i] = k
+
+    def moved(cone):
+        m = 0
+        for j in _bits(cone):
+            m |= 1 << at[j]
+        return m
+
+    R = order.FinitePoset._from_masks(
+        tuple(names[i] for i in perm),
+        [moved(P.up_masks[i]) for i in perm],
+        [moved(P.down_masks[i]) for i in perm],
+    )
+    return order._by_construction(order.FiniteLattice, R)
+
+
+def first_name_ranks_with_two_swapped(real):
+    """``mappings._pair_ranks`` with the first two different ranks of the
+    first names swapped."""
+    return lambda P, end: list(swap_values(real(P, end))) if end == "," else real(P, end)
+
+
+def upper_set_space_without_the_largest_proper_open(real):
+    """``topology._upper_set_space`` that drops the largest upper set short
+    of the full set, so the opens are no longer closed under unions."""
+
+    def build(P, masks):
+        full = (1 << P.n) - 1
+        drop = max((m for m in masks if m != full), default=None)
+        return real(P, [m for m in masks if m != drop])
+
+    return build
 
 
 def with_two_names_swapped(P):
@@ -354,7 +400,19 @@ ROWS = [
         "corpus.random_poset",
         "the closure pass runs forwards",
         replace([corpus], "random_poset", random_poset_closing_forwards),
+        "oracle test_random_poset_closure_agrees_with_the_set_fixpoint; escapes thm3.6, thm4.4, cor6.17",
+    ),
+    Row(
+        "order.ideal_completion",
+        "two positions of the name order swapped in the cones",
+        replace([order], "_build_ideal_completion", completion_with_two_positions_swapped),
         "laws thm3.6",
+    ),
+    Row(
+        "mappings._sorted_picks ranks",
+        "two first-name ranks swapped",
+        patch([mappings], "_pair_ranks", first_name_ranks_with_two_swapped),
+        "oracle test_enumerated_mappings_sort_as_their_pair_set_names; escapes every suite",
     ),
     Row(
         "order.compacts",
@@ -391,6 +449,12 @@ ROWS = [
         "the last element left out of the check",
         replace([order, topology], "is_algebraic", algebraic_but_for_the_last),
         "oracle test_is_algebraic_agrees_when_compacts_fall_short; escapes cor6.17",
+    ),
+    Row(
+        "topology._upper_set_space",
+        "the largest proper upper set dropped",
+        patch([topology], "_upper_set_space", upper_set_space_without_the_largest_proper_open),
+        "laws cor6.17",
     ),
     Row(
         "topology.TopSpace closure",

@@ -34,6 +34,7 @@ from cxtcat.order import (
     flt_lattice,
     ideal_completion,
     ideal_names,
+    ideals,
     is_algebraic,
     is_distributive,
     is_order_iso,
@@ -366,6 +367,25 @@ def test_ideal_completion_is_memoized_on_the_value(monkeypatch):
     other = ideal_completion(S3)
     assert other is not L and other == L and ideal_completion(S3) is other
     assert ideal_completion(S) is L and len(scans) == 2
+
+
+@pytest.mark.parametrize("query", [ideals, ideal_completion])
+def test_a_non_principal_ideal_is_named(monkeypatch, query):
+    """A scan that finds a lower set that is not a down-cone, or misses a
+    down-cone, stops the ideals and the completion alike with
+    ``ideal:principal``, naming every set found on one side only."""
+    from cxtcat import order
+
+    real = order.kernels.ideal_masks
+    # bit order of the diamond: bot, a, b, top; 0b0111 is {a,b,bot}, 0b0011 {a,bot}
+    monkeypatch.setattr(
+        order.kernels, "ideal_masks", lambda *a: [m for m in real(*a) if m != 0b0011] + [0b0111]
+    )
+    with pytest.raises(ValidationError) as exc:
+        query(JoinSemilattice(diamond_poset()))
+    assert exc.value.law == "ideal:principal"
+    assert str(exc.value) == "non-principal ideal found in a finite order"
+    assert exc.value.witness == {"extra": ["{a,b,bot}", "{a,bot}"]}
 
 
 def test_compacts_and_k_semilattice_are_memoized_on_the_value(monkeypatch):

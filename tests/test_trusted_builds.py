@@ -1,11 +1,12 @@
-"""Morphisms and locales that are sound by construction skip the public
-checks: the mapping and Scott-function builders enter their tables through
-``mappings._trusted``, and the lower-set locale skips the subset form of the
-frame law.  Every trusted output the law suites build is rebuilt here
+"""Morphisms, locales and Scott spaces that are sound by construction skip
+the public checks: the mapping and Scott-function builders enter their
+tables through ``mappings._trusted``, the lower-set locale skips the subset
+form of the frame law, and ``scott_topology`` skips the closure walk of
+``TopSpace``.  Every trusted output the law suites build is rebuilt here
 through the public constructor, each Scott function also passes the
 definitional directed-suprema scan, each lower-set locale passes the full
-frame law, and a trusted builder that swaps two values of its table makes
-its law fail."""
+frame law, each Scott space passes ``TopSpace(...)``, and a trusted builder
+that swaps two values of its table makes its law fail."""
 
 import gc
 import random
@@ -13,7 +14,7 @@ import sys
 
 import pytest
 
-from cxtcat import category, laws, mappings, topology
+from cxtcat import category, laws, mappings, order, topology
 from cxtcat.category import ProductContext, bang
 from cxtcat.cli import main
 from cxtcat.corpus import corpus, random_join_semilattice, random_meet_semilattice
@@ -121,6 +122,26 @@ def test_every_lower_set_locale_meets_the_full_frame_law(monkeypatch):
     for loc in built:
         assert frame_law_breach(loc.lattice) is None
         assert Locale(loc.lattice) == loc
+
+
+def test_every_scott_topology_passes_the_public_space_checks(monkeypatch):
+    """``scott_topology`` enters the upper sets without the pairwise closure
+    check; rebuilt through ``TopSpace(...)``, each space passes it.  M12 is
+    at ``SCOTT_GUARD``; its definitional scan is skipped here, as it is
+    tested apart and does not change the space."""
+    from cxtcat.corpus import chain_poset, diamond_poset, m3_poset, random_lattice
+    from test_index_oracles import n5_poset
+    from test_mappings import m_n
+
+    rng = random.Random(24)
+    fixed = [chain_poset(n) for n in range(1, 11)] + [diamond_poset(), m3_poset(), n5_poset()]
+    lattices = [FiniteLattice(P) for P in fixed] + [random_lattice(rng, 9) for _ in range(50)]
+    spaces = [topology.scott_topology(L) for L in lattices]
+    monkeypatch.setattr(order, "DIRECTED_SCAN_CAP", 0)
+    spaces.append(topology.scott_topology(FiniteLattice(m_n(12).poset)))
+    assert len(spaces[-1].opens) == 4098
+    for T in spaces:
+        assert topology.TopSpace(T.points, T.opens) == T
 
 
 def test_the_public_locale_keeps_both_checks():
