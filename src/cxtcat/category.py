@@ -156,32 +156,23 @@ def product(P: FormalContext, Q: FormalContext) -> ProductContext:
     attributes = tuple(tag_left(a) for a in P.attributes) + tuple(
         tag_right(a) for a in Q.attributes
     )
-    incidence = set()
-    for o, a in P.incidence:
-        incidence.add((tag_left(o), tag_left(a)))
-    for o, a in Q.incidence:
-        incidence.add((tag_right(o), tag_right(a)))
-    for o in P.objects:
-        for a in Q.attributes:
-            incidence.add((tag_left(o), tag_right(a)))
-    for o in Q.objects:
-        for a in P.attributes:
-            incidence.add((tag_right(o), tag_left(a)))
-    return ProductContext(make_context(objects, attributes, incidence), P, Q)
+    # Left attributes take the low bits and right ones the bits above them;
+    # each side's objects bear every attribute of the other side.
+    shift = len(P.attributes)
+    right_full = Q.full_attr_mask << shift
+    rows = tuple(r | right_full for r in P.rows) + tuple(
+        P.full_attr_mask | r << shift for r in Q.rows
+    )
+    return ProductContext(FormalContext._from_rows(objects, attributes, rows), P, Q)
 
 
 def plus(P: FormalContext) -> FormalContext:
     """Adjoin a full row and a full column; no concept is empty afterwards."""
     g = fresh_id("g", P.objects)
     m = fresh_id("m", P.attributes)
-    objects = P.objects + (g,)
-    attributes = P.attributes + (m,)
-    incidence = set(P.incidence)
-    for a in attributes:
-        incidence.add((g, a))
-    for o in objects:
-        incidence.add((o, m))
-    return make_context(objects, attributes, incidence)
+    col = 1 << len(P.attributes)
+    rows = tuple(r | col for r in P.rows) + (2 * col - 1,)
+    return FormalContext._from_rows(P.objects + (g,), P.attributes + (m,), rows)
 
 
 @dataclass(frozen=True)
@@ -244,16 +235,14 @@ def tensor(P: FormalContext, Q: FormalContext) -> TensorContext:
     Pp, Qp = plus(P), plus(Q)
     objects = tuple(pair_id(o1, o2) for o1 in Pp.objects for o2 in Qp.objects)
     attributes = tuple(pair_id(a1, a2) for a1 in Pp.attributes for a2 in Qp.attributes)
-    incidence = set()
-    for o1 in Pp.objects:
-        for o2 in Qp.objects:
-            for a1 in Pp.attributes:
-                if (o1, a1) not in Pp.incidence:
-                    continue
-                for a2 in Qp.attributes:
-                    if (o2, a2) in Qp.incidence:
-                        incidence.add((pair_id(o1, o2), pair_id(a1, a2)))
-    return TensorContext(make_context(objects, attributes, incidence), P, Q, Pp, Qp)
+    # Attribute (a1, a2) is bit a1 * width + a2: object (o1, o2) bears the
+    # row of o2 in the block of each attribute of o1.
+    width = len(Qp.attributes)
+    blocks = [[i * width for i in range(len(Pp.attributes)) if r >> i & 1] for r in Pp.rows]
+    rows = tuple(
+        sum(r2 << shift for shift in block) for block in blocks for r2 in Qp.rows
+    )
+    return TensorContext(FormalContext._from_rows(objects, attributes, rows), P, Q, Pp, Qp)
 
 
 # ---------------------------------------------------------------------------
@@ -376,22 +365,18 @@ class FunctionSpaceContext:
         attrs = self.attributes
         cap = LITERAL_OBJECT_GUARD if guard is None else guard
         _guard("funcspace literal objects", len(attrs), cap)
-        sp, sq = self.left_sem, self.right_sem
-        spo, sqo = sp.semilattice, sq.semilattice
-        objects = []
-        obj_members = []
+        spo, sqo = self.left_sem.semilattice, self.right_sem.semilattice
+        pairs = tuple(self.attr_pairs.values())
+        objects, rows = [], []
         for m in range(1 << len(attrs)):
-            members = frozenset(a for i, a in enumerate(attrs) if m >> i & 1)
-            objects.append(set_id(members))
-            obj_members.append(members)
-        incidence = set()
-        for oname, members in zip(objects, obj_members):
-            pairs = [self.attr_pairs[a] for a in members]
-            for aname, (a, b) in self.attr_pairs.items():
-                hit = sqo.join_all(bi for ai, bi in pairs if spo.le(ai, a))
-                if sqo.le(b, hit):
-                    incidence.add((oname, aname))
-        return make_context(objects, attrs, incidence)
+            objects.append(set_id(a for i, a in enumerate(attrs) if m >> i & 1))
+            mine = [p for i, p in enumerate(pairs) if m >> i & 1]
+            row = 0
+            for j, (a, b) in enumerate(pairs):
+                if sqo.le(b, sqo.join_all(bi for ai, bi in mine if spo.le(ai, a))):
+                    row |= 1 << j
+            rows.append(row)
+        return FormalContext._from_rows(tuple(objects), attrs, tuple(rows))
 
 
 def funcspace(P: FormalContext, Q: FormalContext) -> FunctionSpaceContext:

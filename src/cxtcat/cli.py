@@ -156,8 +156,7 @@ def cmd_validate(args) -> int:
 def cmd_concepts(args) -> int:
     # Sem and Alg have the same elements on a finite context, so ``--which``
     # picks no different list; neither order is built.
-    for name in concept_names(_load_context(args.file)):
-        print(name)
+    sys.stdout.write("".join(name + "\n" for name in concept_names(_load_context(args.file))))
     return EXIT_OK
 
 

@@ -33,25 +33,38 @@ APPROX_CLOSURE_GUARD = 16
 CLOSED_SET_GUARD = 512
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FormalContext:
-    """Objects, attributes, and which object bears which attribute."""
+    """Objects, attributes, and which object bears which attribute.
+
+    The incidence is held as one attribute mask per object, aligned with
+    ``objects``: bit ``j`` of ``rows[i]`` says that object ``i`` bears
+    attribute ``j``.  Equality and hashing read the rows.  The public
+    constructor takes ``(object, attribute)`` pairs and checks the names and
+    the pairs; builders whose rows are sound by construction enter them
+    through ``_from_rows``, which checks the names only.
+    """
 
     objects: tuple[str, ...]
     attributes: tuple[str, ...]
-    incidence: frozenset[tuple[str, str]]
+    rows: tuple[int, ...]
 
-    def __post_init__(self):
-        for name, seq in (("object", self.objects), ("attribute", self.attributes)):
-            seen = set()
-            for x in seq:
-                if x in seen:
-                    raise ValidationError(
-                        f"duplicate {name} {x!r}", law="context:duplicates", witness={"element": x}
-                    )
-                seen.add(x)
-        objs, attrs = set(self.objects), set(self.attributes)
-        bad = [(o, a) for o, a in self.incidence if o not in objs or a not in attrs]
+    def __init__(
+        self,
+        objects: Iterable[str],
+        attributes: Iterable[str],
+        incidence: Iterable[tuple[str, str]],
+    ):
+        self._set_names(objects, attributes)
+        oi, ai = self.obj_index, self.attr_index
+        rows = [0] * len(self.objects)
+        bad = []
+        for o, a in incidence:
+            i, j = oi.get(o), ai.get(a)
+            if i is None or j is None:
+                bad.append((o, a))
+            else:
+                rows[i] |= 1 << j
         if bad:
             o, a = min(bad)
             raise ValidationError(
@@ -59,6 +72,45 @@ class FormalContext:
                 law="unknown-element",
                 witness={"pair": [o, a]},
             )
+        object.__setattr__(self, "rows", tuple(rows))
+
+    @classmethod
+    def _from_rows(
+        cls, objects: tuple[str, ...], attributes: tuple[str, ...], rows: tuple[int, ...]
+    ) -> FormalContext:
+        """The context with these rows, for builders whose rows are masks over
+        ``attributes`` by construction; only the names are checked."""
+        P = object.__new__(cls)
+        P._set_names(objects, attributes)
+        object.__setattr__(P, "rows", rows)
+        return P
+
+    def _set_names(self, objects: Iterable[str], attributes: Iterable[str]) -> None:
+        """Set ``objects`` and ``attributes``, refusing a repeated name
+        (``context:duplicates``, objects first)."""
+        for field, seq in (("objects", tuple(objects)), ("attributes", tuple(attributes))):
+            if len(set(seq)) != len(seq):
+                seen = set()
+                for x in seq:
+                    if x in seen:
+                        raise ValidationError(
+                            f"duplicate {field[:-1]} {x!r}",
+                            law="context:duplicates",
+                            witness={"element": x},
+                        )
+                    seen.add(x)
+            object.__setattr__(self, field, seq)
+
+    @cached_property
+    def incidence(self) -> frozenset[tuple[str, str]]:
+        """The ``(object, attribute)`` pairs of the rows."""
+        attrs = self.attributes
+        return frozenset(
+            (o, a)
+            for o, r in zip(self.objects, self.rows)
+            for j, a in enumerate(attrs)
+            if r >> j & 1
+        )
 
     @cached_property
     def obj_index(self) -> dict[str, int]:
@@ -74,21 +126,13 @@ class FormalContext:
         ai = self.attr_index
         return tuple((a, 1 << ai[a]) for a in sorted(self.attributes))
 
-    @cached_property
-    def rows(self) -> list[int]:
-        """Attribute mask of each object, aligned with ``objects``."""
-        masks = [0] * len(self.objects)
-        ai = self.attr_index
-        for o, a in self.incidence:
-            masks[self.obj_index[o]] |= 1 << ai[a]
-        return masks
-
     @property
     def full_attr_mask(self) -> int:
         return (1 << len(self.attributes)) - 1
 
     def has(self, o: str, a: str) -> bool:
-        return (o, a) in self.incidence
+        i, j = self.obj_index.get(o), self.attr_index.get(a)
+        return i is not None and j is not None and bool(self.rows[i] >> j & 1)
 
     def attr_mask(self, ys: Iterable[str]) -> int:
         ai = self.attr_index
@@ -108,7 +152,7 @@ class FormalContext:
 def make_context(
     objects: Iterable[str], attributes: Iterable[str], incidence: Iterable[tuple[str, str]]
 ) -> FormalContext:
-    return FormalContext(tuple(objects), tuple(attributes), frozenset(tuple(p) for p in incidence))
+    return FormalContext(objects, attributes, incidence)
 
 
 def alpha(P: FormalContext, xs: Iterable[str]) -> frozenset[str]:
@@ -302,8 +346,8 @@ def context_of_semilattice(S: JoinSemilattice) -> FormalContext:
     """The context whose objects and attributes are the elements of ``S`` and
     whose incidence is the greater-or-equal relation."""
     elems = S.elements
-    incidence = frozenset((o, a) for o in elems for a in elems if S.le(a, o))
-    return FormalContext(elems, elems, incidence)
+    # Object ``o`` bears ``a`` exactly when ``a <= o``: its row is its down-cone.
+    return FormalContext._from_rows(elems, elems, S.poset.down_masks)
 
 
 def attr_closure_operator(P: FormalContext) -> ClosureOperator:

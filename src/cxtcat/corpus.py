@@ -12,6 +12,7 @@ from typing import Callable, TypeVar
 
 from .canon import set_id
 from .context import FormalContext, closed_masks, make_context
+from .errors import ValidationError
 from .logic import InformationSystem, close_entailment
 from .order import (
     FiniteLattice,
@@ -129,7 +130,7 @@ def random_join_semilattice(rng: random.Random, max_n: int) -> JoinSemilattice:
         P = random_poset(rng, rng.randint(1, max_n))
         try:
             return JoinSemilattice(P)
-        except Exception:
+        except ValidationError:
             return None
 
     return _rejection(rng, build)
@@ -148,7 +149,7 @@ def random_lattice(rng: random.Random, max_n: int) -> FiniteLattice:
         P = random_poset(rng, rng.randint(1, max_n))
         try:
             return FiniteLattice(P)
-        except Exception:
+        except ValidationError:
             return None
 
     return _rejection(rng, build)
@@ -159,13 +160,12 @@ def random_context(
 ) -> FormalContext:
     n_o = rng.randint(1, max_objects)
     n_a = rng.randint(1, max_attributes)
-    objects = [f"o{i}" for i in range(n_o)]
-    attributes = [f"a{i}" for i in range(n_a)]
+    objects = tuple(f"o{i}" for i in range(n_o))
+    attributes = tuple(f"a{i}" for i in range(n_a))
     p = rng.uniform(0.2, 0.8)
-    incidence = {
-        (o, a) for o in objects for a in attributes if rng.random() < p
-    }
-    return make_context(objects, attributes, incidence)
+    # One draw per (object, attribute), objects outer, attributes inner.
+    rows = tuple(sum(1 << j for j in range(n_a) if rng.random() < p) for _ in range(n_o))
+    return FormalContext._from_rows(objects, attributes, rows)
 
 
 def random_context_with_sem_at_most(

@@ -147,21 +147,31 @@ def detect_kind(text: str) -> str:
 # posets / semilattices
 
 
+def _in_name_order(elements: tuple[str, ...]) -> bool:
+    return all(a < b for a, b in zip(elements, elements[1:]))
+
+
 def _poset_members(P: FinitePoset, depth: int) -> dict[str, str]:
     """The written ``elements`` and ``leq`` of ``P``, ``depth`` levels deep:
     names in name order, and the order as ``[a, b]`` pairs sorted by name,
-    read off the up-masks.  Each name is quoted once."""
+    read off the up-masks.  Each name is quoted once.  When the elements
+    are in name order already, as those of every concept poset are, the bits
+    of a cone come out in name order and are not sorted."""
     els = P.elements
-    order = sorted(range(P.n), key=els.__getitem__)
+    rank = None
+    if _in_name_order(els):
+        order = range(P.n)
+    else:
+        order = sorted(range(P.n), key=els.__getitem__)
+        rank = [0] * P.n
+        for r, i in enumerate(order):
+            rank[i] = r
     quoted = [_quote(x) for x in els]
     item = "\n" + "  " * (depth + 1)
     inner = item + "  "
     heads = ["[" + inner + q + "," + inner for q in quoted]
     tails = [q + item + "]" for q in quoted]
     rows = []
-    rank = [0] * P.n
-    for r, i in enumerate(order):
-        rank[i] = r
     for i in order:
         above = []
         cone = P.up_masks[i]
@@ -169,7 +179,8 @@ def _poset_members(P: FinitePoset, depth: int) -> dict[str, str]:
             low = cone & -cone
             above.append(low.bit_length() - 1)
             cone ^= low
-        above.sort(key=rank.__getitem__)
+        if rank is not None:
+            above.sort(key=rank.__getitem__)
         rows.append(heads[i] + ("," + item + heads[i]).join([tails[j] for j in above]))
     return {
         "elements": _array([quoted[i] for i in order], depth),
@@ -210,6 +221,12 @@ def load_context(text: str) -> FormalContext:
     )
 
 
+# ``X``/``.`` to binary digits and back; a row's string reversed is its mask
+# in binary, attribute 0 last.
+_CXT_TO_BITS = str.maketrans("X.", "10")
+_BITS_TO_CXT = str.maketrans("10", "X.")
+
+
 def dump_cxt(P: FormalContext) -> str:
     """Burmeister table: header, counts, names, then one X/. row per object."""
     for name in list(P.objects) + list(P.attributes):
@@ -218,10 +235,9 @@ def dump_cxt(P: FormalContext) -> str:
     lines = ["B", "", str(len(P.objects)), str(len(P.attributes)), ""]
     lines.extend(P.objects)
     lines.extend(P.attributes)
-    for o in P.objects:
-        lines.append(
-            "".join("X" if (o, a) in P.incidence else "." for a in P.attributes)
-        )
+    # A sentinel bit above the last attribute keeps the leading zeros.
+    top = 1 << len(P.attributes)
+    lines.extend(bin(r | top)[:2:-1].translate(_BITS_TO_CXT) for r in P.rows)
     return "\n".join(lines) + "\n"
 
 
@@ -245,10 +261,8 @@ def parse_cxt(text: str) -> FormalContext:
     for i, row in enumerate(rows):
         if len(row) != n_attr or row.strip("X."):
             raise FormatError(f"CXT row {i + 1} is not a string over X and .")
-    incidence = frozenset({
-        (o, a) for o, row in zip(objects, rows) for a, ch in zip(attributes, row) if ch == "X"
-    })
-    return FormalContext(tuple(objects), tuple(attributes), incidence)
+    masks = tuple(int(row[::-1].translate(_CXT_TO_BITS) or "0", 2) for row in rows)
+    return FormalContext._from_rows(tuple(objects), tuple(attributes), masks)
 
 
 def _cxt_count(lines: list[str], number: int) -> int:

@@ -8,17 +8,37 @@ law suites build at law seeds 1-3 (recorded by wrapping the check where the
 suites call it), on M3, N5, the diamond and chains 1-5, and on failing
 inputs: the M3 witness triple, non-prime generators, non-iso maps and a
 non-Scott table.
+
+Contexts are held as attribute-mask rows; the CXT parser and writer and the
+context builders (product, plus, tensor, the context of a semilattice, the
+random and literal contexts) are compared with the pair-built contexts the
+public constructor makes, and the chunked inclusion cones with the pairwise
+inclusion scan.
 """
 
+import json
 import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cxtcat import category, corpus, kernels, laws, logic, mappings, order, topology
-from cxtcat.canon import pair_id, set_id
+from cxtcat import (
+    category,
+    context,
+    corpus,
+    formats,
+    kernels,
+    laws,
+    logic,
+    mappings,
+    order,
+    topology,
+)
+from cxtcat.canon import fresh_id, pair_id, set_id
 from cxtcat.category import funcspace, product
-from cxtcat.context import alg_lattice, attr_closure, sem_lattice
+from cxtcat.context import FormalContext, alg_lattice, attr_closure, sem_lattice
 from cxtcat.corpus import chain_context, chain_poset, diamond_poset, k2_context, m3_poset
 from cxtcat.errors import ValidationError
 from cxtcat.mappings import enumerate_mappings
@@ -807,3 +827,268 @@ def test_enumerated_mappings_sort_as_their_pair_set_names():
         got = enumerate_mappings(S, T)
         want = sorted(got, key=lambda m: set_id(pair_id(a, b) for a, b in m.pairs))
         assert got == want, (S.elements, T.elements)
+
+
+# ---------------------------------------------------------------------------
+# contexts held as rows
+
+
+def rows_oracle(objects, attributes, incidence):
+    """Each object's attribute mask, read off the pairs by name."""
+    return tuple(
+        sum(1 << j for j, a in enumerate(attributes) if (o, a) in incidence) for o in objects
+    )
+
+
+def check_context_agrees(P, objects, attributes, incidence):
+    """``P`` is the context the public constructor builds from the pairs."""
+    incidence = frozenset(incidence)
+    Q = FormalContext(objects, attributes, incidence)
+    assert (P.objects, P.attributes) == (tuple(objects), tuple(attributes))
+    assert P.rows == Q.rows == rows_oracle(objects, attributes, incidence)
+    assert P.incidence == Q.incidence == incidence
+    assert P == Q and hash(P) == hash(Q)
+
+
+def name_lists(names, max_size):
+    return st.lists(st.sampled_from(names), max_size=max_size, unique=True)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_context_rows_agree_with_the_pairs(data):
+    """Rows, the ``incidence`` round trip, and equality and hashing exactly
+    when the incidence is equal."""
+    objects = data.draw(name_lists("opqrs", 5))
+    attributes = data.draw(name_lists("abcdef", 6))
+    pairs = [(o, a) for o in objects for a in attributes]
+    one, two = (data.draw(st.sets(st.sampled_from(pairs))) if pairs else set() for _ in range(2))
+    P = FormalContext(objects, attributes, one)
+    check_context_agrees(P, objects, attributes, one)
+    R = FormalContext._from_rows(P.objects, P.attributes, P.rows)
+    assert R == P and hash(R) == hash(P) and R.incidence == P.incidence
+    Q = FormalContext(objects, attributes, two)
+    assert (P == Q) == (one == two)
+    if one == two:
+        assert hash(P) == hash(Q)
+    assert all(P.has(o, a) == ((o, a) in one) for o in "opqrsz" for a in "abcdefz")
+
+
+def test_context_checks_keep_their_laws_and_witnesses():
+    with pytest.raises(ValidationError) as exc:
+        FormalContext(["o", "p", "o"], ["a", "a"], [])
+    assert (exc.value.law, exc.value.witness) == ("context:duplicates", {"element": "o"})
+    with pytest.raises(ValidationError) as exc:
+        FormalContext._from_rows(("o",), ("a", "b", "a"), (0,))
+    assert (exc.value.law, exc.value.witness) == ("context:duplicates", {"element": "a"})
+    with pytest.raises(ValidationError) as exc:
+        FormalContext(["o", "p"], ["a"], [("p", "z"), ("o", "a"), ("q", "a"), ("p", "y")])
+    assert (exc.value.law, exc.value.witness) == ("unknown-element", {"pair": ["p", "y"]})
+
+
+def cxt_text_oracle(objects, attributes, incidence):
+    """A Burmeister table written by names."""
+    lines = ["B", "", str(len(objects)), str(len(attributes)), "", *objects, *attributes]
+    lines += ["".join("X" if (o, a) in incidence else "." for a in attributes) for o in objects]
+    return "\n".join(lines) + "\n"
+
+
+def cxt_cases():
+    """``(objects, attributes, incidence)``: no objects, no attributes,
+    all-``.`` and all-``X`` rows, and random tables of widths 0-13."""
+    cases = [
+        ((), (), set()),
+        ((), ("a", "b", "c"), set()),
+        (("o", "p", "q"), (), set()),
+        (("o", "p", "q"), ("a", "b", "c", "d"), set()),
+        (("o", "p"), ("a", "b", "c"), {(o, a) for o in "op" for a in "abc"}),
+    ]
+    rng = random.Random(25)
+    for width in range(14):
+        for n in (1, 2, 7):
+            objects = tuple(f"o{i}" for i in range(n))
+            attributes = tuple(f"a{j}" for j in range(width))
+            p = rng.random()
+            incidence = {(o, a) for o in objects for a in attributes if rng.random() < p}
+            cases.append((objects, attributes, incidence))
+    return cases
+
+
+def test_parse_cxt_agrees_with_the_pair_parser():
+    """``parse_cxt`` reads each row into a mask; every table parses to the
+    pair-built context and writes back byte for byte."""
+    for objects, attributes, incidence in cxt_cases():
+        text = cxt_text_oracle(objects, attributes, incidence)
+        P = formats.parse_cxt(text)
+        check_context_agrees(P, objects, attributes, incidence)
+        assert formats.dump_cxt(P) == text
+        assert formats.dump_cxt(FormalContext(objects, attributes, incidence)) == text
+
+
+def product_oracle(P, Q):
+    tl, tr = category.tag_left, category.tag_right
+    objects = [tl(o) for o in P.objects] + [tr(o) for o in Q.objects]
+    attributes = [tl(a) for a in P.attributes] + [tr(a) for a in Q.attributes]
+    incidence = {(tl(o), tl(a)) for o, a in P.incidence} | {(tr(o), tr(a)) for o, a in Q.incidence}
+    incidence |= {(tl(o), tr(a)) for o in P.objects for a in Q.attributes}
+    incidence |= {(tr(o), tl(a)) for o in Q.objects for a in P.attributes}
+    return objects, attributes, incidence
+
+
+def plus_oracle(P):
+    g, m = fresh_id("g", P.objects), fresh_id("m", P.attributes)
+    objects, attributes = P.objects + (g,), P.attributes + (m,)
+    incidence = set(P.incidence) | {(g, a) for a in attributes} | {(o, m) for o in objects}
+    return objects, attributes, incidence
+
+
+def tensor_oracle(P, Q):
+    Pp, Qp = (FormalContext(*plus_oracle(X)) for X in (P, Q))
+    objects = [pair_id(o1, o2) for o1 in Pp.objects for o2 in Qp.objects]
+    attributes = [pair_id(a1, a2) for a1 in Pp.attributes for a2 in Qp.attributes]
+    incidence = {
+        (pair_id(o1, o2), pair_id(a1, a2))
+        for o1, a1 in Pp.incidence
+        for o2, a2 in Qp.incidence
+    }
+    return objects, attributes, incidence
+
+
+def context_of_semilattice_oracle(S):
+    els = S.elements
+    return els, els, {(o, a) for o in els for a in els if S.le(a, o)}
+
+
+def literal_context_oracle(fs):
+    attrs = fs.attributes
+    spo, sqo = fs.left_sem.semilattice, fs.right_sem.semilattice
+    objects, incidence = [], set()
+    for m in range(1 << len(attrs)):
+        members = frozenset(a for i, a in enumerate(attrs) if m >> i & 1)
+        oname = set_id(members)
+        objects.append(oname)
+        pairs = [fs.attr_pairs[a] for a in members]
+        for aname, (a, b) in fs.attr_pairs.items():
+            if sqo.le(b, sqo.join_all(bi for ai, bi in pairs if spo.le(ai, a))):
+                incidence.add((oname, aname))
+    return objects, attrs, incidence
+
+
+def random_context_oracle(rng, max_objects, max_attributes):
+    n_o = rng.randint(1, max_objects)
+    n_a = rng.randint(1, max_attributes)
+    objects = [f"o{i}" for i in range(n_o)]
+    attributes = [f"a{i}" for i in range(n_a)]
+    p = rng.uniform(0.2, 0.8)
+    return objects, attributes, {(o, a) for o in objects for a in attributes if rng.random() < p}
+
+
+def builder_contexts():
+    """The terminal context, K2, chains 1-4, a context with empty rows and
+    columns, and random contexts at seeds 1-3."""
+    out = [category.terminal(), k2_context(), *(chain_context(n) for n in range(1, 5))]
+    out.append(FormalContext(["o", "p"], ["a", "b", "c"], [("p", "b")]))
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        out += [corpus.random_context(rng, 4, 4) for _ in range(3)]
+    return out
+
+
+def test_context_builders_agree_with_the_pair_builds():
+    """``product``, ``plus``, ``tensor`` and ``context_of_semilattice`` build
+    rows by blocks; each agrees with its pair-built oracle."""
+    ctxs = builder_contexts()
+    for P in ctxs:
+        check_context_agrees(category.plus(P), *plus_oracle(P))
+        for Q in ctxs[:8]:
+            check_context_agrees(category.product(P, Q).context, *product_oracle(P, Q))
+            check_context_agrees(category.tensor(P, Q).context, *tensor_oracle(P, Q))
+    lattices = [L.as_join_semilattice() for L in fixed_lattices()]
+    rng = random.Random(25)
+    for S in lattices + [corpus.random_join_semilattice(rng, 6) for _ in range(30)]:
+        check_context_agrees(
+            context.context_of_semilattice(S), *context_of_semilattice_oracle(S)
+        )
+
+
+def test_random_contexts_make_the_pair_draws():
+    """``random_context`` at seeds 1-3: the same context from the same draws."""
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        for k in range(40):
+            args = (1 + k % 5, 1 + k % 7)
+            before = rng.getstate()
+            got = corpus.random_context(rng, *args)
+            replay = random.Random()
+            replay.setstate(before)
+            check_context_agrees(got, *random_context_oracle(replay, *args))
+            assert replay.getstate() == rng.getstate()
+
+
+def test_literal_contexts_agree_with_the_pair_build():
+    for P, Q in [
+        (chain_context(1), chain_context(2)),
+        (chain_context(2), chain_context(2)),
+        (chain_context(2), chain_context(3)),
+        (k2_context(), chain_context(2)),
+    ]:
+        fs = funcspace(P, Q)
+        check_context_agrees(fs.literal_context(), *literal_context_oracle(fs))
+
+
+def inclusion_cones_oracle(sets):
+    """Cones by the pairwise inclusion scan."""
+    up = [sum(1 << j for j, t in enumerate(sets) if s & t == s) for s in sets]
+    down = [sum(1 << j for j, t in enumerate(sets) if s & t == t) for s in sets]
+    return up, down
+
+
+def inclusion_families(rng, width):
+    """Families of distinct sets over ``width`` points that hold inclusions:
+    random masks of varied density with their pairwise meets and joins."""
+    full = (1 << width) - 1
+    for size in (0, 1, 3, 6):
+        base = []
+        for _ in range(size):
+            p = rng.random()
+            base.append(sum(1 << j for j in range(width) if rng.random() < p))
+        fam = base + [a & b for a in base for b in base] + [a | b for a in base for b in base]
+        if size % 2:
+            fam += [0, full]
+        fam = list(dict.fromkeys(fam))
+        rng.shuffle(fam)
+        yield fam
+
+
+def test_inclusion_cones_agree_with_the_inclusion_scan():
+    """The column tables, chunked or read point by point, give the cones of
+    the pairwise scan on widths 0-40, across chunk boundaries and short last
+    chunks."""
+    rng = random.Random(25)
+    chunked = set()
+    for width in range(41):
+        for fam in inclusion_families(rng, width):
+            assert kernels.inclusion_cones(fam, width) == inclusion_cones_oracle(fam), width
+            chunked.add(len(fam) >= kernels.CHUNKED_MIN_SETS)
+    assert chunked == {False, True}
+
+
+def test_poset_documents_agree_with_json_dumps():
+    """``dump_poset`` writes the bytes of ``json.dumps`` on posets in name
+    order (concept posets) and out of it (shuffled, dual, random)."""
+    rng = random.Random(25)
+    posets = [sem_lattice(P).semilattice.poset for P in builder_contexts()]
+    for n in range(1, 9):
+        P = corpus.random_poset(rng, n)
+        els = list(P.elements)
+        rng.shuffle(els)
+        posets += [P, P.dual(), validate_poset(els, P.leq)]
+    assert any(list(P.elements) != sorted(P.elements) for P in posets)
+    for P in posets:
+        doc = {
+            "elements": sorted(P.elements),
+            "kind": "poset",
+            "leq": sorted([a, b] for a, b in P.leq),
+            "version": 1,
+        }
+        assert formats.dump_poset(P) == json.dumps(doc, indent=2, sort_keys=True) + "\n"

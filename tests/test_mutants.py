@@ -3,7 +3,9 @@ that works on index tables, and per finite theorem that serves as an engine
 (``compacts`` is the lattice, the ideal completion is the semilattice
 renamed, upper and lower sets come from the monotone-map search and enter
 their space unchecked, the order of a hom-set is read off per-element
-ranks) or definitional fold that cross-checks one.
+ranks) or definitional fold that cross-checks one, and per fast path of
+the contexts held as rows (the product and tensor blocks, the CXT parser,
+the chunked inclusion tables and the in-order poset writer).
 
 Each row patches one seeded mutant into such a path and names what catches
 it: either a law suite, run through the command line at default settings,
@@ -20,7 +22,18 @@ from typing import Callable
 import pytest
 import test_index_oracles as oracles
 
-from cxtcat import category, corpus, laws, logic, mappings, order, topology
+from cxtcat import (
+    category,
+    context,
+    corpus,
+    formats,
+    kernels,
+    laws,
+    logic,
+    mappings,
+    order,
+    topology,
+)
 from cxtcat.cli import main
 from cxtcat.corpus import diamond_poset
 from cxtcat.errors import ValidationError
@@ -287,6 +300,66 @@ def algebraic_but_for_the_last(L):
     return True
 
 
+def product_without_a_cross_block(real):
+    """``product`` whose left objects do not bear the right attributes."""
+
+    def product(P, Q):
+        prod = real(P, Q)
+        C, n = prod.context, len(P.objects)
+        rows = tuple(r & P.full_attr_mask for r in C.rows[:n]) + C.rows[n:]
+        return category.ProductContext(
+            context.FormalContext._from_rows(C.objects, C.attributes, rows), P, Q
+        )
+
+    return product
+
+
+def tensor_with_a_block_shifted(real):
+    """``tensor`` that writes the block of the first left attribute one
+    block up."""
+
+    def tensor(P, Q):
+        t = real(P, Q)
+        C, width = t.context, len(t.right_plus.attributes)
+        block = (1 << width) - 1
+        rows = tuple(r & ~block | (r & block) << width for r in C.rows)
+        C = context.FormalContext._from_rows(C.objects, C.attributes, rows)
+        return category.TensorContext(C, P, Q, t.left_plus, t.right_plus)
+
+    return tensor
+
+
+def parse_cxt_with_a_bit_shifted(real):
+    """``parse_cxt`` that moves the lowest bit of the first row where it can
+    move one attribute up."""
+
+    def parse_cxt(text):
+        P = real(text)
+        rows = list(P.rows)
+        for i, r in enumerate(rows):
+            low = r & -r
+            if low and low << 1 <= P.full_attr_mask and not r & low << 1:
+                rows[i] = r ^ low ^ low << 1
+                break
+        return context.FormalContext._from_rows(P.objects, P.attributes, tuple(rows))
+
+    return parse_cxt
+
+
+def chunk_tables_with_two_entries_swapped(real):
+    """``kernels.chunk_tables`` whose first AND table has the entries of its
+    first two points swapped."""
+
+    def chunk_tables(cols, full):
+        tables = real(cols, full)
+        if tables and len(tables[0][2]) > 2:
+            ands = tables[0][2]
+            ands[1], ands[2] = ands[2], ands[1]
+        return tables
+
+    return chunk_tables
+
+
 def patch(owners, name, make):
     """An installer that replaces ``name`` in every module of ``owners`` by
     ``make(real)``."""
@@ -461,6 +534,36 @@ ROWS = [
         "the intersection test skipped",
         lambda mp: mp.setattr(topology.TopSpace, "__post_init__", opens_tested_for_unions_only),
         "oracle test_topspace_closure_agrees_with_the_frozenset_scan; escapes cor6.17",
+    ),
+    Row(
+        "category.product rows",
+        "one cross block dropped",
+        patch([category, laws], "product", product_without_a_cross_block),
+        "laws prop5.6",
+    ),
+    Row(
+        "category.tensor rows",
+        "the first block shifted one block up",
+        patch([category, laws], "tensor", tensor_with_a_block_shifted),
+        "laws prop5.7",
+    ),
+    Row(
+        "formats.parse_cxt rows",
+        "one bit shifted",
+        patch([formats], "parse_cxt", parse_cxt_with_a_bit_shifted),
+        "oracle test_parse_cxt_agrees_with_the_pair_parser; no suite reads it",
+    ),
+    Row(
+        "kernels.inclusion_cones chunk tables",
+        "two entries swapped",
+        patch([kernels], "chunk_tables", chunk_tables_with_two_entries_swapped),
+        "oracle test_inclusion_cones_agree_with_the_inclusion_scan",
+    ),
+    Row(
+        "formats._poset_members in-order branch",
+        "taken on posets out of name order",
+        replace([formats], "_in_name_order", lambda elements: True),
+        "oracle test_poset_documents_agree_with_json_dumps; no suite writes a poset",
     ),
 ]
 

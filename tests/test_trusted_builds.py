@@ -15,9 +15,15 @@ import sys
 import pytest
 
 from cxtcat import category, laws, mappings, order, topology
+from cxtcat import corpus as corpus_module
 from cxtcat.category import ProductContext, bang
 from cxtcat.cli import main
-from cxtcat.corpus import corpus, random_join_semilattice, random_meet_semilattice
+from cxtcat.corpus import (
+    corpus,
+    random_join_semilattice,
+    random_lattice,
+    random_meet_semilattice,
+)
 from cxtcat.mappings import ScottFunction, _trusted, choose_mapping, enumerate_mappings
 from cxtcat.order import FiniteLattice, JoinSemilattice, MeetSemilattice
 from cxtcat.topology import Locale
@@ -226,6 +232,23 @@ def test_corpus_returns_one_object_per_value():
     # the table lives for one call: a second corpus has its own objects
     again = corpus(12, lambda r: random_meet_semilattice(r, 5), 1)
     assert again == sls and all(a is not b for a, b in zip(again, sls))
+
+
+@pytest.mark.parametrize(
+    "draw, checked", [(random_join_semilattice, "JoinSemilattice"), (random_lattice, "FiniteLattice")]
+)
+def test_a_corpus_build_error_other_than_a_failed_law_propagates(draw, checked, monkeypatch):
+    """The corpus draws again only when a drawn poset fails its law; any
+    other error from the validating constructor propagates.  At rng seed 0
+    the first draw of both builders validates a random poset."""
+
+    class Broken(getattr(corpus_module, checked)):
+        def __init__(self, P):
+            raise TypeError("broken constructor")
+
+    monkeypatch.setattr(corpus_module, checked, Broken)
+    with pytest.raises(TypeError, match="broken constructor"):
+        draw(random.Random(0), 5)
 
 
 def test_no_memo_holds_its_value_in_a_reference_cycle():
