@@ -19,7 +19,6 @@ from .order import (
     compacts,
     down_set,
     filters,
-    finite_extension,
     flt_lattice,
     ideal_completion,
     is_algebraic,

@@ -16,16 +16,7 @@ from typing import Iterable
 from . import kernels, order
 from .canon import set_id
 from .errors import ValidationError
-from .order import (
-    ClosureOperator,
-    FiniteLattice,
-    FinitePoset,
-    JoinSemilattice,
-    _by_construction,
-    _guard,
-    powerset_lattice,
-    powerset_members,
-)
+from .order import ClosureOperator, FiniteLattice, JoinSemilattice, _guard, lattice_from_masks
 
 # Cap for the literal union-over-finite-subsets closure.
 APPROX_CLOSURE_GUARD = 16
@@ -119,12 +110,6 @@ class FormalContext:
     @cached_property
     def attr_index(self) -> dict[str, int]:
         return {a: i for i, a in enumerate(self.attributes)}
-
-    @cached_property
-    def attr_bits_by_name(self) -> tuple[tuple[str, int], ...]:
-        """``(attribute, its mask bit)`` in name order, as ``set_id`` sorts."""
-        ai = self.attr_index
-        return tuple((a, 1 << ai[a]) for a in sorted(self.attributes))
 
     @property
     def full_attr_mask(self) -> int:
@@ -220,15 +205,9 @@ def closed_masks(P: FormalContext) -> set[int]:
 
 
 def _named_masks(P: FormalContext, fam: set[int]) -> list[tuple[str, int, list[str]]]:
-    """``(name, mask, members)`` for each mask of ``fam``, sorted by name and
-    mask.  The members are walked in name order, so the name is ``set_id``
-    of the member set; as ``set_id`` is not injective, a shared name is refused."""
-    by_name = P.attr_bits_by_name
-    named = []
-    for m in fam:
-        members = [a for a, bit in by_name if m & bit]
-        named.append(("{" + ",".join(members) + "}", m, members))
-    named.sort()
+    """``order.named_masks`` of the attribute masks ``fam``, refusing a name
+    two closed sets share (``context:names``), as ``set_id`` is not injective."""
+    named = order.named_masks(P.attributes, fam)
     for (a, _, xs), (b, _, ys) in zip(named, named[1:]):
         if a == b:
             xs, ys = sorted((xs, ys))
@@ -246,20 +225,23 @@ def concept_names(P: FormalContext) -> list[str]:
     return [n for n, _, _ in _named_masks(P, closed_masks(P))]
 
 
-def _concept_tables(P: FormalContext):
+def _concept_tables(P: FormalContext) -> tuple[FiniteLattice, dict[str, frozenset[str]]]:
     """Closed intents of ``P`` on masks, ordered by inclusion.
 
-    Three stages: the guarded masks (``closed_masks``), their sorted names
-    (``_named_masks``), then the inclusion cones.  The intents form a closure
-    system, so their inclusion order is a lattice by construction: its cones
-    are built from the attribute columns and nothing re-checks them.
+    The guarded masks (``closed_masks``) go to ``order.lattice_from_masks``,
+    which names them and builds the inclusion cones from the attribute
+    columns.  The intents form a closure system, so their inclusion order is
+    a lattice by construction and nothing re-checks it.  A name shared by
+    two intents shows as a decode table shorter than the family, and is
+    refused as ``_named_masks`` refuses it.
 
-    Returns ``(poset, intents)``: ``intents`` decodes names to attribute sets.
+    Returns ``(lattice, intents)``: ``intents`` decodes names to attribute sets.
     """
-    named = _named_masks(P, closed_masks(P))
-    cones = kernels.inclusion_cones([m for _, m, _ in named], len(P.attributes))
-    poset = FinitePoset._from_masks(tuple(n for n, _, _ in named), *cones)
-    return poset, {n: frozenset(members) for n, _, members in named}
+    fam = closed_masks(P)
+    lattice, intents = lattice_from_masks(P.attributes, fam)
+    if len(intents) < len(fam):
+        _named_masks(P, fam)
+    return lattice, intents
 
 
 def _check_closed(P: FormalContext, intents: dict[str, frozenset[str]], law: str, what: str):
@@ -332,14 +314,13 @@ def _unchecked(cls, *values):
 
 def sem_lattice(P: FormalContext) -> SemLattice:
     """Join-semilattice of closures of finite attribute subsets."""
-    poset, intents = _concept_tables(P)
-    return _unchecked(SemLattice, P, _by_construction(JoinSemilattice, poset), intents)
+    lattice, intents = _concept_tables(P)
+    return _unchecked(SemLattice, P, lattice.as_join_semilattice(), intents)
 
 
 def alg_lattice(P: FormalContext) -> ConceptLattice:
     """Lattice of all finitarily-closed attribute sets; meets are intersections."""
-    poset, intents = _concept_tables(P)
-    return _unchecked(ConceptLattice, P, _by_construction(FiniteLattice, poset), intents)
+    return _unchecked(ConceptLattice, P, *_concept_tables(P))
 
 
 def context_of_semilattice(S: JoinSemilattice) -> FormalContext:
@@ -355,7 +336,6 @@ def attr_closure_operator(P: FormalContext) -> ClosureOperator:
     whose cap ``order.POWERSET_GUARD`` it shares."""
     base = P.attributes
     _guard("attr_closure_operator", len(base), order.POWERSET_GUARD)
-    lat = powerset_lattice(base)
-    members = powerset_members(base)
+    lat, members = lattice_from_masks(base, range(1 << len(base)))
     values = tuple(set_id(attr_closure(P, members[x])) for x in lat.elements)
     return ClosureOperator(lat.poset, values)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 from typing import Callable, TypeVar
 
-from .canon import set_id
 from .context import FormalContext, closed_masks, make_context
 from .errors import ValidationError
 from .logic import InformationSystem, close_entailment
@@ -20,8 +19,8 @@ from .order import (
     JoinSemilattice,
     MeetSemilattice,
     _bits,
-    _by_construction,
     ideal_completion,
+    lattice_from_masks,
     validate_poset,
 )
 
@@ -121,12 +120,9 @@ def random_join_semilattice(rng: random.Random, max_n: int) -> JoinSemilattice:
                 fam |= {s | g for s in fam}
             if len(fam) > max_n:
                 return None
-            # Inclusion of distinct sets is a partial order, and a family
-            # closed under unions that holds the empty set has every join.
-            named = sorted((set_id(str(b) for b in _bits(s)), s) for s in fam)
-            up = [sum(1 << j for j, (_, t) in enumerate(named) if s & t == s) for _, s in named]
-            P = FinitePoset._from_masks(tuple(name for name, _ in named), up)
-            return _by_construction(JoinSemilattice, P)
+            # A finite family closed under unions that holds the empty set
+            # is a lattice under inclusion.
+            return lattice_from_masks([str(b) for b in range(base)], fam)[0].as_join_semilattice()
         P = random_poset(rng, rng.randint(1, max_n))
         try:
             return JoinSemilattice(P)

@@ -23,7 +23,7 @@ from . import kernels
 from .canon import set_id
 from .context import FormalContext, alg_lattice
 from .errors import ValidationError
-from .order import FiniteLattice, FinitePoset, MeetSemilattice, _bits, _guard, lattice_from_sets
+from .order import FiniteLattice, FinitePoset, MeetSemilattice, _bits, _guard, lattice_from_masks
 
 # Entailment relations are materialized over the full powerset of
 # propositions; this caps the width.
@@ -400,8 +400,7 @@ def elements(
 ) -> tuple[FiniteLattice, dict[str, frozenset[str]]]:
     """All deductively closed proposition sets, as a lattice under inclusion:
     the distinct values of the closure table."""
-    props = system.propositions
-    return lattice_from_sets(_set(props, c) for c in set(system.closure_masks))
+    return lattice_from_masks(system.propositions, system.closure_masks)
 
 
 def context_to_is(P: FormalContext) -> InformationSystem:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import kernels
 from .canon import set_id
@@ -792,28 +792,49 @@ def flt_lattice(S: MeetSemilattice | JoinSemilattice) -> FiniteLattice:
     return ideal_completion(_join_dual(S))
 
 
-def lattice_from_sets(
-    family: Iterable[frozenset[str]],
+def named_masks(
+    points: Sequence[str], masks: Iterable[int]
+) -> list[tuple[str, int, list[str]]]:
+    """``(name, mask, members)`` for each distinct mask over ``points``,
+    sorted by name, then by mask.  The members are walked in name order, so
+    the name is ``set_id`` of the member set.  ``set_id`` is not injective
+    and nothing here refuses a shared name: two such sets keep their masks
+    and are listed side by side, the smaller mask first."""
+    by_name = sorted((p, 1 << i) for i, p in enumerate(points))
+    named = []
+    for m in set(masks):
+        members = [p for p, bit in by_name if m & bit]
+        named.append(("{" + ",".join(members) + "}", m, members))
+    named.sort()
+    return named
+
+
+def lattice_from_masks(
+    points: Sequence[str], masks: Iterable[int]
 ) -> tuple[FiniteLattice, dict[str, frozenset[str]]]:
-    """Build the lattice of a family of sets ordered by inclusion.
+    """The lattice of the distinct ``masks`` over ``points``, ordered by
+    inclusion and named by ``named_masks``.
 
     The family must form a lattice under inclusion, as a closure system or a
     family closed under unions and intersections does; nothing checks it, so
     the units are read at once and the bound tables on first read.  Returns
-    the lattice and the decoding table from canonical element names back to
-    the sets.
+    the lattice and the decoding table from element names back to the sets.
     """
-    fam = sorted(set(family), key=set_id)
-    names = tuple(set_id(m) for m in fam)
-    point = {p: k for k, p in enumerate(set().union(*fam))}
-    masks = []
-    for members in fam:
-        m = 0
-        for p in members:
-            m |= 1 << point[p]
-        masks.append(m)
-    P = FinitePoset._from_masks(names, *kernels.inclusion_cones(masks, len(point)))
-    return _by_construction(FiniteLattice, P), dict(zip(names, fam))
+    named = named_masks(points, masks)
+    cones = kernels.inclusion_cones([m for _, m, _ in named], len(points))
+    P = FinitePoset._from_masks(tuple(n for n, _, _ in named), *cones)
+    return _by_construction(FiniteLattice, P), {n: frozenset(xs) for n, _, xs in named}
+
+
+def lattice_from_sets(
+    family: Iterable[frozenset[str]],
+) -> tuple[FiniteLattice, dict[str, frozenset[str]]]:
+    """``lattice_from_masks`` for a family held as sets of names, its points
+    indexed in name order."""
+    fam = set(family)
+    points = sorted(set().union(*fam))
+    at = {p: i for i, p in enumerate(points)}
+    return lattice_from_masks(points, {sum(1 << at[p] for p in s) for s in fam})
 
 
 def k_semilattice(L: FiniteLattice) -> JoinSemilattice:
@@ -876,56 +897,7 @@ def powerset_lattice(base: Iterable[str]) -> FiniteLattice:
     """The lattice of all subsets of ``base``, elements canonically encoded."""
     base = tuple(base)
     _guard("powerset_lattice", len(base), POWERSET_GUARD)
-    fam = []
-    for m in range(1 << len(base)):
-        fam.append(frozenset(x for i, x in enumerate(base) if m >> i & 1))
-    lat, _ = lattice_from_sets(fam)
-    return lat
-
-
-def powerset_members(base: Iterable[str]) -> dict[str, frozenset[str]]:
-    base = tuple(base)
-    out = {}
-    for m in range(1 << len(base)):
-        s = frozenset(x for i, x in enumerate(base) if m >> i & 1)
-        out[set_id(s)] = s
-    return out
-
-
-def finite_extension(op: ClosureOperator, base: Iterable[str]) -> ClosureOperator:
-    """Extend a powerset closure by unioning closures of finite subsets.
-
-    On a finite carrier the extension equals the original operator; this is
-    asserted after the table is computed literally.
-    """
-    base = tuple(base)
-    members = powerset_members(base)
-    lat = powerset_lattice(base)
-    if op.poset != lat.poset:
-        raise ValidationError(
-            "carrier is not the powerset lattice of the given base", law="closure:carrier"
-        )
-    values = []
-    for x in lat.elements:
-        xs = members[x]
-        acc: frozenset[str] = frozenset()
-        for m in range(1 << len(base)):
-            sub = frozenset(b for i, b in enumerate(base) if m >> i & 1)
-            if sub <= xs:
-                acc |= members[op.apply(set_id(sub))]
-        values.append(set_id(acc))
-    ext = ClosureOperator(lat.poset, tuple(values))
-    if ext.values != op.values:
-        raise ValidationError(
-            "finite extension disagrees with the original closure on a finite carrier",
-            law="closure:finite-extension",
-            witness={
-                "at": next(
-                    x for x, a, b in zip(lat.elements, ext.values, op.values) if a != b
-                )
-            },
-        )
-    return ext
+    return lattice_from_masks(base, range(1 << len(base)))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .order import (
     is_algebraic,
     is_distributive,
     is_order_iso,
+    lattice_from_masks,
     lattice_from_sets,
     meet_primes,
     up_set,
@@ -302,17 +303,29 @@ def lower_sets(S: MeetSemilattice | JoinSemilattice) -> list[frozenset[str]]:
     A join-semilattice is accepted too and stands for its dual, as in
     ``order.filters``.
     """
+    P, masks = _lower_set_masks(S)
+    return sorted(map(P.set_of, masks), key=set_id)
+
+
+def _lower_set_masks(S: MeetSemilattice | JoinSemilattice) -> tuple[FinitePoset, list[int]]:
+    """The poset whose upper sets are the lower sets of ``S``, and those sets
+    as masks over its elements."""
     P = _join_dual(S).poset
     _guard("lower_sets", P.n, order.SUBSET_SCAN_GUARD)
-    return sorted(map(P.set_of, order._upper_set_masks(P)), key=set_id)
+    return P, order._upper_set_masks(P)
 
 
 def _lower_set_lattice(
     S: MeetSemilattice | JoinSemilattice,
 ) -> tuple[FiniteLattice, dict[str, frozenset[str]]]:
-    """``lattice_from_sets(lower_sets(S))``, built once per value ``S``: the
-    lemma and the locale of cor. 6.17 both read it."""
-    return order._memo(S, "_lower_set_lattice", lambda S: lattice_from_sets(lower_sets(S)))
+    """The lattice of the lower sets of ``S`` and its decode table, built once
+    per value ``S``: the lemma and the locale of cor. 6.17 both read it."""
+    return order._memo(S, "_lower_set_lattice", _build_lower_set_lattice)
+
+
+def _build_lower_set_lattice(S):
+    P, masks = _lower_set_masks(S)
+    return lattice_from_masks(P.elements, masks)
 
 
 def lower_set_locale(S: MeetSemilattice | JoinSemilattice) -> Locale:

@@ -18,9 +18,9 @@ from cxtcat.order import (
     MeetSemilattice,
     ideal_completion,
     ideals,
+    lattice_from_masks,
     lattice_from_sets,
     powerset_lattice,
-    powerset_members,
     validate_poset,
 )
 
@@ -97,15 +97,27 @@ def test_concept_intents_are_closed(seed):
 @given(st.integers(0, 10**6), st.integers(0, 5))
 @settings(max_examples=60, deadline=None)
 def test_set_families_match_the_inclusion_scan(seed, n_points):
+    """``lattice_from_sets`` on the family, and ``lattice_from_masks`` on its
+    closure table (each subset mapped to the least member holding it, so
+    masks repeat) over points listed out of name order, build one lattice."""
     fam = closure_system(random.Random(seed), n_points)
     L, decode = lattice_from_sets(fam)
     assert unbuilt_tables(L)
     assert_same_order(L.poset, inclusion_poset(L.elements, [decode[x] for x in L.elements]))
     assert_like_eager(L, FiniteLattice)
+    points = [f"p{i}" for i in reversed(range(n_points))]
+    closed = [sum(1 << points.index(p) for p in s) for s in fam]
+    table = [
+        min((c for c in closed if c & x == x), key=int.bit_count) for x in range(1 << n_points)
+    ]
+    M, members = lattice_from_masks(points, table)
+    assert_same_order(M.poset, L.poset)
+    assert members == decode and unbuilt_tables(M)
 
 
 def test_powerset_lattice_matches_the_inclusion_scan():
-    L, members = powerset_lattice("abcd"), powerset_members("abcd")
+    L, members = lattice_from_masks("abcd", range(16))
+    assert L == powerset_lattice("abcd")
     assert_same_order(L.poset, inclusion_poset(L.elements, [members[x] for x in L.elements]))
     assert_like_eager(L, FiniteLattice)
 

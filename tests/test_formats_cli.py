@@ -668,6 +668,34 @@ def test_idl_names_colliding_ideals_in_element_order(tmp_path):
     assert outs[0] == outs[1] == formats.dump_poset(L.poset)
 
 
+def test_colliding_set_families_decode_alike_under_every_hash_seed():
+    """``lattice_from_sets`` indexes points in name order, so on the family
+    ``{}``, ``{a,b}``, ``{"a,b"}``, ``{a,b,"a,b"}`` the two sets named
+    ``{a,b}`` keep their masks and sort by them, ``{"a,b"}`` first, whatever
+    the hash seed: seeds 0-7 give the same elements, cones and decode table.
+    The names still collide, so the decode table holds one entry for both
+    sets, the later one; only injective names would keep the two apart."""
+    script = (
+        "from cxtcat.order import lattice_from_sets\n"
+        "fam = [frozenset(), frozenset('ab'), frozenset({'a,b'}), frozenset({'a', 'b', 'a,b'})]\n"
+        "L, decode = lattice_from_sets(fam)\n"
+        "print(L.elements, L.poset.up_masks, sorted((x, sorted(s)) for x, s in decode.items()))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(formats.__file__).parents[1]))
+    outs = set()
+    for hash_seed in range(8):
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(env, PYTHONHASHSEED=str(hash_seed)), capture_output=True, text=True,
+        )
+        assert run.returncode == 0, run.stderr
+        outs.add(run.stdout)
+    assert outs == {
+        "('{a,a,b,b}', '{a,b}', '{a,b}', '{}') (1, 3, 5, 15) "
+        "[('{a,a,b,b}', ['a', 'a,b', 'b']), ('{a,b}', ['a', 'b']), ('{}', [])]\n"
+    }
+
+
 def test_compacts_of_a_64_chain_are_every_element(files, capsys):
     """``compacts`` has no size guard: a finite lattice is all compact, and
     past the cross-check cap nothing else runs."""
@@ -893,6 +921,8 @@ _VERBS = [
     ["idl"],
     ["compacts"],
     ["topology"],
+    ["topology", "--report", "stone"],
+    ["convert", "--to", "semilattice"],
 ]
 
 

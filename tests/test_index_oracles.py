@@ -12,8 +12,8 @@ non-Scott table.
 Contexts are held as attribute-mask rows; the CXT parser and writer and the
 context builders (product, plus, tensor, the context of a semilattice, the
 random and literal contexts) are compared with the pair-built contexts the
-public constructor makes, and the chunked inclusion cones with the pairwise
-inclusion scan.
+public constructor makes, the chunked inclusion cones with the pairwise
+inclusion scan, and the names of set families with ``set_id``.
 """
 
 import json
@@ -1060,15 +1060,28 @@ def inclusion_families(rng, width):
         yield fam
 
 
+def named_masks_oracle(points, masks):
+    """Each distinct mask's members named by ``set_id``, sorted by name, then
+    by mask."""
+    named = []
+    for m in set(masks):
+        members = sorted(p for j, p in enumerate(points) if m >> j & 1)
+        named.append((set_id(members), m, members))
+    return sorted(named)
+
+
 def test_inclusion_cones_agree_with_the_inclusion_scan():
     """The column tables, chunked or read point by point, give the cones of
     the pairwise scan on widths 0-40, across chunk boundaries and short last
-    chunks."""
+    chunks.  The same families, over points listed out of name order, get
+    the names ``set_id`` gives their member sets."""
     rng = random.Random(25)
     chunked = set()
     for width in range(41):
+        points = [f"p{width - j}" for j in range(width)]
         for fam in inclusion_families(rng, width):
             assert kernels.inclusion_cones(fam, width) == inclusion_cones_oracle(fam), width
+            assert order.named_masks(points, fam) == named_masks_oracle(points, fam), width
             chunked.add(len(fam) >= kernels.CHUNKED_MIN_SETS)
     assert chunked == {False, True}
 

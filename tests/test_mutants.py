@@ -5,7 +5,8 @@ renamed, upper and lower sets come from the monotone-map search and enter
 their space unchecked, the order of a hom-set is read off per-element
 ranks) or definitional fold that cross-checks one, and per fast path of
 the contexts held as rows (the product and tensor blocks, the CXT parser,
-the chunked inclusion tables and the in-order poset writer).
+the chunked inclusion tables and the in-order poset writer), and of the one
+namer of set families.
 
 Each row patches one seeded mutant into such a path and names what catches
 it: either a law suite, run through the command line at default settings,
@@ -199,10 +200,25 @@ def with_two_names_swapped(P):
     return order.FinitePoset._from_masks(tuple(els), P.up_masks)
 
 
+def named_masks_in_point_order(points, masks):
+    """``order.named_masks`` walking the members in point order, not name
+    order."""
+    named = []
+    for m in set(masks):
+        members = [p for j, p in enumerate(points) if m >> j & 1]
+        named.append(("{" + ",".join(members) + "}", m, members))
+    return sorted(named)
+
+
 def union_family_with_two_names_swapped(real):
-    """``order._by_construction`` as the corpus calls it, on the order with
+    """``order.lattice_from_masks`` as the corpus calls it, on the order with
     its first two element names swapped."""
-    return lambda cls, P: real(cls, with_two_names_swapped(P))
+
+    def build(points, masks):
+        L, decode = real(points, masks)
+        return order._by_construction(order.FiniteLattice, with_two_names_swapped(L.poset)), decode
+
+    return build
 
 
 def k_semilattice_with_two_names_swapped(real):
@@ -260,7 +276,14 @@ def upper_sets_without_the_full_set(real):
 
 
 def lower_sets_without_the_empty_set(real):
-    return lambda S: [s for s in real(S) if s]
+    """``topology._lower_set_masks``, the stage ``lower_sets`` and the
+    lower-set lattice share, with the empty set dropped."""
+
+    def stage(S):
+        P, masks = real(S)
+        return P, [m for m in masks if m]
+
+    return stage
 
 
 def compact_fold_without_the_supremum(L):
@@ -466,7 +489,7 @@ ROWS = [
     Row(
         "corpus.random_join_semilattice union-closed families",
         "two element names swapped",
-        patch([corpus], "_by_construction", union_family_with_two_names_swapped),
+        patch([corpus], "lattice_from_masks", union_family_with_two_names_swapped),
         "oracle test_union_closed_semilattices_agree_with_the_validated_build; escapes thm3.6, thm4.4",
     ),
     Row(
@@ -502,7 +525,7 @@ ROWS = [
     Row(
         "topology.lower_sets",
         "the empty set dropped",
-        patch([topology], "lower_sets", lower_sets_without_the_empty_set),
+        patch([topology], "_lower_set_masks", lower_sets_without_the_empty_set),
         "laws cor6.17",
     ),
     Row(
@@ -558,6 +581,12 @@ ROWS = [
         "two entries swapped",
         patch([kernels], "chunk_tables", chunk_tables_with_two_entries_swapped),
         "oracle test_inclusion_cones_agree_with_the_inclusion_scan",
+    ),
+    Row(
+        "order.named_masks",
+        "members walked in point order",
+        replace([order], "named_masks", named_masks_in_point_order),
+        "oracle test_inclusion_cones_agree_with_the_inclusion_scan; escapes every suite",
     ),
     Row(
         "formats._poset_members in-order branch",

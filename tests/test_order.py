@@ -30,7 +30,6 @@ from cxtcat.order import (
     compacts,
     down_set,
     filters,
-    finite_extension,
     flt_lattice,
     ideal_completion,
     ideal_names,
@@ -41,12 +40,12 @@ from cxtcat.order import (
     join_irreducibles,
     join_primes,
     k_semilattice,
+    lattice_from_masks,
     lattice_from_sets,
     meet_irreducibles,
     meet_primes,
     order_isomorphism,
     powerset_lattice,
-    powerset_members,
     principal_ideal,
     theorem_3_6_isos,
     up_set,
@@ -575,8 +574,8 @@ def test_closure_from_system_witness():
 
 
 def test_closure_image_is_infima_closed_and_reproduces():
-    L = powerset_lattice(["1", "2", "3"])
-    members = powerset_members(["1", "2", "3"])
+    L, members = lattice_from_masks(["1", "2", "3"], range(8))
+    assert L == powerset_lattice(["1", "2", "3"])
     # closure: adjoin "3" to any non-empty set
     values = []
     for x in L.elements:
@@ -618,14 +617,6 @@ def test_closure_monotonicity_matches_the_pair_scan(seed, n):
             ClosureOperator(P, values)
         assert (exc.value.law, exc.value.witness) == ("closure:monotone", {"pair": want})
         assert str(exc.value) == f"not monotone on ({want[0]!r}, {want[1]!r})"
-
-
-def test_finite_extension_identity_and_constant():
-    L = powerset_lattice(["1", "2"])
-    ident = ClosureOperator(L.poset, L.elements)
-    assert finite_extension(ident, ["1", "2"]).values == ident.values
-    const = closure_from_system(L, ["{1,2}"])
-    assert finite_extension(const, ["1", "2"]).values == const.values
 
 
 # ---------------------------------------------------------------------------

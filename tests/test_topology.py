@@ -409,8 +409,8 @@ def test_cor617_builds_the_lower_sets_once_per_semilattice(monkeypatch, capsys):
     from cxtcat.cli import main
 
     calls = []
-    real = topology.lower_sets
-    monkeypatch.setattr(topology, "lower_sets", lambda S: calls.append(S) or real(S))
+    real = topology._lower_set_masks
+    monkeypatch.setattr(topology, "_lower_set_masks", lambda S: calls.append(S) or real(S))
     assert main(["laws", "cor6.17", "--seed", "1"]) == 0
     assert capsys.readouterr().out == "instances: 17 meet-semilattices\ncor6.17: PASS\n"
     assert len(calls) == 15  # 17 instances, 15 distinct values
