@@ -18,7 +18,7 @@ from .canon import fresh_id, pair_id, set_id
 from .context import FormalContext, SemLattice, make_context, sem_lattice
 from .errors import ValidationError
 from .mappings import ApproximableMapping, _trusted, enumerate_mappings, validate_am
-from .order import FiniteLattice, JoinSemilattice, _guard, lattice_from_sets
+from .order import FiniteLattice, JoinSemilattice, _guard, lattice_from_masks
 
 LEFT_TAG = "l:"
 RIGHT_TAG = "r:"
@@ -321,15 +321,18 @@ class FunctionSpaceContext:
         return frozenset(pair_id(x, y) for x, y in have)
 
     @cached_property
-    def _mappings(self) -> dict[frozenset[str], ApproximableMapping]:
-        """The hom-set, each mapping keyed by its set of pair attributes."""
-        attr_of = {p: a for a, p in self.attr_pairs.items()}
+    def _mappings(self) -> dict[int, ApproximableMapping]:
+        """The hom-set, each mapping keyed by its mask of pair attributes:
+        attribute ``(x, y)`` is bit ``x * width + y``, so the mask holds the
+        down-cone of each value, shifted into its source element's block."""
+        Q = self.right_sem.semilattice.poset
+        idx, down, width = Q.index, Q.down_masks, Q.n
         homs = enumerate_mappings(self.left_sem.semilattice, self.right_sem.semilattice)
-        return {frozenset(attr_of[p] for p in m.pairs): m for m in homs}
+        return {sum(down[idx[v]] << i * width for i, v in enumerate(m.values)): m for m in homs}
 
     @cached_property
     def _lattice(self) -> tuple[FiniteLattice, dict[str, frozenset[str]]]:
-        return lattice_from_sets(self._mappings)
+        return lattice_from_masks(self.attributes, self._mappings)
 
     @cached_property
     def sem(self) -> tuple[JoinSemilattice, dict[str, frozenset[str]]]:
@@ -344,7 +347,7 @@ class FunctionSpaceContext:
     def mapping(self, name: str) -> ApproximableMapping:
         """The approximable mapping that a concept is."""
         self.sem[0].poset.check_members((name,))
-        return self._mappings[self.sem[1][name]]
+        return self._mapping_of[name]
 
     def decode(self, name: str) -> frozenset[tuple[str, str]]:
         return self.mapping(name).pairs
@@ -352,12 +355,13 @@ class FunctionSpaceContext:
     @cached_property
     def _concept_of_values(self) -> dict[tuple[str, ...], str]:
         """Each concept keyed by its mapping's value table."""
-        return {values: w for w, values in self._values_of_concept.items()}
+        return {m.values: w for w, m in self._mapping_of.items()}
 
     @cached_property
-    def _values_of_concept(self) -> dict[str, tuple[str, ...]]:
-        """The value table of each concept's mapping, by concept name."""
-        return {w: self._mappings[members].values for w, members in self.sem[1].items()}
+    def _mapping_of(self) -> dict[str, ApproximableMapping]:
+        """Each concept's mapping, by concept name."""
+        bit = {a: 1 << i for i, a in enumerate(self.attributes)}
+        return {w: self._mappings[sum(map(bit.__getitem__, xs))] for w, xs in self.sem[1].items()}
 
     def literal_context(self, guard: int | None = None) -> FormalContext:
         """The context with one object per finite attribute set; ``guard``
@@ -423,6 +427,6 @@ def uncurry(
     _check_curry_interfaces(None, prod, fs)
     if m.source != prod.left_sem.semilattice or m.target != fs.sem[0]:
         raise ValidationError("mapping is not over the expected transpose", law="curry:interface")
-    table, mv = fs._values_of_concept, m.values
-    values = tuple(table[mv[x]][y] for x, y in prod._split_pairs)
+    table, mv = fs._mapping_of, m.values
+    values = tuple(table[mv[x]].values[y] for x, y in prod._split_pairs)
     return _trusted(ApproximableMapping, prod.sem.semilattice, fs.right_sem.semilattice, values)

@@ -39,6 +39,8 @@ from .topology import (
     Locale,
     corollary_6_17_spaces,
     lemma_6_16_check,
+    locale_points,
+    open_set_lattice,
     scott_topology,
     specialization_order,
 )
@@ -138,7 +140,7 @@ def cmd_validate(args) -> int:
         return EXIT_OK
     elif kind == "space":
         space = formats.load_space(text)
-        print(f"OK space: {len(space.points)} points, {len(space.opens)} opens")
+        print(f"OK space: {len(space.points)} points, {len(space.open_masks)} opens")
         return EXIT_OK
     elif kind == "mapping":
         m = formats.load_mapping(text)
@@ -295,14 +297,11 @@ def cmd_topology(args) -> int:
         print(json.dumps(doc, indent=2, sort_keys=True))
         return EXIT_OK if lemma.ok and rep.ok else EXIT_FAIL
     L = FiniteLattice(poset)
-    T = scott_topology(L, guard=args.guard)
     if args.report == "points":
-        loc = Locale(L)
-        from .topology import locale_points
-
-        for p in locale_points(loc):
+        for p in locale_points(Locale(L)):
             print(p.generator)
         return EXIT_OK
+    T = scott_topology(L, guard=args.guard)
     if specialization_order(T) != L.poset:
         raise ValidationError(
             "specialization order of the Scott topology is not the lattice order",
@@ -335,10 +334,7 @@ def cmd_dot(args) -> int:
     elif kind == "poset":
         poset = formats.load_poset(text)
     elif kind == "space":
-        from .topology import open_set_lattice
-
-        lat, _ = open_set_lattice(formats.load_space(text))
-        poset = lat.poset
+        poset = open_set_lattice(formats.load_space(text))[0].poset
     else:
         raise FormatError(f"cannot draw kind {kind!r}")
     _write(args.output, formats.dot_hasse(poset))

@@ -180,12 +180,7 @@ class FinitePoset:
         kept = [i for i, x in enumerate(self.elements) if x in keep]
         at = {i: k for k, i in enumerate(kept)}
         km = self.mask_of(keep)
-        up = []
-        for i in kept:
-            m = 0
-            for j in _bits(self.up_masks[i] & km):
-                m |= 1 << at[j]
-            up.append(m)
+        up = [_moved(self.up_masks[i] & km, at) for i in kept]
         return FinitePoset._from_masks(tuple(self.elements[i] for i in kept), up)
 
     def minimal(self, xs: Iterable[str]) -> frozenset[str]:
@@ -222,6 +217,14 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _moved(mask: int, at) -> int:
+    """``mask`` with each bit ``i`` moved to bit ``at[i]``."""
+    m = 0
+    for i in _bits(mask):
+        m |= 1 << at[i]
+    return m
 
 
 def validate_poset(elements: Iterable[str], pairs: Iterable[tuple[str, str]]) -> FinitePoset:
@@ -743,17 +746,10 @@ def _build_ideal_completion(S: JoinSemilattice) -> FiniteLattice:
     at = [0] * P.n
     for k, i in enumerate(order):
         at[i] = k
-
-    def moved(cone: int) -> int:
-        m = 0
-        for j in _bits(cone):
-            m |= 1 << at[j]
-        return m
-
     R = FinitePoset._from_masks(
         tuple(names[i] for i in order),
-        [moved(P.up_masks[i]) for i in order],
-        [moved(P.down_masks[i]) for i in order],
+        [_moved(P.up_masks[i], at) for i in order],
+        [_moved(P.down_masks[i], at) for i in order],
     )
     return _by_construction(FiniteLattice, R)
 
@@ -813,28 +809,21 @@ def lattice_from_masks(
     points: Sequence[str], masks: Iterable[int]
 ) -> tuple[FiniteLattice, dict[str, frozenset[str]]]:
     """The lattice of the distinct ``masks`` over ``points``, ordered by
-    inclusion and named by ``named_masks``.
-
-    The family must form a lattice under inclusion, as a closure system or a
-    family closed under unions and intersections does; nothing checks it, so
-    the units are read at once and the bound tables on first read.  Returns
-    the lattice and the decoding table from element names back to the sets.
-    """
+    inclusion and named by ``named_masks``, and the decoding table from
+    element names back to the sets."""
     named = named_masks(points, masks)
-    cones = kernels.inclusion_cones([m for _, m, _ in named], len(points))
+    return _named_lattice(named, len(points)), {n: frozenset(xs) for n, _, xs in named}
+
+
+def _named_lattice(named: list[tuple[str, int, list[str]]], width: int) -> FiniteLattice:
+    """The inclusion lattice of ``named_masks``' rows over ``width`` points,
+    element ``i`` the set ``named[i]``.  The family must form a lattice, as a
+    closure system or a family closed under unions and intersections does;
+    nothing checks it, so the units are read now and the tables on first read.
+    """
+    cones = kernels.inclusion_cones([m for _, m, _ in named], width)
     P = FinitePoset._from_masks(tuple(n for n, _, _ in named), *cones)
-    return _by_construction(FiniteLattice, P), {n: frozenset(xs) for n, _, xs in named}
-
-
-def lattice_from_sets(
-    family: Iterable[frozenset[str]],
-) -> tuple[FiniteLattice, dict[str, frozenset[str]]]:
-    """``lattice_from_masks`` for a family held as sets of names, its points
-    indexed in name order."""
-    fam = set(family)
-    points = sorted(set().union(*fam))
-    at = {p: i for i, p in enumerate(points)}
-    return lattice_from_masks(points, {sum(1 << at[p] for p in s) for s in fam})
+    return _by_construction(FiniteLattice, P)
 
 
 def k_semilattice(L: FiniteLattice) -> JoinSemilattice:
@@ -1056,10 +1045,7 @@ def is_order_iso(P: FinitePoset, Q: FinitePoset, f: Mapping[str, str]) -> bool:
     # up-cone of the image.
     at = [Q.index[f[x]] for x in P.elements]
     for i, cone in enumerate(P.up_masks):
-        image = 0
-        for j in _bits(cone):
-            image |= 1 << at[j]
-        if image != Q.up_masks[at[i]]:
+        if _moved(cone, at) != Q.up_masks[at[i]]:
             return False
     return True
 

@@ -4,6 +4,9 @@ The spacial face: a finite lattice's Scott opens (definitionally the upper
 sets inaccessible by directed suprema), the locale of lower sets of a
 meet-semilattice, principal prime ideals as points, and the three-way
 homeomorphism tying lattice, filter space, and point space together.
+
+Spaces hold their opens as masks over their points; sets of points are
+named, by ``order.named_masks``, only for reports and witnesses.
 """
 
 from __future__ import annotations
@@ -11,10 +14,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from . import order
-from .canon import set_id
 from .errors import ValidationError
 from .order import (
     FiniteLattice,
@@ -24,72 +26,79 @@ from .order import (
     _bits,
     _guard,
     _join_dual,
+    _moved,
+    _named_lattice,
     _prime_breach,
     compacts,
     down_set,
-    filters,
     flt_lattice,
     ideal_names,
     is_algebraic,
     is_distributive,
     is_order_iso,
     lattice_from_masks,
-    lattice_from_sets,
     meet_primes,
-    up_set,
+    named_masks,
 )
 
 SCOTT_GUARD = 14
 FRAME_SUBSET_CAP = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TopSpace:
     """Finite topological space: empty and full sets present, closed under
-    (binary, hence all) unions and intersections."""
+    (binary, hence all) unions and intersections.
+
+    The opens are ``open_masks``, sorted ints with bit ``i`` for
+    ``points[i]``; equality and hashing read the two fields, and ``opens``
+    and ``sorted_opens`` are derived on read.  ``TopSpace(points, opens)``
+    checks every law; ``_from_masks`` checks the points only.
+    """
 
     points: tuple[str, ...]
-    opens: frozenset[frozenset[str]]
+    open_masks: tuple[int, ...]
 
-    def __post_init__(self):
-        _check_points(self.points)
-        pts = set(self.points)
-        for o in self.opens:
-            if not o <= pts:
+    def __init__(self, points: tuple[str, ...], opens: Iterable[frozenset[str]]):
+        _check_points(points)
+        bit = {p: 1 << i for i, p in enumerate(points)}
+        masks = set()
+        for o in opens:
+            if not o <= bit.keys():
                 raise ValidationError(
                     "open set contains unknown points",
                     law="unknown-element",
                     witness={"open": sorted(o)},
                 )
-        if frozenset() not in self.opens or frozenset(pts) not in self.opens:
-            raise ValidationError(
-                "empty or full set missing", law="space:bounds"
-            )
-        # Pairs are walked as masks, each unordered pair once: both tests
-        # are symmetric and hold on the diagonal, so the first failing pair
-        # (i, j) of the ordered walk has i < j.
-        bit = {p: 1 << i for i, p in enumerate(self.points)}
-        masks = [sum(map(bit.__getitem__, o)) for o in self.sorted_opens]
-        have = set(masks)
-        for i, a in enumerate(masks):
-            rest = masks[i + 1:]
-            if {a | b for b in rest} <= have and {a & b for b in rest} <= have:
-                continue
-            for j, b in enumerate(rest, i + 1):
-                if a | b not in have:
-                    law, what = "space:unions", "union"
-                elif a & b not in have:
-                    law, what = "space:intersections", "intersection"
-                else:
-                    continue
-                pair = [sorted(self.sorted_opens[i]), sorted(self.sorted_opens[j])]
-                raise ValidationError(
-                    f"opens not closed under {what}", law=law, witness={"pair": pair}
-                )
+            masks.add(sum(map(bit.__getitem__, o)))
+        if 0 not in masks or (1 << len(points)) - 1 not in masks:
+            raise ValidationError("empty or full set missing", law="space:bounds")
+        masks = sorted(masks)
+        breach = _closure_breach(points, masks)
+        if breach:
+            law, what, pair = breach
+            raise ValidationError(f"opens not closed under {what}", law=law, witness={"pair": pair})
+        self.__dict__.update(points=points, open_masks=tuple(masks))
+
+    @classmethod
+    def _from_masks(cls, points: tuple[str, ...], masks: Iterable[int]) -> TopSpace:
+        """The space of ``masks``, in increasing order, that hold the empty
+        and the full set and are closed under unions and intersections by
+        construction; only the points are checked, as a lattice built from
+        sets may repeat a name.  ``tests/`` rebuilds such spaces publicly."""
+        _check_points(points)
+        T = object.__new__(cls)
+        T.__dict__.update(points=points, open_masks=tuple(masks))
+        return T
 
     @cached_property
     def sorted_opens(self) -> list[frozenset[str]]:
-        return sorted(self.opens, key=set_id)
+        """The opens as sets of points, by name, then by mask."""
+        return [frozenset(xs) for _, _, xs in named_masks(self.points, self.open_masks)]
+
+    @cached_property
+    def opens(self) -> frozenset[frozenset[str]]:
+        return frozenset(self.sorted_opens)
 
 
 def _check_points(points: tuple[str, ...]) -> None:
@@ -98,16 +107,25 @@ def _check_points(points: tuple[str, ...]) -> None:
         raise ValidationError("duplicate point", law="space:points", witness={"point": repeated})
 
 
-def _upper_set_space(P: FinitePoset, masks: list[int]) -> TopSpace:
-    """``TopSpace`` of the upper sets of ``P``, given as masks.  They hold
-    the empty and the full set and are closed under unions and
-    intersections, so only the points are checked (a lattice built from
-    sets may repeat a name); ``tests/`` rebuilds every such space through
-    the public constructor."""
-    _check_points(P.elements)
-    T = object.__new__(TopSpace)
-    T.__dict__.update(points=P.elements, opens=frozenset(map(P.set_of, masks)))
-    return T
+def _closure_breach(points: tuple[str, ...], masks: list[int]) -> tuple[str, str, list] | None:
+    """The law, operation and opens (sorted member lists) of the first pair,
+    in name order, whose union or intersection is not among the sorted
+    ``masks``, else None.  Both tests are symmetric and hold on the diagonal,
+    so each unordered pair is walked once, as masks, and named on failure."""
+    have = set(masks)
+    if all(
+        {a | b for b in masks[i + 1:]} <= have and {a & b for b in masks[i + 1:]} <= have
+        for i, a in enumerate(masks)
+    ):
+        return None
+    named = named_masks(points, masks)
+    for i, (_, a, xs) in enumerate(named):
+        for _, b, ys in named[i + 1:]:
+            if a | b not in have:
+                return "space:unions", "union", [xs, ys]
+            if a & b not in have:
+                return "space:intersections", "intersection", [xs, ys]
+    return None
 
 
 @dataclass(frozen=True)
@@ -196,22 +214,20 @@ class LocalePoint:
 def scott_topology(L: FiniteLattice, guard: int | None = None) -> TopSpace:
     """The upper sets, which on a finite lattice are exactly the Scott opens.
     Up to ``order.DIRECTED_SCAN_CAP`` elements the definitional test of every
-    subset must agree; a mismatch names the least subset, by ``set_id``, on
-    which the two differ.  ``guard`` defaults to ``SCOTT_GUARD``."""
+    subset must agree; a mismatch names the least subset, by name, on which
+    the two differ.  ``guard`` defaults to ``SCOTT_GUARD``."""
     P = L.poset
     _guard("scott_topology", P.n, SCOTT_GUARD if guard is None else guard)
     masks = order._upper_set_masks(P)
     scan = _scott_open_scan(L) if P.n <= order.DIRECTED_SCAN_CAP else masks
     if scan != masks:
-        count = Counter(scan)
-        count.subtract(masks)
-        differ = min((P.set_of(m) for m, k in count.items() if k), key=set_id)
+        differ = named_masks(P.elements, set(scan) ^ set(masks))[0][2]
         raise ValidationError(
             "scott opens of a finite lattice are not the upper sets",
             law="scott:upper-sets",
-            witness={"open": sorted(differ)},
+            witness={"open": differ},
         )
-    return _upper_set_space(P, masks)
+    return TopSpace._from_masks(P.elements, masks)
 
 
 def _scott_open_scan(L: FiniteLattice) -> list[int]:
@@ -228,25 +244,34 @@ def _scott_open_scan(L: FiniteLattice) -> list[int]:
 
 
 def specialization_order(T: TopSpace) -> FinitePoset:
-    """Order points by containment in opens; fails if two points are
-    topologically indistinguishable."""
-    pairs = set()
-    for x in T.points:
-        for y in T.points:
-            if all(y in o for o in T.opens if x in o):
-                pairs.add((x, y))
-    for x, y in sorted(pairs):
-        if x != y and (y, x) in pairs:
-            raise ValidationError(
-                f"specialization preorder is not antisymmetric on ({x!r}, {y!r})",
-                law="specialization:antisymmetry",
-                witness={"pair": [x, y]},
-            )
-    return FinitePoset(T.points, frozenset(pairs))
+    """Order points by containment in opens: ``x <= y`` when every open that
+    holds ``x`` holds ``y``.  Fails if two points are topologically
+    indistinguishable."""
+    els = T.points
+    up = [(1 << len(els)) - 1] * len(els)
+    for o in T.open_masks:
+        for i in _bits(o):
+            up[i] &= o
+    twins = [
+        (els[i], els[j])
+        for i, cone in enumerate(up)
+        for j in _bits(cone & ~(1 << i))
+        if up[j] >> i & 1
+    ]
+    if twins:
+        x, y = min(twins)
+        raise ValidationError(
+            f"specialization preorder is not antisymmetric on ({x!r}, {y!r})",
+            law="specialization:antisymmetry",
+            witness={"pair": [x, y]},
+        )
+    return FinitePoset._from_masks(els, up)
 
 
 def open_set_lattice(T: TopSpace) -> tuple[FiniteLattice, dict[str, frozenset[str]]]:
-    return lattice_from_sets(T.opens)
+    """The opens of ``T`` under inclusion, and the decoding table from their
+    names back to the sets."""
+    return lattice_from_masks(T.points, T.open_masks)
 
 
 @dataclass(frozen=True)
@@ -269,32 +294,34 @@ def scott_base_and_coherence(L: FiniteLattice) -> BaseCoherenceReport:
     """Cones of compacts form a base; compact opens are their finite unions
     and are closed under intersection."""
     T = scott_topology(L)
-    K = compacts(L)
-    base = sorted((up_set(L.poset, [c]) for c in K.elements), key=set_id)
+    P = L.poset
+    base = named_masks(P.elements, (P.up_masks[P.index[c]] for c in compacts(L).elements))
+    opens = named_masks(P.elements, T.open_masks)
     details = []
-    ok = True
-    for o in T.sorted_opens:
-        union = frozenset().union(*[b for b in base if b <= o]) if base else frozenset()
+    for name, o, _ in opens:
+        union = 0
+        for _, b, _ in base:
+            if not b & ~o:
+                union |= b
         if union != o:
-            ok = False
-            details.append(f"open {set_id(o)} is not the union of base members inside it")
-    lat, decode = open_set_lattice(T)
-    kopens = sorted((decode[e] for e in compacts(lat).elements), key=set_id)
-    finite_unions = {
-        frozenset().union(*(b for i, b in enumerate(base) if m >> i & 1))
-        for m in range(1 << len(base))
-    }
-    if set(kopens) != finite_unions:
-        ok = False
+            details.append(f"open {name} is not the union of base members inside it")
+    lat = _named_lattice(opens, P.n)
+    kopens = [opens[i] for i in _bits(lat.poset.mask_of(compacts(lat).elements))]
+    closed = {m for _, m, _ in kopens}
+    unions = {0}
+    for _, b, _ in base:
+        unions |= {s | b for s in unions}
+    if closed != unions:
         details.append("compact opens differ from finite unions of base members")
-    masks = [L.poset.mask_of(o) for o in kopens]
-    closed = set(masks)
-    for a in masks:
-        for b in masks:
-            if a & b not in closed:
-                ok = False
-                details.append(f"intersection {set_id(L.poset.set_of(a & b))} is not compact")
-    return BaseCoherenceReport(ok, tuple(base), tuple(kopens), tuple(details))
+    for _, a, _ in kopens:
+        for m in [a & b for _, b, _ in kopens if a & b not in closed]:
+            details.append(f"intersection {named_masks(P.elements, [m])[0][0]} is not compact")
+    return BaseCoherenceReport(
+        not details,
+        tuple(frozenset(xs) for _, _, xs in base),
+        tuple(frozenset(xs) for _, _, xs in kopens),
+        tuple(details),
+    )
 
 
 def lower_sets(S: MeetSemilattice | JoinSemilattice) -> list[frozenset[str]]:
@@ -304,7 +331,7 @@ def lower_sets(S: MeetSemilattice | JoinSemilattice) -> list[frozenset[str]]:
     ``order.filters``.
     """
     P, masks = _lower_set_masks(S)
-    return sorted(map(P.set_of, masks), key=set_id)
+    return [frozenset(xs) for _, _, xs in named_masks(P.elements, masks)]
 
 
 def _lower_set_masks(S: MeetSemilattice | JoinSemilattice) -> tuple[FinitePoset, list[int]]:
@@ -317,15 +344,17 @@ def _lower_set_masks(S: MeetSemilattice | JoinSemilattice) -> tuple[FinitePoset,
 
 def _lower_set_lattice(
     S: MeetSemilattice | JoinSemilattice,
-) -> tuple[FiniteLattice, dict[str, frozenset[str]]]:
-    """The lattice of the lower sets of ``S`` and its decode table, built once
-    per value ``S``: the lemma and the locale of cor. 6.17 both read it."""
+) -> tuple[FiniteLattice, tuple[int, ...]]:
+    """The lattice of the lower sets of ``S`` and the mask of each of its
+    elements over the elements of ``S``, built once per value ``S``: the
+    lemma and the locale of cor. 6.17 both read it."""
     return order._memo(S, "_lower_set_lattice", _build_lower_set_lattice)
 
 
 def _build_lower_set_lattice(S):
     P, masks = _lower_set_masks(S)
-    return lattice_from_masks(P.elements, masks)
+    named = named_masks(P.elements, masks)
+    return _named_lattice(named, P.n), tuple(m for _, m, _ in named)
 
 
 def lower_set_locale(S: MeetSemilattice | JoinSemilattice) -> Locale:
@@ -335,25 +364,23 @@ def lower_set_locale(S: MeetSemilattice | JoinSemilattice) -> Locale:
     return order._memo(S, "_stone_data", _stone_data)[0]
 
 
-def _stone_data(S: MeetSemilattice | JoinSemilattice) -> tuple[Locale, TopSpace, dict[str, str]]:
-    """The lower-set locale, the Scott space of ``flt_lattice(S)`` and ψ, the
-    checked order-iso from Scott opens onto lower sets (by name).  Memoized
-    on ``S`` as ``_stone_data``; none of the three holds ``S``."""
-    lat, decode = _lower_set_lattice(S)
+def _stone_data(S: MeetSemilattice | JoinSemilattice) -> tuple[Locale, TopSpace, tuple[int, ...]]:
+    """The lower-set locale, the Scott space σ of ``flt_lattice(S)`` and ψ,
+    the checked iso from the opens of σ onto the lower sets: an open goes to
+    the ``a`` whose filters ``up(a)`` it holds, as a lower set meets
+    ``up(a)`` exactly when it holds ``a``.  ψ is held as its point map,
+    ``psi[k]`` the index of the ``a`` of point ``k``.  Memoized on ``S`` as
+    ``_stone_data``; none of the three holds ``S``."""
+    lat, masks = _lower_set_lattice(S)
     loc = _set_family_locale(lat)
     sigma = scott_topology(flt_lattice(S))
-    olat, _ = open_set_lattice(sigma)
-    filt_members = {set_id(f.members): f.members for f in filters(S)}
-    fmap = {
-        e: set_id(name for name, members in filt_members.items() if members & decode[e])
-        for e in lat.elements
-    }
-    if not is_order_iso(lat.poset, olat.poset, fmap):
+    psi = tuple(order._ideal_order(_join_dual(S)))
+    if {_moved(o, psi) for o in sigma.open_masks} != set(masks):
         raise ValidationError(
             "lower-set locale does not match the Scott opens of the filter lattice",
             law="locale:lower-sets",
         )
-    return loc, sigma, {o: e for e, o in fmap.items()}
+    return loc, sigma, psi
 
 
 def locale_points(loc: Locale) -> list[LocalePoint]:
@@ -381,10 +408,12 @@ class Lemma616Report:
 
 def lemma_6_16_check(S: MeetSemilattice | JoinSemilattice) -> Lemma616Report:
     """Meet-primes of the lattice of lower sets are exactly the filter
-    complements.  A join-semilattice stands for its dual."""
+    complements; the filter ``up(a)`` of ``S`` is the down-cone of ``a`` in
+    its join dual.  A join-semilattice stands for its dual."""
     primes = sorted(meet_primes(_lower_set_lattice(S)[0]))
-    universe = frozenset(S.elements)
-    complements = sorted(set_id(universe - f.members) for f in filters(S))
+    P = _join_dual(S).poset
+    full = (1 << P.n) - 1
+    complements = [name for name, _, _ in named_masks(P.elements, (full ^ m for m in P.down_masks))]
     return Lemma616Report(complements == primes, tuple(complements), tuple(primes))
 
 
@@ -436,9 +465,7 @@ class Cor617Report:
         return {
             "ok": self.ok,
             "open_counts": [
-                len(self.scott_space.opens),
-                len(self.filter_space.opens),
-                len(self.point_space.opens),
+                len(T.open_masks) for T in (self.scott_space, self.filter_space, self.point_space)
             ],
             "to_filters": self.to_filters,
             "to_points": self.to_points,
@@ -446,29 +473,16 @@ class Cor617Report:
         }
 
 
-def _image_space_check(
-    name: str,
-    src: TopSpace,
-    dst: TopSpace,
-    fmap: Mapping[str, str],
-    details: list[str],
-) -> None:
-    if sorted(fmap) != sorted(src.points) or sorted(set(fmap.values())) != sorted(dst.points):
-        details.append(f"{name}: point map is not a bijection")
-        return
-    images = {frozenset(fmap[x] for x in o) for o in src.opens}
-    if images != dst.opens:
-        details.append(f"{name}: open families do not correspond")
-
-
 def corollary_6_17_spaces(S: MeetSemilattice | JoinSemilattice) -> Cor617Report:
-    """Build the Scott space of ``flt_lattice(S)``, the filter space, and the
-    point space of ``lower_set_locale(S)``, and check that the point
+    """Build the Scott space σ of ``flt_lattice(S)``, the filter space, and
+    the point space of ``lower_set_locale(S)``, and check that the point
     bijections carry opens onto opens.  They come from isomorphisms known by
-    construction: φ sends ``a`` to ``↑a`` (``ideal_names`` of the dual), and
-    ψ inverts the map that ``lower_set_locale`` checks.  A join-semilattice
-    stands for its dual.
-    """
+    construction: φ sends ``a`` to ``up(a)`` (``ideal_names`` of the dual),
+    and ψ, checked by ``lower_set_locale``, sends opens to lower sets.  The
+    filter space has σ's points (``to_filters`` is the identity) and, by
+    definition, the union closure of the sets of filters that hold each
+    ``a`` as its opens, which must be σ's.  A join-semilattice stands for
+    its dual."""
     L = flt_lattice(S)
     loc, sigma, psi = order._memo(S, "_stone_data", _stone_data)
     D = _join_dual(S)
@@ -478,49 +492,47 @@ def corollary_6_17_spaces(S: MeetSemilattice | JoinSemilattice) -> Cor617Report:
             "dual of the semilattice is not isomorphic to the compacts",
             law="cor6.17:precondition",
         )
-
-    # filter space: opens generated by the sets of filters containing a
-    filt = filters(S)
-    fnames = {set_id(f.members): f.members for f in filt}
-    fpoints = tuple(sorted(fnames))
-    basic = [
-        frozenset(n for n in fpoints if a in fnames[n]) for a in S.elements
-    ]
-    fam = {frozenset(), frozenset(fpoints)}
-    for g in basic:
-        fam |= {s | g for s in fam}
-    filter_space = TopSpace(fpoints, frozenset(fam))
-
-    # point space: points of the locale, opens indexed by locale elements
-    pts = locale_points(loc)
-    pnames = tuple(sorted(p.generator for p in pts))
-    by_gen = {p.generator: p for p in pts}
-    popens = frozenset(
-        frozenset(g for g in pnames if a not in by_gen[g].members)
-        for a in loc.elements
-    )
-    point_space = TopSpace(pnames, popens)
-
-    # explicit bijections induced by φ and ψ
-    to_filters = {
-        x: set_id(frozenset(a for a in S.elements if L.le(phi[a], x)))
-        for x in L.elements
-    }
-    ldown = {x: down_set(L.poset, [x]) for x in L.elements}
-    universe = frozenset(L.elements)
-    to_points = {
-        x: psi[set_id(universe - ldown[x])] for x in L.elements
-    }
-
     details: list[str] = []
-    _image_space_check("filters", sigma, filter_space, to_filters, details)
-    _image_space_check("points", sigma, point_space, to_points, details)
-    sizes = {len(sigma.opens), len(filter_space.opens), len(point_space.opens)}
-    if len(sizes) != 1:
+    full = (1 << L.poset.n) - 1
+    fam = {0, full}
+    for g in _filter_membership(D, [L.poset.index[phi[a]] for a in D.elements]):
+        fam |= {s | g for s in fam}
+    filter_space = TopSpace._from_masks(sigma.points, sorted(fam))
+    if filter_space.open_masks != sigma.open_masks:
+        details.append("filters: open families do not correspond")
+
+    # point space: points of the locale, an open per locale element a, the
+    # points whose ideals miss a
+    Q = loc.lattice.poset
+    pts = locale_points(loc)
+    gens, down = [Q.index[p.generator] for p in pts], Q.down_masks
+    popens = {sum(1 << k for k, g in enumerate(gens) if not down[g] >> a & 1) for a in range(Q.n)}
+    point_space = TopSpace._from_masks(tuple(p.generator for p in pts), sorted(popens))
+
+    # the point x of σ goes to the locale element ψ(σ minus down(x))
+    where = {m: i for i, m in enumerate(_lower_set_lattice(S)[1])}
+    sent = [where.get(_moved(full ^ cone, psi)) for cone in L.poset.down_masks]
+    to_points = {x: Q.elements[i] for x, i in zip(L.elements, sent) if i is not None}
+    point_of = {g: k for k, g in enumerate(gens)}
+    image = [point_of.get(i) for i in sent]
+    if None in image or sorted(image) != list(range(len(gens))):
+        details.append("points: point map is not a bijection")
+    elif {_moved(o, image) for o in sigma.open_masks} != set(point_space.open_masks):
+        details.append("points: open families do not correspond")
+    counts = {len(T.open_masks) for T in (sigma, filter_space, point_space)}
+    if len(counts) != 1:
         details.append("open-set counts differ")
+    to_filters = dict(zip(L.elements, L.elements))
     return Cor617Report(
         not details, sigma, filter_space, point_space, to_filters, to_points, tuple(details)
     )
+
+
+def _filter_membership(D: JoinSemilattice, at: list[int]) -> list[int]:
+    """For each ``a``, the filters that hold ``a``, as a mask over σ, where
+    ``up(b)`` is point ``at[b]``: the ``up(b)`` with ``b <= a``, which is
+    the up-cone of ``a`` in the join dual ``D``."""
+    return [_moved(cone, at) for cone in D.poset.up_masks]
 
 
 @dataclass(frozen=True)
@@ -544,26 +556,26 @@ def frame_hom_of_continuous(
     f: Mapping[str, str], X: TopSpace, Y: TopSpace
 ) -> FrameHomReport:
     """Inverse image of a continuous map, checked to preserve finite meets and
-    arbitrary (here: finite) joins of opens; otherwise the witness open."""
+    arbitrary (here: finite) joins of opens; otherwise the witness open, the
+    first by name whose inverse image is not open."""
+    idx = {y: j for j, y in enumerate(Y.points)}
     for x in X.points:
-        if x not in f or f[x] not in set(Y.points):
-            raise ValidationError(
-                f"map is not total on points ({x!r})", law="unknown-element"
-            )
-    pre = {}
-    for o in Y.sorted_opens:
-        inv = frozenset(x for x in X.points if f[x] in o)
-        if inv not in X.opens:
-            return FrameHomReport(False, o, None, False, False)
-        pre[set_id(o)] = set_id(inv)
+        if x not in f or f[x] not in idx:
+            raise ValidationError(f"map is not total on points ({x!r})", law="unknown-element")
+    at = [idx[f[x]] for x in X.points]
 
-    def inv_of(o: frozenset) -> frozenset:
-        return frozenset(x for x in X.points if f[x] in o)
+    def inv(o: int) -> int:
+        return sum(1 << i for i, j in enumerate(at) if o >> j & 1)
 
-    meets = all(
-        inv_of(a & b) == inv_of(a) & inv_of(b) for a in Y.opens for b in Y.opens
-    ) and inv_of(frozenset(Y.points)) == frozenset(X.points)
-    joins = all(
-        inv_of(a | b) == inv_of(a) | inv_of(b) for a in Y.opens for b in Y.opens
-    ) and inv_of(frozenset()) == frozenset()
-    return FrameHomReport(True, None, pre, meets, joins)
+    opens, xopens = Y.open_masks, set(X.open_masks)
+    bad = [o for o in opens if inv(o) not in xopens]
+    if bad:
+        witness = frozenset(named_masks(Y.points, bad)[0][2])
+        return FrameHomReport(False, witness, None, False, False)
+    # the full and the empty set are the last and the first open
+    meets = inv(opens[-1]) == X.open_masks[-1]
+    meets = meets and all(inv(a & b) == inv(a) & inv(b) for a in opens for b in opens)
+    joins = inv(0) == 0 and all(inv(a | b) == inv(a) | inv(b) for a in opens for b in opens)
+    xname = {m: name for name, m, _ in named_masks(X.points, X.open_masks)}
+    preimage = {name: xname[inv(o)] for name, o, _ in named_masks(Y.points, opens)}
+    return FrameHomReport(True, None, preimage, meets, joins)

@@ -19,10 +19,11 @@ from cxtcat.order import (
     ideal_completion,
     ideals,
     lattice_from_masks,
-    lattice_from_sets,
     powerset_lattice,
     validate_poset,
 )
+
+from test_index_oracles import lattice_from_sets
 
 
 def inclusion_poset(names, sets):

@@ -669,16 +669,18 @@ def test_idl_names_colliding_ideals_in_element_order(tmp_path):
 
 
 def test_colliding_set_families_decode_alike_under_every_hash_seed():
-    """``lattice_from_sets`` indexes points in name order, so on the family
-    ``{}``, ``{a,b}``, ``{"a,b"}``, ``{a,b,"a,b"}`` the two sets named
-    ``{a,b}`` keep their masks and sort by them, ``{"a,b"}`` first, whatever
-    the hash seed: seeds 0-7 give the same elements, cones and decode table.
-    The names still collide, so the decode table holds one entry for both
-    sets, the later one; only injective names would keep the two apart."""
+    """``open_set_lattice`` reads the opens as masks over the space's points,
+    so on the space with points ``a``, ``b``, ``"a,b"`` and opens ``{}``,
+    ``{a,b}``, ``{"a,b"}``, ``{a,b,"a,b"}`` the two opens named ``{a,b}``
+    keep their masks and sort by them, ``{a,b}`` (bits 0 and 1) first,
+    whatever the hash seed: seeds 0-7 give the same elements, cones and
+    decode table.  The names still collide, so the decode table holds one
+    entry for both sets, the later one; only injective names would keep the
+    two apart."""
     script = (
-        "from cxtcat.order import lattice_from_sets\n"
-        "fam = [frozenset(), frozenset('ab'), frozenset({'a,b'}), frozenset({'a', 'b', 'a,b'})]\n"
-        "L, decode = lattice_from_sets(fam)\n"
+        "from cxtcat.topology import TopSpace, open_set_lattice\n"
+        "opens = [frozenset(), frozenset('ab'), frozenset({'a,b'}), frozenset({'a', 'b', 'a,b'})]\n"
+        "L, decode = open_set_lattice(TopSpace(('a', 'b', 'a,b'), frozenset(opens)))\n"
         "print(L.elements, L.poset.up_masks, sorted((x, sorted(s)) for x, s in decode.items()))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(formats.__file__).parents[1]))
@@ -692,7 +694,7 @@ def test_colliding_set_families_decode_alike_under_every_hash_seed():
         outs.add(run.stdout)
     assert outs == {
         "('{a,a,b,b}', '{a,b}', '{a,b}', '{}') (1, 3, 5, 15) "
-        "[('{a,a,b,b}', ['a', 'a,b', 'b']), ('{a,b}', ['a', 'b']), ('{}', [])]\n"
+        "[('{a,a,b,b}', ['a', 'a,b', 'b']), ('{a,b}', ['a,b']), ('{}', [])]\n"
     }
 
 
@@ -773,6 +775,66 @@ def test_topology_verbs(files, tmp_path, capsys):
     assert main(["topology", str(files["poset"]), "--report", "stone"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["cor6.17"]["ok"] and doc["lemma6.16"]["ok"]
+
+
+@pytest.mark.parametrize("n", [15, 64])
+def test_topology_points_of_long_chains(files, capsys, n):
+    """``--report points`` builds no Scott topology, so chains past
+    ``SCOTT_GUARD`` get their points, whatever ``--guard`` says: every
+    element but the top generates one, printed in name order."""
+    chain = files["tmp"] / f"chain{n}.json"
+    chain.write_text(formats.dump_poset(chain_poset(n)))
+    assert main(["topology", str(chain), "--report", "points"]) == 0
+    assert capsys.readouterr().out.splitlines() == sorted(f"c{i}" for i in range(n - 1))
+    assert main(["topology", str(chain), "--report", "points", "--guard", "2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == n - 1
+
+
+def test_topology_guard_caps_the_opens_report(files, capsys):
+    chain = files["tmp"] / "chain3.json"
+    chain.write_text(formats.dump_poset(chain_poset(3)))
+    assert main(["topology", str(chain), "--guard", "2"]) == 3
+    assert "scott_topology: size 3 exceeds guard 2" in capsys.readouterr().err
+
+
+def test_topology_stone_on_colliding_lower_set_names(tmp_path, capsys):
+    """In ``0 < a, b, "a,b" < t`` the lower sets ``{0,a,b}`` and
+    ``{0,"a,b"}`` are both named ``{0,a,b}``.  ψ reads masks, so the Stone
+    report no longer merges them and passes.  Only the first is prime; the
+    point named ``{0,a,b}`` is looked up by name and lands on the later of
+    the two in the locale's element order, which is the prime one, so the
+    points check out too; listed in another order, the same poset fails
+    ``point:prime`` on the non-prime one.  The names still collide in
+    ``to_points``.  With ``a < b`` as well, two filters share a name
+    instead, and the report still exits 1 (``space:points``)."""
+    els = ["0", "a", "a,b", "b", "t"]
+    leq = {(x, x) for x in els} | {("0", x) for x in els} | {(x, "t") for x in els}
+    src = tmp_path / "collide.json"
+    src.write_text(formats.dump_poset(validate_poset(els, leq)))
+    assert main(["topology", str(src), "--report", "stone"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["lemma6.16"]["ok"] and doc["cor6.17"]["ok"]
+    assert doc["lemma6.16"]["primes"] == ["{0,a,a,b,b}", "{0,a,a,b}", "{0,a,b,b}", "{0,a,b}", "{}"]
+    assert doc["cor6.17"]["to_points"] == {
+        "{0,a,a,b,b,t}": "{}",
+        "{a,b,t}": "{0,a,b}",
+        "{a,t}": "{0,a,b,b}",
+        "{b,t}": "{0,a,a,b}",
+        "{t}": "{0,a,a,b,b}",
+    }
+    # listed a, b, 0, "a,b", t, the non-prime {0,"a,b"} comes later instead
+    # and the point named {0,a,b} lands on it
+    unordered = {"kind": "poset", "version": 1, "elements": ["a", "b", "0", "a,b", "t"]}
+    src.write_text(json.dumps({**unordered, "leq": sorted(map(list, leq))}))
+    assert main(["topology", str(src), "--report", "stone"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["law"] == "point:prime" and doc["witness"] == {"pair": ["{0,a,a,b}", "{0,a,b,b}"]}
+    # up(a) = {a,b,t} and up("a,b") = {"a,b",t}: the Scott space of the
+    # filter lattice refuses the repeated point
+    src.write_text(formats.dump_poset(validate_poset(els, leq | {("a", "b")})))
+    assert main(["topology", str(src), "--report", "stone"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["law"] == "space:points" and doc["witness"] == {"point": "{a,b,t}"}
 
 
 def test_dot_verb_stable(files, tmp_path):
@@ -922,6 +984,7 @@ _VERBS = [
     ["compacts"],
     ["topology"],
     ["topology", "--report", "stone"],
+    ["topology", "--report", "points"],
     ["convert", "--to", "semilattice"],
 ]
 

@@ -14,6 +14,12 @@ context builders (product, plus, tensor, the context of a semilattice, the
 random and literal contexts) are compared with the pair-built contexts the
 public constructor makes, the chunked inclusion cones with the pairwise
 inclusion scan, and the names of set families with ``set_id``.
+
+Spaces hold their opens as masks; the name-level bodies of the space code
+(``lattice_from_sets`` among them, the builder of open-set and
+function-space lattices before they read masks) are compared with it on
+drawn lattices and meet-semilattices, fixed ones, each also listed out of
+name order, and random families of sets.
 """
 
 import json
@@ -1105,3 +1111,302 @@ def test_poset_documents_agree_with_json_dumps():
             "version": 1,
         }
         assert formats.dump_poset(P) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# spaces held as open masks, and the name-level bodies they replaced
+
+
+def lattice_from_sets(family):
+    """The inclusion lattice of a family of sets of names, its points indexed
+    in name order, and its decoding table: what the open-set lattice and the
+    function-space lattice were built by before they read masks."""
+    fam = set(family)
+    points = sorted(set().union(*fam))
+    at = {p: i for i, p in enumerate(points)}
+    return order.lattice_from_masks(points, {sum(1 << at[p] for p in s) for s in fam})
+
+
+def specialization_order_oracle(T):
+    pairs = set()
+    for x in T.points:
+        for y in T.points:
+            if all(y in o for o in T.opens if x in o):
+                pairs.add((x, y))
+    for x, y in sorted(pairs):
+        if x != y and (y, x) in pairs:
+            raise ValidationError(
+                f"specialization preorder is not antisymmetric on ({x!r}, {y!r})",
+                law="specialization:antisymmetry",
+                witness={"pair": [x, y]},
+            )
+    return order.FinitePoset(T.points, frozenset(pairs))
+
+
+def base_and_coherence_oracle(L):
+    T = topology.scott_topology(L)
+    base = sorted((order.up_set(L.poset, [c]) for c in order.compacts(L).elements), key=set_id)
+    details = []
+    for o in sorted(T.opens, key=set_id):
+        union = frozenset().union(*[b for b in base if b <= o]) if base else frozenset()
+        if union != o:
+            details.append(f"open {set_id(o)} is not the union of base members inside it")
+    lat, decode = lattice_from_sets(T.opens)
+    kopens = sorted((decode[e] for e in order.compacts(lat).elements), key=set_id)
+    finite_unions = {
+        frozenset().union(*(b for i, b in enumerate(base) if m >> i & 1))
+        for m in range(1 << len(base))
+    }
+    if set(kopens) != finite_unions:
+        details.append("compact opens differ from finite unions of base members")
+    masks = [L.poset.mask_of(o) for o in kopens]
+    for a in masks:
+        for b in masks:
+            if a & b not in set(masks):
+                details.append(f"intersection {set_id(L.poset.set_of(a & b))} is not compact")
+    return topology.BaseCoherenceReport(not details, tuple(base), tuple(kopens), tuple(details))
+
+
+def frame_hom_oracle(f, X, Y):
+    for x in X.points:
+        if x not in f or f[x] not in set(Y.points):
+            raise ValidationError(f"map is not total on points ({x!r})", law="unknown-element")
+
+    def inv_of(o):
+        return frozenset(x for x in X.points if f[x] in o)
+
+    pre = {}
+    for o in sorted(Y.opens, key=set_id):
+        if inv_of(o) not in X.opens:
+            return topology.FrameHomReport(False, o, None, False, False)
+        pre[set_id(o)] = set_id(inv_of(o))
+    meets = all(
+        inv_of(a & b) == inv_of(a) & inv_of(b) for a in Y.opens for b in Y.opens
+    ) and inv_of(frozenset(Y.points)) == frozenset(X.points)
+    joins = all(
+        inv_of(a | b) == inv_of(a) | inv_of(b) for a in Y.opens for b in Y.opens
+    ) and inv_of(frozenset()) == frozenset()
+    return topology.FrameHomReport(True, None, pre, meets, joins)
+
+
+def lower_set_lattice_oracle(S):
+    P, masks = topology._lower_set_masks(S)
+    return order.lattice_from_masks(P.elements, masks)
+
+
+def lemma_6_16_oracle(S):
+    primes = sorted(order.meet_primes(lower_set_lattice_oracle(S)[0]))
+    universe = frozenset(S.elements)
+    complements = sorted(set_id(universe - f.members) for f in order.filters(S))
+    return topology.Lemma616Report(complements == primes, tuple(complements), tuple(primes))
+
+
+def stone_data_oracle(S):
+    """The lower-set lattice, σ and ψ by name: each lower set is sent to the
+    set of filters it meets, and the map is checked to be an order-iso."""
+    lat, decode = lower_set_lattice_oracle(S)
+    sigma = topology.scott_topology(order.flt_lattice(S))
+    olat, _ = lattice_from_sets(sigma.opens)
+    filt_members = {set_id(f.members): f.members for f in order.filters(S)}
+    fmap = {
+        e: set_id(name for name, members in filt_members.items() if members & decode[e])
+        for e in lat.elements
+    }
+    if not order.is_order_iso(lat.poset, olat.poset, fmap):
+        raise ValidationError(
+            "lower-set locale does not match the Scott opens of the filter lattice",
+            law="locale:lower-sets",
+        )
+    return lat, sigma, {o: e for e, o in fmap.items()}
+
+
+def image_space_check_oracle(name, src, dst, fmap, details):
+    if sorted(fmap) != sorted(src.points) or sorted(set(fmap.values())) != sorted(dst.points):
+        details.append(f"{name}: point map is not a bijection")
+        return
+    if {frozenset(fmap[x] for x in o) for o in src.opens} != dst.opens:
+        details.append(f"{name}: open families do not correspond")
+
+
+def cor617_oracle(S):
+    """The Cor. 6.17 report by name: filters keyed by their names, the filter
+    space and the point space built as families of sets and checked by the
+    public constructor, and the point maps read through ψ by name."""
+    L = order.flt_lattice(S)
+    lat, sigma, psi = stone_data_oracle(S)
+    loc = topology.Locale(lat)
+    D = order._join_dual(S)
+    phi = dict(zip(D.elements, order.ideal_names(D)))
+    assert order.is_order_iso(D.poset, order.compacts(L), phi)
+    fnames = {set_id(f.members): f.members for f in order.filters(S)}
+    fpoints = tuple(sorted(fnames))
+    fam = {frozenset(), frozenset(fpoints)}
+    for a in S.elements:
+        g = frozenset(n for n in fpoints if a in fnames[n])
+        fam |= {s | g for s in fam}
+    filter_space = topology.TopSpace(fpoints, frozenset(fam))
+    pts = topology.locale_points(loc)
+    pnames = tuple(sorted(p.generator for p in pts))
+    by_gen = {p.generator: p for p in pts}
+    popens = frozenset(
+        frozenset(g for g in pnames if a not in by_gen[g].members) for a in loc.elements
+    )
+    point_space = topology.TopSpace(pnames, popens)
+    to_filters = {
+        x: set_id(frozenset(a for a in S.elements if L.le(phi[a], x))) for x in L.elements
+    }
+    universe = frozenset(L.elements)
+    to_points = {x: psi[set_id(universe - down_set(L.poset, [x]))] for x in L.elements}
+    details = []
+    image_space_check_oracle("filters", sigma, filter_space, to_filters, details)
+    image_space_check_oracle("points", sigma, point_space, to_points, details)
+    if len({len(sigma.opens), len(filter_space.opens), len(point_space.opens)}) != 1:
+        details.append("open-set counts differ")
+    return topology.Cor617Report(
+        not details, sigma, filter_space, point_space, to_filters, to_points, tuple(details)
+    )
+
+
+def out_of_name_order(P, rng):
+    """``P`` with its elements listed in a shuffled order other than name
+    order (when it has two or more)."""
+    els = list(P.elements)
+    rng.shuffle(els)
+    if els == sorted(els):
+        els.reverse()
+    return validate_poset(tuple(els), P.leq)
+
+
+def unordered_n5():
+    """N5 listed top first, its names against its order."""
+    els = ("z", "y", "b", "m", "a")
+    below = {("a", "m"), ("m", "y"), ("a", "y"), ("a", "b")}
+    return validate_poset(els, {(x, x) for x in els} | {(x, "z") for x in els} | below)
+
+
+def fixed_space_posets(rng):
+    """M3, N5, the diamond and chains 1-4, each also out of name order."""
+    posets = [m3_poset(), n5_poset(), diamond_poset(), unordered_n5()]
+    posets += [chain_poset(n) for n in range(1, 5)]
+    return posets + [out_of_name_order(P, rng) for P in posets]
+
+
+def same_space(T, U):
+    """The same points, in any order, and the same opens."""
+    return sorted(T.points) == sorted(U.points) and T.opens == U.opens
+
+
+def check_stone_agrees(S):
+    got, want = topology.corollary_6_17_spaces(S), cor617_oracle(S)
+    assert got.as_dict() == want.as_dict()
+    assert got.ok and got.to_filters == want.to_filters and got.to_points == want.to_points
+    for field in ("scott_space", "filter_space", "point_space"):
+        T = getattr(got, field)
+        assert same_space(T, getattr(want, field)), field
+        assert topology.TopSpace(T.points, T.opens) == T, field
+    assert topology.lemma_6_16_check(S) == lemma_6_16_oracle(S)
+    loc, sigma, psi = order._memo(S, "_stone_data", topology._stone_data)
+    lat, sigma_by_name, psi_by_name = stone_data_oracle(S)
+    assert loc.lattice == lat and sigma == sigma_by_name
+    where = {m: i for i, m in enumerate(topology._lower_set_lattice(S)[1])}
+    named = order.named_masks(sigma.points, sigma.open_masks)
+    assert {n: lat.elements[where[topology._moved(o, psi)]] for n, o, _ in named} == psi_by_name
+
+
+def outcome(build, *args):
+    try:
+        return build(*args)
+    except ValidationError as e:
+        return (e.law, str(e), e.witness)
+
+
+def check_lattice_spaces_agree(L, M, rng):
+    """Scott space checks, open-set lattice, specialization order, base and
+    coherence, and frame homomorphisms from ``L``'s space into ``M``'s."""
+    T, TM = topology.scott_topology(L), topology.scott_topology(M)
+    assert topology.TopSpace(T.points, T.opens) == T
+    assert T.sorted_opens == sorted(T.opens, key=set_id)
+    assert topology.specialization_order(T) == specialization_order_oracle(T) == L.poset
+    assert topology.open_set_lattice(T) == lattice_from_sets(T.opens)
+    assert topology.scott_base_and_coherence(L) == base_and_coherence_oracle(L)
+    for _ in range(4):
+        f = {x: rng.choice(M.elements) for x in L.elements}
+        assert topology.frame_hom_of_continuous(f, T, TM) == frame_hom_oracle(f, T, TM)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_spaces_agree_with_the_name_level_bodies(seed):
+    """On drawn meet-semilattices (and their duals, which stand for them)
+    and drawn lattices, each listed also out of name order, the mask-held
+    spaces give the reports, spaces, witnesses and ψ of the name-level
+    bodies."""
+    rng = random.Random(seed)
+    M = corpus.random_meet_semilattice(rng, 6)
+    for S in (M, M.dual(), order.MeetSemilattice(out_of_name_order(M.poset, rng))):
+        check_stone_agrees(S)
+    L, N = corpus.random_lattice(rng, 6), corpus.random_lattice(rng, 4)
+    for X in (L, FiniteLattice(out_of_name_order(L.poset, rng))):
+        check_lattice_spaces_agree(X, N, rng)
+
+
+def test_spaces_of_fixed_lattices_agree_with_the_name_level_bodies():
+    rng = random.Random(27)
+    posets = fixed_space_posets(rng)
+    for P in posets:
+        check_stone_agrees(order.MeetSemilattice(P))
+        check_stone_agrees(JoinSemilattice(P))
+        check_lattice_spaces_agree(FiniteLattice(P), FiniteLattice(rng.choice(posets)), rng)
+
+
+def test_spaces_of_arbitrary_families_agree_with_the_name_level_bodies():
+    """Valid spaces among the random families, non-T0 ones too: the
+    specialization order or its antisymmetry witness, the open-set lattice,
+    and frame homomorphisms between them, continuous or not."""
+    rng = random.Random(28)
+    spaces = []
+    for points, opens in random_families():
+        try:
+            spaces.append(topology.TopSpace(points, opens))
+        except ValidationError:
+            continue
+    laws_seen = set()
+    for T in spaces:
+        got = outcome(topology.specialization_order, T)
+        assert got == outcome(specialization_order_oracle, T)
+        laws_seen.add(got[0] if isinstance(got, tuple) else None)
+        assert topology.open_set_lattice(T) == lattice_from_sets(T.opens)
+    assert laws_seen == {None, "specialization:antisymmetry"}
+    verdicts = set()
+    for _ in range(300):
+        X, Y = rng.choice(spaces), rng.choice(spaces)
+        if not Y.points:
+            continue
+        f = {x: rng.choice(Y.points) for x in X.points}
+        got = topology.frame_hom_of_continuous(f, X, Y)
+        assert got == frame_hom_oracle(f, X, Y)
+        verdicts.add(got.continuous)
+    assert verdicts == {False, True}
+
+
+def function_space_contexts():
+    pairs = [(chain_context(2), chain_context(2)), (chain_context(3), chain_context(2))]
+    pairs += [(k2_context(), chain_context(2)), (chain_context(2), k2_context())]
+    rng = random.Random(29)
+    for _ in range(4):
+        pairs.append((corpus.random_context(rng, 3, 2), corpus.random_context(rng, 2, 3)))
+    return pairs
+
+
+def test_function_space_lattices_agree_with_the_pair_sets():
+    """The function-space lattice built on pair-attribute masks is the one
+    built on each mapping's set of pair attributes, and each concept is the
+    mapping whose pair set it decodes to."""
+    for P, Q in function_space_contexts():
+        fs = funcspace(P, Q)
+        attr_of = {p: a for a, p in fs.attr_pairs.items()}
+        homs = enumerate_mappings(fs.left_sem.semilattice, fs.right_sem.semilattice)
+        by_set = {frozenset(attr_of[p] for p in m.pairs): m for m in homs}
+        assert fs.concepts() == lattice_from_sets(by_set)
+        for name, members in fs.sem[1].items():
+            assert fs.mapping(name) == by_set[members]

@@ -35,7 +35,9 @@ from cxtcat.logic import (
     is_to_ccp,
     semilattice_to_ccp,
 )
-from cxtcat.order import closed_family, lattice_from_sets
+from cxtcat.order import closed_family
+
+from test_index_oracles import lattice_from_sets
 
 
 def _forward_chain(start, rules):

@@ -5,8 +5,9 @@ renamed, upper and lower sets come from the monotone-map search and enter
 their space unchecked, the order of a hom-set is read off per-element
 ranks) or definitional fold that cross-checks one, and per fast path of
 the contexts held as rows (the product and tensor blocks, the CXT parser,
-the chunked inclusion tables and the in-order poset writer), and of the one
-namer of set families.
+the chunked inclusion tables and the in-order poset writer), of the one
+namer of set families, and of the spaces held as open masks (the trusted
+space build, the closure walk, the filter space's membership masks and ψ).
 
 Each row patches one seeded mutant into such a path and names what catches
 it: either a law suite, run through the command line at default settings,
@@ -181,14 +182,33 @@ def first_name_ranks_with_two_swapped(real):
     return lambda P, end: list(swap_values(real(P, end))) if end == "," else real(P, end)
 
 
-def upper_set_space_without_the_largest_proper_open(real):
-    """``topology._upper_set_space`` that drops the largest upper set short
-    of the full set, so the opens are no longer closed under unions."""
+def from_masks_without_the_largest_proper_open(mp):
+    """``topology.TopSpace._from_masks`` that drops the largest open short of
+    the full set, so the opens are no longer closed under unions."""
+    real = topology.TopSpace._from_masks
 
-    def build(P, masks):
-        full = (1 << P.n) - 1
+    def build(cls, points, masks):
+        masks = list(masks)
+        full = (1 << len(points)) - 1
         drop = max((m for m in masks if m != full), default=None)
-        return real(P, [m for m in masks if m != drop])
+        return real(points, [m for m in masks if m != drop])
+
+    mp.setattr(topology.TopSpace, "_from_masks", classmethod(build))
+
+
+def membership_without_the_last_generator(real):
+    """``topology._filter_membership`` with the sets of filters holding the
+    last element left out of the generators of the filter space."""
+    return lambda D, at: real(D, at)[:-1]
+
+
+def stone_data_with_one_bit_moved(real):
+    """``topology._stone_data`` whose ψ sends the first point of σ to the
+    bit of the last."""
+
+    def build(S):
+        loc, sigma, psi = real(S)
+        return loc, sigma, psi[-1:] + psi[1:]
 
     return build
 
@@ -229,25 +249,15 @@ def k_semilattice_with_two_names_swapped(real):
     )
 
 
-TOPSPACE_CHECKS = topology.TopSpace.__post_init__
-
-
-def opens_tested_for_unions_only(self):
-    """``TopSpace.__post_init__`` whose pair walk skips the intersection
-    test; the checks before the walk are the real ones."""
-    pts = frozenset(self.points)
-    if len(pts) != len(self.points) or not all(o <= pts for o in self.opens):
-        return TOPSPACE_CHECKS(self)
-    if not {frozenset(), pts} <= self.opens:
-        return TOPSPACE_CHECKS(self)
-    for a in self.sorted_opens:
-        for b in self.sorted_opens:
-            if a | b not in self.opens:
-                raise ValidationError(
-                    "opens not closed under union",
-                    law="space:unions",
-                    witness={"pair": [sorted(a), sorted(b)]},
-                )
+def closure_tested_for_unions_only(points, masks):
+    """``topology._closure_breach`` whose walk skips the intersection test."""
+    have = set(masks)
+    named = order.named_masks(points, masks)
+    for i, (_, a, xs) in enumerate(named):
+        for _, b, ys in named[i + 1:]:
+            if a | b not in have:
+                return "space:unions", "union", [xs, ys]
+    return None
 
 
 SPECTRALITY_CHECK = topology.spectrality_check
@@ -547,16 +557,28 @@ ROWS = [
         "oracle test_is_algebraic_agrees_when_compacts_fall_short; escapes cor6.17",
     ),
     Row(
-        "topology._upper_set_space",
-        "the largest proper upper set dropped",
-        patch([topology], "_upper_set_space", upper_set_space_without_the_largest_proper_open),
+        "topology.TopSpace._from_masks",
+        "the largest proper open dropped",
+        from_masks_without_the_largest_proper_open,
         "laws cor6.17",
     ),
     Row(
         "topology.TopSpace closure",
         "the intersection test skipped",
-        lambda mp: mp.setattr(topology.TopSpace, "__post_init__", opens_tested_for_unions_only),
+        replace([topology], "_closure_breach", closure_tested_for_unions_only),
         "oracle test_topspace_closure_agrees_with_the_frozenset_scan; escapes cor6.17",
+    ),
+    Row(
+        "topology._filter_membership",
+        "one generator dropped",
+        patch([topology], "_filter_membership", membership_without_the_last_generator),
+        "laws cor6.17",
+    ),
+    Row(
+        "topology._stone_data ψ",
+        "one bit moved",
+        patch([topology], "_stone_data", stone_data_with_one_bit_moved),
+        "laws cor6.17",
     ),
     Row(
         "category.product rows",

@@ -41,7 +41,6 @@ from cxtcat.order import (
     join_primes,
     k_semilattice,
     lattice_from_masks,
-    lattice_from_sets,
     meet_irreducibles,
     meet_primes,
     order_isomorphism,
@@ -51,6 +50,8 @@ from cxtcat.order import (
     up_set,
     validate_poset,
 )
+
+from test_index_oracles import lattice_from_sets
 
 
 def diamond_lattice():

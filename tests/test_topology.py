@@ -448,7 +448,10 @@ def test_cor617_precondition_failure(monkeypatch):
 def cor617_by_search(S):
     """The report built from the isomorphisms that ``order_isomorphism``
     finds: φ from the dual of ``S`` onto the compacts of the filter lattice,
-    ψ from the Scott open-set lattice onto the lower-set locale."""
+    and ψ from the Scott open-set lattice onto the lower-set locale.  ψ is
+    injected as the point map it is held as: it sends the principal open
+    ``up(k)`` of each point ``k`` of σ to a principal lower set
+    ``down(a)`` of ``S``, and ``psi[k]`` is the index of ``a``."""
     from cxtcat import topology
 
     L = flt_lattice(S)
@@ -457,9 +460,15 @@ def cor617_by_search(S):
     phi = order_isomorphism(_join_dual(S).poset, compacts(L))
     psi = order_isomorphism(open_set_lattice(sigma)[0].poset, loc.lattice.poset)
     assert phi is not None and psi is not None
+    D = _join_dual(S)  # a lower set of S is an upper set of D
+    lowers = {set_id(low): low for low in lower_sets(S)}
+    points = []
+    for x in L.elements:
+        low = lowers[psi[set_id(up_set(L.poset, [x]))]]
+        points.append(next(a for a in low if all(D.le(a, b) for b in low)))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(topology, "ideal_names", lambda D: tuple(phi[a] for a in D.elements))
-        mp.setitem(S.__dict__, "_stone_data", (loc, sigma, psi))
+        mp.setitem(S.__dict__, "_stone_data", (loc, sigma, tuple(map(D.poset.index.get, points))))
         return corollary_6_17_spaces(S)
 
 
