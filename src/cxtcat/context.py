@@ -204,44 +204,10 @@ def closed_masks(P: FormalContext) -> set[int]:
     return fam
 
 
-def _named_masks(P: FormalContext, fam: set[int]) -> list[tuple[str, int, list[str]]]:
-    """``order.named_masks`` of the attribute masks ``fam``, refusing a name
-    two closed sets share (``context:names``), as ``set_id`` is not injective."""
-    named = order.named_masks(P.attributes, fam)
-    for (a, _, xs), (b, _, ys) in zip(named, named[1:]):
-        if a == b:
-            xs, ys = sorted((xs, ys))
-            raise ValidationError(
-                f"closed attribute sets {xs!r} and {ys!r} share the name {a!r}",
-                law="context:names",
-                witness={"name": a, "members": [xs, ys]},
-            )
-    return named
-
-
 def concept_names(P: FormalContext) -> list[str]:
     """The elements of ``sem_lattice(P)`` and ``alg_lattice(P)``, in order,
     without building the order."""
-    return [n for n, _, _ in _named_masks(P, closed_masks(P))]
-
-
-def _concept_tables(P: FormalContext) -> tuple[FiniteLattice, dict[str, frozenset[str]]]:
-    """Closed intents of ``P`` on masks, ordered by inclusion.
-
-    The guarded masks (``closed_masks``) go to ``order.lattice_from_masks``,
-    which names them and builds the inclusion cones from the attribute
-    columns.  The intents form a closure system, so their inclusion order is
-    a lattice by construction and nothing re-checks it.  A name shared by
-    two intents shows as a decode table shorter than the family, and is
-    refused as ``_named_masks`` refuses it.
-
-    Returns ``(lattice, intents)``: ``intents`` decodes names to attribute sets.
-    """
-    fam = closed_masks(P)
-    lattice, intents = lattice_from_masks(P.attributes, fam)
-    if len(intents) < len(fam):
-        _named_masks(P, fam)
-    return lattice, intents
+    return [n for n, _, _ in order.named_masks(P.attributes, closed_masks(P))]
 
 
 def _check_closed(P: FormalContext, intents: dict[str, frozenset[str]], law: str, what: str):
@@ -305,22 +271,26 @@ class ConceptLattice:
 
 
 def _unchecked(cls, *values):
-    """``cls(*values)`` without the closedness check, for the intents of
-    ``_concept_tables``: intersections of object rows, closed by construction."""
+    """``cls(*values)`` without the closedness check, for the intents of a
+    context: intersections of object rows, closed by construction."""
     X = object.__new__(cls)
     X.__dict__.update(zip((f.name for f in fields(cls)), values))
     return X
 
 
 def sem_lattice(P: FormalContext) -> SemLattice:
-    """Join-semilattice of closures of finite attribute subsets."""
-    lattice, intents = _concept_tables(P)
+    """Join-semilattice of closures of finite attribute subsets: the guarded
+    closed masks, named and ordered by ``lattice_from_masks``.  The intents
+    form a closure system, so their inclusion order is a lattice by
+    construction and nothing re-checks it."""
+    lattice, intents = lattice_from_masks(P.attributes, closed_masks(P))
     return _unchecked(SemLattice, P, lattice.as_join_semilattice(), intents)
 
 
 def alg_lattice(P: FormalContext) -> ConceptLattice:
-    """Lattice of all finitarily-closed attribute sets; meets are intersections."""
-    return _unchecked(ConceptLattice, P, *_concept_tables(P))
+    """Lattice of all finitarily-closed attribute sets; meets are
+    intersections.  Built as ``sem_lattice`` is."""
+    return _unchecked(ConceptLattice, P, *lattice_from_masks(P.attributes, closed_masks(P)))
 
 
 def context_of_semilattice(S: JoinSemilattice) -> FormalContext:

@@ -402,13 +402,14 @@ def _sorted_picks(S: JoinSemilattice, T: JoinSemilattice) -> tuple[list, Callabl
     preds, pos = _memo(P, "_linear_extension", _linear_extension)
     picks = kernels.monotone_maps(P.n, preds, Q.up_masks, ENUMERATION_OUTPUT_GUARD)
     _guard("enumerate_mappings output", len(picks), ENUMERATION_OUTPUT_GUARD)
-    # Sort by pair-set name (set_id of pair_ids) without building it.  It joins
-    # the sorted pair ids, none a prefix of another, so of two mappings the one
-    # holding the lowest-ranked pair they do not share comes first; a pair list
-    # that is a prefix of another sorts after it, as "," < "}".  Pair (i, j) of
-    # rank r among all N = |S|*|T| pairs is bit N-1-r, and the key is minus the
-    # mapping's pair mask.  Pairs rank by first name, then by second, so r is
-    # |T|*rank_S(i) + rank_T(j), and the bits of the pairs (i, b), b <= v,
+    # Sort by the raw join of the sorted pair ids without building it: their
+    # set_id while member_id writes each raw, as it does unless names hold
+    # unbalanced braces.  No pair id is a prefix of another, so of two mappings
+    # the one holding the lowest-ranked pair they do not share comes first; a
+    # pair list that is a prefix of another sorts after it, as "," < "}".  Pair
+    # (i, j) of rank r among all N = |S|*|T| pairs is bit N-1-r, and the key is
+    # minus the mapping's pair mask.  Pairs rank by first name, then by second, so
+    # r is |T|*rank_S(i) + rank_T(j), and the bits of the pairs (i, b), b <= v,
     # are the down-cone bits of v over T shifted by |T|*(|S|-1-rank_S(i)).
     cone_bits = _memo(Q, "_pair_cone_bits", _pair_cone_bits)
     ranks = _memo(P, "_pair_ranks", lambda P: _pair_ranks(P, ","))

@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import kernels
-from .canon import set_id
+from .canon import member_id
 from .errors import SizeGuardExceeded, ValidationError
 
 # Cap on the elements of a poset whose lower sets are listed.
@@ -693,9 +693,9 @@ def principal_ideal(P: FinitePoset, x: str) -> frozenset[str]:
 
 
 def ideals(S: JoinSemilattice) -> tuple[Ideal, ...]:
-    """All ideals, sorted by canonical encoding, ties by element index;
-    memoized on ``S``.  In a finite order every ideal is the principal
-    ideal of its supremum; ``_principal_check`` cross-checks this."""
+    """All ideals, sorted by canonical encoding; memoized on ``S``.  In a
+    finite order every ideal is the principal ideal of its supremum;
+    ``_principal_check`` cross-checks this."""
     return _memo(S, "_ideals", _principal_ideals)
 
 
@@ -717,14 +717,13 @@ def _principal_check(S: JoinSemilattice) -> bool:
             raise ValidationError(
                 "non-principal ideal found in a finite order",
                 law="ideal:principal",
-                witness={"extra": sorted(set_id(P.set_of(m)) for m in differ)},
+                witness={"extra": [n for n, _, _ in named_masks(P.elements, differ)]},
             )
     return True
 
 
 def _ideal_order(S: JoinSemilattice) -> list[int]:
-    """The elements of ``S`` by the names of their principal ideals, ties
-    (names ``set_id`` does not tell apart) by index."""
+    """The elements of ``S`` by the names of their principal ideals."""
     return sorted(range(S.poset.n), key=ideal_names(S).__getitem__)
 
 
@@ -758,9 +757,12 @@ def ideal_names(S: JoinSemilattice) -> tuple[str, ...]:
     """The name of ``down(a)`` in ``ideal_completion(S)`` for each ``a``, in
     the element order of ``S``; memoized on ``S``.  On ``k_semilattice(L)``
     these are the images ``down(x) ∩ K(L)`` of the unit of ``L``."""
-    return _memo(
-        S, "_ideal_names", lambda S: tuple(map(set_id, map(S.poset.set_of, S.poset.down_masks)))
-    )
+    return _memo(S, "_ideal_names", _down_set_names)
+
+
+def _down_set_names(S: JoinSemilattice) -> tuple[str, ...]:
+    names = {m: n for n, m, _ in named_masks(S.poset.elements, S.poset.down_masks)}
+    return tuple(map(names.__getitem__, S.poset.down_masks))
 
 
 def _join_dual(S: MeetSemilattice | JoinSemilattice) -> JoinSemilattice:
@@ -792,15 +794,16 @@ def named_masks(
     points: Sequence[str], masks: Iterable[int]
 ) -> list[tuple[str, int, list[str]]]:
     """``(name, mask, members)`` for each distinct mask over ``points``,
-    sorted by name, then by mask.  The members are walked in name order, so
-    the name is ``set_id`` of the member set.  ``set_id`` is not injective
-    and nothing here refuses a shared name: two such sets keep their masks
-    and are listed side by side, the smaller mask first."""
+    sorted by name.  The members are walked in name order and each point is
+    written once per call, so the name is ``set_id`` of the member set."""
     by_name = sorted((p, 1 << i) for i, p in enumerate(points))
+    written = [(member_id(p), bit) for p, bit in by_name]
+    raw = written == by_name
     named = []
     for m in set(masks):
         members = [p for p, bit in by_name if m & bit]
-        named.append(("{" + ",".join(members) + "}", m, members))
+        forms = members if raw else [w for w, bit in written if m & bit]
+        named.append(("{" + ",".join(forms) + "}", m, members))
     named.sort()
     return named
 

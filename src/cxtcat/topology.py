@@ -84,8 +84,8 @@ class TopSpace:
     def _from_masks(cls, points: tuple[str, ...], masks: Iterable[int]) -> TopSpace:
         """The space of ``masks``, in increasing order, that hold the empty
         and the full set and are closed under unions and intersections by
-        construction; only the points are checked, as a lattice built from
-        sets may repeat a name.  ``tests/`` rebuilds such spaces publicly."""
+        construction; only the points are checked.  ``tests/`` rebuilds
+        such spaces publicly."""
         _check_points(points)
         T = object.__new__(cls)
         T.__dict__.update(points=points, open_masks=tuple(masks))
@@ -93,7 +93,7 @@ class TopSpace:
 
     @cached_property
     def sorted_opens(self) -> list[frozenset[str]]:
-        """The opens as sets of points, by name, then by mask."""
+        """The opens as sets of points, by name."""
         return [frozenset(xs) for _, _, xs in named_masks(self.points, self.open_masks)]
 
     @cached_property

@@ -1,6 +1,5 @@
 import contextlib
 import io
-import json
 import random
 import tempfile
 from itertools import chain as ichain, combinations
@@ -38,6 +37,7 @@ from cxtcat.order import (
     is_order_iso,
     order_isomorphism,
 )
+from test_index_oracles import parse_set_id
 
 
 def subsets(xs):
@@ -373,9 +373,10 @@ def test_contranominal_scale_stops_at_the_guard():
 # the staged build: masks, then names, then the order
 
 
-# Names with the characters ``set_id`` writes (``,``, ``{``, ``}``), spaces
-# and non-ASCII text; ``,`` lets two different sets share a name.
-_NAMES = st.text(alphabet=["a", "b", ",", "{", "}", " ", "é", "Ж", "𝔸"], max_size=3)
+# Names with the characters ``member_id`` escapes, spaces and non-ASCII
+# text; ``,`` and the empty name give sets that ``{a,b}``-style naming
+# would merge.
+_NAMES = st.text(alphabet=["a", "b", ",", "{", "}", "(", "\\", " ", "é", "Ж", "𝔸"], max_size=3)
 
 
 @st.composite
@@ -387,33 +388,12 @@ def contexts(draw):
     return make_context(objects, attrs, incidence)
 
 
-def name_collision(P):
-    """The least name two closed sets share by the powerset scan, with the
-    member lists of the first two in mask order, sorted; or None."""
-    masks = sorted(closed_masks_powerset(P.rows, len(P.attributes)))
-    by_name = {}
-    for m in masks:
-        members = [a for a in sorted(P.attributes) if a in P.attrs_of_mask(m)]
-        by_name.setdefault(set_id(members), []).append(members)
-    shared = sorted(n for n, lists in by_name.items() if len(lists) > 1)
-    return (shared[0], sorted(by_name[shared[0]][:2])) if shared else None
-
-
 @given(contexts())
 @settings(max_examples=150, deadline=None)
 def test_staged_build_agrees_with_the_lattices(P):
     """The mask count and the names are those of both lattices, and the
-    lattices' intents are those of the per-set naming of the masks.  Two
-    closed sets with one name are refused by all three builds alike."""
-    collision = name_collision(P)
-    if collision is not None:
-        name, lists = collision
-        for build in (concept_names, sem_lattice, alg_lattice):
-            with pytest.raises(ValidationError) as exc:
-                build(P)
-            assert exc.value.law == "context:names"
-            assert exc.value.witness == {"name": name, "members": lists}
-        return
+    lattices' intents are those of the per-set naming of the masks; every
+    name decodes back to its intent."""
     sem, alg = sem_lattice(P), alg_lattice(P)
     masks = closed_masks(P)
     assert len(masks) == len(sem.elements) == len(alg.elements)
@@ -421,6 +401,7 @@ def test_staged_build_agrees_with_the_lattices(P):
     assert concept_names(P) == powerset_oracle_names(P)
     named = sorted((set_id(P.attrs_of_mask(m)), m) for m in masks)
     assert sem.intents == alg.intents == {n: P.attrs_of_mask(m) for n, m in named}
+    assert all(parse_set_id(n) == xs for n, xs in sem.intents.items())
 
 
 def _cli(argv):
@@ -442,53 +423,51 @@ def _context_files(P, folder: Path) -> list[Path]:
 @settings(max_examples=60, deadline=None)
 def test_validate_and_concepts_print_what_the_lattices_hold(P):
     """``validate`` counts the closed sets; ``concepts`` lists the lattices'
-    names, or prints the witness of two closed sets with one name."""
-    try:
-        sem, alg = sem_lattice(P), alg_lattice(P)
-        size = len(sem.elements)
-    except ValidationError as exc:
-        sem = alg = exc
-        size = len(closed_masks_powerset(P.rows, len(P.attributes)))
+    names."""
+    sem, alg = sem_lattice(P), alg_lattice(P)
     validate = (
         f"OK context: {len(P.objects)} objects, {len(P.attributes)} attributes; "
-        f"Sem size {size}\n"
+        f"Sem size {len(sem.elements)}\n"
     )
     with tempfile.TemporaryDirectory() as folder:
         for path in _context_files(P, Path(folder)):
             assert _cli(["validate", str(path)]) == (0, validate, "")
             for which, structure in (([], alg), (["--which", "alg"], alg), (["--which", "sem"], sem)):
-                if isinstance(structure, ValidationError):
-                    witness = json.dumps(structure.report(), indent=2, sort_keys=True) + "\n"
-                    assert _cli(["concepts", str(path), *which]) == (1, witness, "")
-                    continue
                 listing = "".join(n + "\n" for n in structure.elements)
                 assert _cli(["concepts", str(path), *which]) == (0, listing, "")
 
 
 @pytest.mark.parametrize(
-    "attrs, incidence, name, lists",
+    "attrs, incidence, names",
     [
-        # {a, b} and {a,b}
-        (["a", "b", "a,b"], [("o1", "a"), ("o1", "b"), ("o2", "a,b")], "{a,b}", [["a", "b"], ["a,b"]]),
-        # the empty set and {""}
-        (["", "x"], [("o1", ""), ("o2", "x")], "{}", [[], [""]]),
+        pytest.param(
+            ["a", "b", "a,b"],
+            [("o1", "a"), ("o1", "b"), ("o2", "a,b")],
+            ["{\\.a\\,b}", "{a,\\.a\\,b,b}", "{a,b}", "{}"],
+            id="a,b",
+        ),
+        pytest.param(
+            ["", "x"], [("o1", ""), ("o2", "x")], ["{\\.,x}", "{\\.}", "{x}", "{}"], id="empty"
+        ),
     ],
 )
-def test_closed_sets_sharing_a_name_are_refused(tmp_path, attrs, incidence, name, lists):
-    """Output verbs stop with the shared name and both member lists;
-    ``validate`` only counts the closed sets."""
+def test_closed_sets_once_sharing_a_name_are_served(tmp_path, attrs, incidence, names):
+    """``{a, b}`` and ``{"a,b"}``, and ``∅`` and ``{""}``, once shared a
+    name and were refused; now each closed set has its own name, which
+    decodes back to it, and every output verb serves the context."""
     P = make_context(["o1", "o2"], attrs, incidence)
-    with pytest.raises(ValidationError) as exc:
-        sem_lattice(P)
-    assert exc.value.law == "context:names"
-    assert exc.value.witness == {"name": name, "members": lists}
-    witness = json.dumps(exc.value.report(), indent=2, sort_keys=True) + "\n"
+    sem = sem_lattice(P)
+    assert list(sem.elements) == names
+    assert {n: parse_set_id(n) for n in names} == sem.intents
     path = tmp_path / "p.json"
     path.write_text(formats.dump_context(P), encoding="utf-8")
-    rc, out, _ = _cli(["validate", str(path)])
-    assert rc == 0 and out.startswith("OK context")
-    for argv in (["concepts"], ["convert", "--to", "semilattice"], ["dot"]):
-        assert _cli([argv[0], str(path), *argv[1:]]) == (1, witness, "")
+    validate = f"OK context: 2 objects, {len(attrs)} attributes; Sem size 4\n"
+    assert _cli(["validate", str(path)]) == (0, validate, "")
+    assert _cli(["concepts", str(path)]) == (0, "".join(n + "\n" for n in names), "")
+    rc, doc, _ = _cli(["convert", str(path), "--to", "semilattice"])
+    assert rc == 0 and formats.load_poset(doc) == sem.semilattice.poset
+    rc, dot, _ = _cli(["dot", str(path)])
+    assert rc == 0 and all(formats._dot_quote(n) in dot for n in names)
 
 
 def test_verbs_over_the_guard_exit_3_with_the_lattice_message(tmp_path):

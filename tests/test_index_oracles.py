@@ -13,7 +13,8 @@ Contexts are held as attribute-mask rows; the CXT parser and writer and the
 context builders (product, plus, tensor, the context of a semilattice, the
 random and literal contexts) are compared with the pair-built contexts the
 public constructor makes, the chunked inclusion cones with the pairwise
-inclusion scan, and the names of set families with ``set_id``.
+inclusion scan, and the names of set families with ``set_id``, which
+``parse_set_id`` decodes back.
 
 Spaces hold their opens as masks; the name-level bodies of the space code
 (``lattice_from_sets`` among them, the builder of open-set and
@@ -24,13 +25,15 @@ name order, and random families of sets.
 
 import json
 import random
+import re
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cxtcat import (
+    canon,
     category,
     context,
     corpus,
@@ -822,17 +825,22 @@ def renamed(S, names):
     return JoinSemilattice(validate_poset(names, leq))
 
 
+def raw_pair_set_name(m):
+    """The sorted ``pair_id``s of the mapping ``m`` joined as they are: its
+    ``set_id`` whenever ``member_id`` writes every pair id raw."""
+    return "{" + ",".join(sorted(pair_id(a, b) for a, b in m.pairs)) + "}"
+
+
 def test_enumerated_mappings_sort_as_their_pair_set_names():
-    """``enumerate_mappings`` lists the mappings as sorting them by the
-    ``set_id`` of their ``pair_id``s does, on semilattices whose names need
-    escaping or sort apart from their escaped forms."""
+    """``enumerate_mappings`` lists the mappings as sorting them by the raw
+    join of their sorted ``pair_id``s does, on semilattices whose names
+    need escaping or sort apart from their escaped forms."""
     rng = random.Random(25)
     for _ in range(200):
         S, T = (corpus.random_join_semilattice(rng, 5) for _ in range(2))
         S, T = (renamed(X, tuple(rng.sample(ODD_NAMES, X.poset.n))) for X in (S, T))
         got = enumerate_mappings(S, T)
-        want = sorted(got, key=lambda m: set_id(pair_id(a, b) for a, b in m.pairs))
-        assert got == want, (S.elements, T.elements)
+        assert got == sorted(got, key=raw_pair_set_name), (S.elements, T.elements)
 
 
 # ---------------------------------------------------------------------------
@@ -1067,8 +1075,7 @@ def inclusion_families(rng, width):
 
 
 def named_masks_oracle(points, masks):
-    """Each distinct mask's members named by ``set_id``, sorted by name, then
-    by mask."""
+    """Each distinct mask's members named by ``set_id``, sorted by name."""
     named = []
     for m in set(masks):
         members = sorted(p for j, p in enumerate(points) if m >> j & 1)
@@ -1076,20 +1083,91 @@ def named_masks_oracle(points, masks):
     return sorted(named)
 
 
+# Point names that ``member_id`` escapes, and names holding its special
+# characters that it writes raw.
+SPECIAL_POINTS = ("", ",", "a,b", "{", "}", "(", "\\", "\\.", "a\\,b", "{a,b}", "(x,y)", "({a\\,b},c)")
+
+
 def test_inclusion_cones_agree_with_the_inclusion_scan():
     """The column tables, chunked or read point by point, give the cones of
     the pairwise scan on widths 0-40, across chunk boundaries and short last
-    chunks.  The same families, over points listed out of name order, get
-    the names ``set_id`` gives their member sets."""
+    chunks.  The same families, over points listed out of name order and led
+    by ``SPECIAL_POINTS``, get the names ``set_id`` gives their member sets."""
     rng = random.Random(25)
     chunked = set()
     for width in range(41):
         points = [f"p{width - j}" for j in range(width)]
+        points[: len(SPECIAL_POINTS)] = SPECIAL_POINTS[:width]
         for fam in inclusion_families(rng, width):
             assert kernels.inclusion_cones(fam, width) == inclusion_cones_oracle(fam), width
             assert order.named_masks(points, fam) == named_masks_oracle(points, fam), width
             chunked.add(len(fam) >= kernels.CHUNKED_MIN_SETS)
     assert chunked == {False, True}
+
+
+# ---------------------------------------------------------------------------
+# set names and their decoder
+
+
+def parse_set_id(name):
+    """The member set that ``set_id`` writes as ``name``: the text between
+    the braces splits at each ``,`` outside brackets and escapes, and a
+    member that starts with ``\\.`` drops the marker and its escapes."""
+    assert name[0] == "{" and name[-1] == "}", name
+    body, members, start, depth, i = name[1:-1], [], 0, 0, 0
+    while i < len(body):
+        c = body[i]
+        if c == "\\":
+            i += 1
+        elif c in "({":
+            depth += 1
+        elif c in ")}":
+            depth -= 1
+        elif c == "," and not depth:
+            members.append(body[start:i])
+            start = i + 1
+        i += 1
+    if body:
+        members.append(body[start:])
+    return frozenset(
+        re.sub(r"\\(.)", r"\1", m[2:], flags=re.S) if m.startswith("\\.") else m for m in members
+    )
+
+
+# Members over the characters ``member_id`` escapes, the empty member
+# among them, and set names and pair ids built from such members.
+SET_MEMBERS = st.recursive(
+    st.text(alphabet="a,{}()\\.", max_size=4),
+    lambda inner: st.lists(inner, max_size=3).map(set_id)
+    | st.tuples(inner, inner).map(lambda p: pair_id(*p)),
+    max_leaves=8,
+)
+
+
+@given(st.lists(st.lists(SET_MEMBERS, max_size=4), min_size=1, max_size=4))
+@settings(max_examples=300, deadline=None)
+@example([["a", "b"], ["a,b"]])
+@example([[], [""]])
+@example([["a\\,b"], ["a,b"]])
+@example([["{a", "b}"], ["{a,b}"]])
+def test_set_names_decode_back_and_tell_sets_apart(families):
+    """``parse_set_id`` inverts ``set_id``, and distinct sets get distinct
+    names; the examples are the pairs ``{a,b}``-style naming merges, and
+    the raw ``a\\,b`` beside the member ``a,b``."""
+    sets = {frozenset(xs) for xs in families}
+    for xs in sets:
+        assert parse_set_id(set_id(xs)) == xs, xs
+    assert len({set_id(xs) for xs in sets}) == len(sets), sets
+
+
+def test_law_corpora_names_are_written_raw():
+    """``member_id`` is the identity on every member of every set name the
+    law suites make at seeds 1-3, so the set names they print are the
+    sorted members joined as they are."""
+    specs = [(name, None) for name in laws.LAWS] + [("prop5.10", 3)]
+    calls = recorded([canon, order], "member_id", *specs)
+    assert len(calls) > 1000
+    assert [x for (x,), out in calls if out != x] == []
 
 
 def test_poset_documents_agree_with_json_dumps():

@@ -6,8 +6,9 @@ their space unchecked, the order of a hom-set is read off per-element
 ranks) or definitional fold that cross-checks one, and per fast path of
 the contexts held as rows (the product and tensor blocks, the CXT parser,
 the chunked inclusion tables and the in-order poset writer), of the one
-namer of set families, and of the spaces held as open masks (the trusted
-space build, the closure walk, the filter space's membership masks and ψ).
+namer of set families and the injective writer of their members, and of
+the spaces held as open masks (the trusted space build, the closure walk,
+the filter space's membership masks and ψ).
 
 Each row patches one seeded mutant into such a path and names what catches
 it: either a law suite, run through the command line at default settings,
@@ -17,6 +18,7 @@ escapes; the off-chain ``curry`` mutant is one, as every product factor in
 the ``prop5.10`` corpora is a chain.
 """
 
+import re
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable
@@ -25,6 +27,7 @@ import pytest
 import test_index_oracles as oracles
 
 from cxtcat import (
+    canon,
     category,
     context,
     corpus,
@@ -228,6 +231,23 @@ def named_masks_in_point_order(points, masks):
         members = [p for j, p in enumerate(points) if m >> j & 1]
         named.append(("{" + ",".join(members) + "}", m, members))
     return sorted(named)
+
+
+def named_masks_joining_raw_points(points, masks):
+    """``order.named_masks`` joining the points as they are named, not as
+    ``member_id`` writes them."""
+    by_name = sorted((p, 1 << i) for i, p in enumerate(points))
+    named = []
+    for m in set(masks):
+        members = [p for p, bit in by_name if m & bit]
+        named.append(("{" + ",".join(members) + "}", m, members))
+    return sorted(named)
+
+
+def member_id_with_raw_commas(real):
+    """``canon.member_id`` that writes raw a member whose only special
+    characters are commas."""
+    return lambda x: x if x and not re.search(r"[\\(){}]", x) else real(x)
 
 
 def union_family_with_two_names_swapped(real):
@@ -609,6 +629,18 @@ ROWS = [
         "members walked in point order",
         replace([order], "named_masks", named_masks_in_point_order),
         "oracle test_inclusion_cones_agree_with_the_inclusion_scan; escapes every suite",
+    ),
+    Row(
+        "order.named_masks",
+        "joins raw points",
+        replace([order], "named_masks", named_masks_joining_raw_points),
+        "oracle test_inclusion_cones_agree_with_the_inclusion_scan; escapes every suite",
+    ),
+    Row(
+        "canon.member_id",
+        "writes a depth-0 comma raw",
+        patch([canon, order], "member_id", member_id_with_raw_commas),
+        "oracle test_set_names_decode_back_and_tell_sets_apart; escapes every suite",
     ),
     Row(
         "formats._poset_members in-order branch",
