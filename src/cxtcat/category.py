@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Iterable
 
 from .canon import fresh_id, pair_id, set_id
-from .context import FormalContext, SemLattice, make_context, sem_lattice
+from .context import FormalContext, SemLattice, concept_masks, make_context, sem_lattice
 from .errors import ValidationError
 from .mappings import ApproximableMapping, _trusted, enumerate_mappings, validate_am
 from .order import FiniteLattice, JoinSemilattice, _guard, lattice_from_masks
@@ -80,36 +80,29 @@ class ProductContext:
     def right_sem(self) -> SemLattice:
         return sem_lattice(self.right)
 
-    @cached_property
-    def _split(self) -> dict[str, tuple[str, str]]:
-        out = {}
-        for name, members in self.sem.intents.items():
-            ls, rs = set(), set()
-            for x in members:
-                side, orig = untag(x)
-                (ls if side == "left" else rs).add(orig)
-            out[name] = (set_id(ls), set_id(rs))
-        return out
-
     def decompose(self, name: str) -> tuple[str, str]:
         """Split a product concept into its left and right factor concepts."""
-        return self._split[name]
-
-    @cached_property
-    def _combined(self) -> dict[tuple[str, str], str]:
-        return {sides: name for name, sides in self._split.items()}
+        P = self.sem.semilattice.poset
+        P.check_members((name,))
+        x, y = self._split_pairs[P.index[name]]
+        return self.left_sem.elements[x], self.right_sem.elements[y]
 
     def combine(self, left_name: str, right_name: str) -> str:
         """The product concept whose factor concepts are the two given."""
-        return self._combined[left_name, right_name]
+        L, R = self.left_sem.semilattice.poset, self.right_sem.semilattice.poset
+        L.check_members((left_name,))
+        R.check_members((right_name,))
+        return self.sem.elements[self._combine_rows[L.index[left_name]][R.index[right_name]]]
 
     @cached_property
     def _split_pairs(self) -> tuple[tuple[int, int], ...]:
-        """``decompose`` on indices: the left and right factor index of each
-        product concept, in the product's element order."""
-        li = self.left_sem.semilattice.poset.index
-        ri = self.right_sem.semilattice.poset.index
-        return tuple((li[x], ri[y]) for x, y in map(self.decompose, self.sem.elements))
+        """``decompose`` on indices, in the product's element order: each
+        intent mask cut at the left width (``product``), both halves looked
+        up by mask."""
+        shift, low = len(self.left.attributes), self.left.full_attr_mask
+        li = {m: i for i, m in enumerate(concept_masks(self.left))}
+        ri = {m: i for i, m in enumerate(concept_masks(self.right))}
+        return tuple((li[m & low], ri[m >> shift]) for m in concept_masks(self.context))
 
     @cached_property
     def _combine_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -127,13 +120,13 @@ class ProductContext:
         return {o: untag(o) for o in self.context.objects}
 
     def proj_left(self) -> ApproximableMapping:
-        values = tuple(self.decompose(z)[0] for z in self.sem.elements)
+        values = tuple(self.left_sem.elements[x] for x, _ in self._split_pairs)
         return _trusted(
             ApproximableMapping, self.sem.semilattice, self.left_sem.semilattice, values
         )
 
     def proj_right(self) -> ApproximableMapping:
-        values = tuple(self.decompose(z)[1] for z in self.sem.elements)
+        values = tuple(self.right_sem.elements[y] for _, y in self._split_pairs)
         return _trusted(
             ApproximableMapping, self.sem.semilattice, self.right_sem.semilattice, values
         )
@@ -197,37 +190,42 @@ class TensorContext:
                 out[pair_id(a1, a2)] = (a1, a2)
         return out
 
-    def _projections(self, name: str) -> tuple[frozenset[str], frozenset[str]]:
-        members = self.sem.intents[name]
-        p1 = frozenset(self.attr_pairs[a][0] for a in members)
-        p2 = frozenset(self.attr_pairs[a][1] for a in members)
-        return p1, p2
+    @cached_property
+    def _projection_masks(self) -> tuple[int, ...]:
+        """Each concept's two projections, in element order, as a product
+        intent mask (``product``), leaving out the attributes ``plus`` adds.
+        Block ``i`` of a tensor intent holds its right attributes paired with
+        left attribute ``i``."""
+        n, width = len(self.left.attributes), len(self.right_plus.attributes)
+        out = []
+        for m in concept_masks(self.context):
+            p1 = p2 = 0
+            for i in range(n + 1):
+                part = m >> i * width & (1 << width) - 1
+                p1 |= bool(part) << i
+                p2 |= part
+            out.append(p1 & self.left.full_attr_mask | (p2 & self.right.full_attr_mask) << n)
+        return tuple(out)
 
     def iso_plus(self) -> ApproximableMapping:
         """From the disjoint-union product's semilattice into this one."""
         prod = product(self.left, self.right)
-        ap, aq = set(self.left.attributes), set(self.right.attributes)
-        pairs = set()
-        for x in prod.sem.elements:
-            lx, rx = prod.decompose(x)
-            lset = prod.left_sem.intents[lx]
-            rset = prod.right_sem.intents[rx]
-            for y in self.sem.elements:
-                p1, p2 = self._projections(y)
-                if p1 & ap <= lset and p2 & aq <= rset:
-                    pairs.add((x, y))
+        pairs = {
+            (x, y)
+            for x, m in zip(prod.sem.elements, concept_masks(prod.context))
+            for y, t in zip(self.sem.elements, self._projection_masks)
+            if t & m == t
+        }
         return validate_am(prod.sem.semilattice, self.sem.semilattice, pairs)
 
     def iso_minus(self) -> ApproximableMapping:
         prod = product(self.left, self.right)
-        ap, aq = set(self.left.attributes), set(self.right.attributes)
-        pairs = set()
-        for y in self.sem.elements:
-            p1, p2 = self._projections(y)
-            for x in prod.sem.elements:
-                lx, rx = prod.decompose(x)
-                if prod.left_sem.intents[lx] <= p1 and prod.right_sem.intents[rx] <= p2:
-                    pairs.add((y, x))
+        pairs = {
+            (y, x)
+            for y, t in zip(self.sem.elements, self._projection_masks)
+            for x, m in zip(prod.sem.elements, concept_masks(prod.context))
+            if m & t == m
+        }
         return validate_am(self.sem.semilattice, prod.sem.semilattice, pairs)
 
 

@@ -9,14 +9,13 @@ intent closure; both code paths exist and are tested against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Iterable
 
 from . import kernels, order
-from .canon import set_id
 from .errors import ValidationError
-from .order import ClosureOperator, FiniteLattice, JoinSemilattice, _guard, lattice_from_masks
+from .order import ClosureOperator, FiniteLattice, JoinSemilattice, _guard
 
 # Cap for the literal union-over-finite-subsets closure.
 APPROX_CLOSURE_GUARD = 16
@@ -228,7 +227,7 @@ class SemLattice:
 
     context: FormalContext
     semilattice: JoinSemilattice
-    intents: dict[str, frozenset[str]]
+    intents: dict[str, frozenset[str]] = field(compare=False)
 
     def __post_init__(self):
         _check_closed(self.context, self.intents, "sem:closed", "element")
@@ -237,14 +236,6 @@ class SemLattice:
     def elements(self) -> tuple[str, ...]:
         return self.semilattice.elements
 
-    def __eq__(self, other):
-        if not isinstance(other, SemLattice):
-            return NotImplemented
-        return self.context == other.context and self.semilattice == other.semilattice
-
-    def __hash__(self):
-        return hash((self.context, self.semilattice))
-
 
 @dataclass(frozen=True)
 class ConceptLattice:
@@ -252,7 +243,7 @@ class ConceptLattice:
 
     context: FormalContext
     lattice: FiniteLattice
-    intents: dict[str, frozenset[str]]
+    intents: dict[str, frozenset[str]] = field(compare=False)
 
     def __post_init__(self):
         _check_closed(self.context, self.intents, "alg:closed", "concept")
@@ -260,14 +251,6 @@ class ConceptLattice:
     @property
     def elements(self) -> tuple[str, ...]:
         return self.lattice.elements
-
-    def __eq__(self, other):
-        if not isinstance(other, ConceptLattice):
-            return NotImplemented
-        return self.context == other.context and self.lattice == other.lattice
-
-    def __hash__(self):
-        return hash((self.context, self.lattice))
 
 
 def _unchecked(cls, *values):
@@ -278,19 +261,34 @@ def _unchecked(cls, *values):
     return X
 
 
+def _concepts(P: FormalContext):
+    """The guarded closed masks of ``P``, named by ``order.named_masks``: their
+    inclusion lattice (a closure system's, so nothing re-checks it), its
+    join-semilattice, the decoding table and each element's intent mask.
+    Memoized on ``P``; no part holds ``P``, so the memo makes no cycle."""
+    named = order.named_masks(P.attributes, closed_masks(P))
+    lattice = order._named_lattice(named, len(P.attributes))
+    intents = {n: frozenset(xs) for n, _, xs in named}
+    return lattice, lattice.as_join_semilattice(), intents, tuple(m for _, m, _ in named)
+
+
+def concept_masks(P: FormalContext) -> tuple[int, ...]:
+    """The intent mask of each element of ``sem_lattice(P)`` and
+    ``alg_lattice(P)``, in element order."""
+    return order._memo(P, "_concepts", _concepts)[3]
+
+
 def sem_lattice(P: FormalContext) -> SemLattice:
-    """Join-semilattice of closures of finite attribute subsets: the guarded
-    closed masks, named and ordered by ``lattice_from_masks``.  The intents
-    form a closure system, so their inclusion order is a lattice by
-    construction and nothing re-checks it."""
-    lattice, intents = lattice_from_masks(P.attributes, closed_masks(P))
-    return _unchecked(SemLattice, P, lattice.as_join_semilattice(), intents)
+    """Join-semilattice of closures of finite attribute subsets."""
+    _, semilattice, intents, _ = order._memo(P, "_concepts", _concepts)
+    return _unchecked(SemLattice, P, semilattice, intents)
 
 
 def alg_lattice(P: FormalContext) -> ConceptLattice:
     """Lattice of all finitarily-closed attribute sets; meets are
-    intersections.  Built as ``sem_lattice`` is."""
-    return _unchecked(ConceptLattice, P, *lattice_from_masks(P.attributes, closed_masks(P)))
+    intersections."""
+    lattice, _, intents, _ = order._memo(P, "_concepts", _concepts)
+    return _unchecked(ConceptLattice, P, lattice, intents)
 
 
 def context_of_semilattice(S: JoinSemilattice) -> FormalContext:
@@ -303,9 +301,11 @@ def context_of_semilattice(S: JoinSemilattice) -> FormalContext:
 
 def attr_closure_operator(P: FormalContext) -> ClosureOperator:
     """The intent closure as a table on the powerset lattice of attributes,
-    whose cap ``order.POWERSET_GUARD`` it shares."""
+    whose cap ``order.POWERSET_GUARD`` it shares.  Each closure value is
+    looked up by its mask."""
     base = P.attributes
     _guard("attr_closure_operator", len(base), order.POWERSET_GUARD)
-    lat, members = lattice_from_masks(base, range(1 << len(base)))
-    values = tuple(set_id(attr_closure(P, members[x])) for x in lat.elements)
-    return ClosureOperator(lat.poset, values)
+    named = order.named_masks(base, range(1 << len(base)))
+    name_of = {m: n for n, m, _ in named}
+    values = tuple(name_of[kernels.closure_mask(P.rows, P.full_attr_mask, m)] for _, m, _ in named)
+    return ClosureOperator(order._named_lattice(named, len(base)).poset, values)

@@ -15,15 +15,23 @@ entails.  Names are read and written only at the edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import kernels
 from .canon import set_id
-from .context import FormalContext, alg_lattice
+from .context import FormalContext, alg_lattice, concept_masks
 from .errors import ValidationError
-from .order import FiniteLattice, FinitePoset, MeetSemilattice, _bits, _guard, lattice_from_masks
+from .order import (
+    FiniteLattice,
+    FinitePoset,
+    MeetSemilattice,
+    _bits,
+    _guard,
+    lattice_from_masks,
+    named_masks,
+)
 
 # Entailment relations are materialized over the full powerset of
 # propositions; this caps the width.
@@ -356,22 +364,16 @@ class LindenbaumAlgebra:
 
     system: CcpSystem
     semilattice: MeetSemilattice
-    classes: dict[str, frozenset[str]]
+    classes: dict[str, frozenset[str]] = field(compare=False)
 
     @property
     def top(self) -> str:
         return self.semilattice.top
 
     def class_of(self, xs: Iterable[str]) -> str:
-        return set_id(self.system.closure(xs))
-
-    def __eq__(self, other):
-        if not isinstance(other, LindenbaumAlgebra):
-            return NotImplemented
-        return self.system == other.system and self.semilattice == other.semilattice
-
-    def __hash__(self):
-        return hash((self.system, self.semilattice))
+        S = self.system
+        (x,) = _masks(S.index, xs)
+        return named_masks(S.propositions, (S.closure_masks[x],))[0][0]
 
 
 def lindenbaum(system: CcpSystem) -> LindenbaumAlgebra:
@@ -481,10 +483,9 @@ def theorem_6_7_check(P: FormalContext) -> Thm67Report:
     images of the set."""
     attrs = P.attributes
     _guard("theorem_6_7_check", len(attrs), PROPOSITION_GUARD)
-    alg = alg_lattice(P)
-    D = alg.lattice.poset
+    D = alg_lattice(P).lattice.poset
     rows, full = P.rows, P.full_attr_mask
-    concept = {P.attr_mask(members): D.index[name] for name, members in alg.intents.items()}
+    concept = {m: i for i, m in enumerate(concept_masks(P))}
     iota = [concept[kernels.closure_mask(rows, full, 1 << a)] for a in range(len(attrs))]
     failures = []
     for m in range(1 << len(attrs)):

@@ -176,6 +176,23 @@ def test_combine_inverts_decompose():
                 }
 
 
+def test_decompose_and_combine_reject_unknown_names():
+    """As ``FunctionSpaceContext.mapping`` does: the first unknown name is
+    the witness of an ``unknown-element`` error."""
+    prod = product(C2, C2)
+    bottom = prod.left_sem.semilattice.bottom
+    for call, args in (
+        (prod.decompose, ("nope",)),
+        (prod.combine, ("nope", "x")),
+        (prod.combine, (bottom, "nope")),
+    ):
+        with pytest.raises(ValidationError) as exc:
+            call(*args)
+        assert (exc.value.law, exc.value.witness, str(exc.value)) == (
+            "unknown-element", {"element": "nope"}, "unknown element 'nope'"
+        )
+
+
 def test_product_with_terminal():
     prod = product(k2_context(), terminal())
     iso = order_isomorphism(

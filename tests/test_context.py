@@ -22,6 +22,7 @@ from cxtcat.context import (
     attr_closure,
     attr_closure_operator,
     closed_masks,
+    concept_masks,
     concept_names,
     context_of_semilattice,
     is_closed,
@@ -29,7 +30,7 @@ from cxtcat.context import (
     omega,
     sem_lattice,
 )
-from cxtcat.corpus import chain_poset, diamond_poset, k2_context, random_context
+from cxtcat.corpus import chain_context, chain_poset, diamond_poset, k2_context, random_context
 from cxtcat.errors import SizeGuardExceeded, ValidationError
 from cxtcat.order import (
     JoinSemilattice,
@@ -183,6 +184,31 @@ def test_sem_join_is_closure_of_union(seed):
 def test_alg_carrier_equals_sem_carrier():
     P = k2_context()
     assert alg_lattice(P).elements == sem_lattice(P).elements
+
+
+def test_the_concept_structure_is_built_once_per_context(monkeypatch):
+    """``sem_lattice``, ``alg_lattice`` and ``concept_masks`` read one build
+    memoized on the context.  An equal context built apart builds its own,
+    and the two give equal, equally hashed lattices; the memo changes
+    neither the context's hash nor its repr, and the intents are not
+    compared."""
+    from cxtcat import context
+
+    builds = []
+    real = context.closed_masks
+    monkeypatch.setattr(context, "closed_masks", lambda P: builds.append(1) or real(P))
+    P, P2 = k2_context(), k2_context()
+    fresh = (hash(P), repr(P))
+    sem, alg, masks = sem_lattice(P), alg_lattice(P), concept_masks(P)
+    assert sem_lattice(P).semilattice is sem.semilattice and alg_lattice(P).lattice is alg.lattice
+    assert len(builds) == 1
+    assert [P.attrs_of_mask(m) for m in masks] == [alg.intents[x] for x in alg.elements]
+    sem2, alg2 = sem_lattice(P2), alg_lattice(P2)
+    assert len(builds) == 2 and sem2.semilattice is not sem.semilattice
+    assert (sem2, hash(sem2)) == (sem, hash(sem)) and (alg2, hash(alg2)) == (alg, hash(alg))
+    assert P == P2 and (hash(P), repr(P)) == fresh == (hash(P2), repr(P2))
+    assert SemLattice(P, sem.semilattice, {}) == sem and ConceptLattice(P, alg.lattice, {}) == alg
+    assert sem != alg_lattice(P2) and sem_lattice(chain_context(2)) != sem
 
 
 @pytest.mark.parametrize(

@@ -439,7 +439,7 @@ def check_bounds_agree(D, width=2):
 def test_bound_entailment_agrees_with_the_name_scan():
     contexts = list({args[0] for args, _ in recorded([laws], "theorem_6_7_check", ("thm6.7", None))})
     assert len(contexts) > 100
-    for P in contexts:
+    for P in contexts + product_factors():
         assert list(logic.theorem_6_7_check(P).failures) == thm67_failures_oracle(P) == []
     for D in {alg_lattice(P).lattice.poset for P in contexts}:
         check_bounds_agree(D)
@@ -500,6 +500,122 @@ def test_curry_and_uncurry_agree_off_the_chains():
             c = category.curry(m, prod, fs)
             check_uncurry_agrees(c, prod, fs)
             assert category.uncurry(c, prod, fs) == m
+
+
+# ---------------------------------------------------------------------------
+# products, tensors and the closure operator by mask
+#
+# The product cuts its intent masks at the left width, the tensor lays out
+# each concept's projections as a product intent mask, and the closure
+# operator looks up each value by mask.  Their name-level bodies, which
+# untagged names and rebuilt them with ``set_id``, are the oracles here.
+
+
+def split_oracle(prod):
+    """Each product concept's intent untagged into its two sides, each side
+    named by ``set_id``."""
+    out = {}
+    for name, members in prod.sem.intents.items():
+        ls, rs = set(), set()
+        for x in members:
+            side, orig = category.untag(x)
+            (ls if side == "left" else rs).add(orig)
+        out[name] = (set_id(ls), set_id(rs))
+    return out
+
+
+def projections_oracle(tens, name):
+    """The first and second components of a tensor concept's attributes."""
+    members = tens.sem.intents[name]
+    p1 = frozenset(tens.attr_pairs[a][0] for a in members)
+    p2 = frozenset(tens.attr_pairs[a][1] for a in members)
+    return p1, p2
+
+
+def iso_pairs_oracle(tens):
+    """The relations of ``iso_plus`` and ``iso_minus``, by name: a product
+    concept and a tensor concept are related when the tensor concept's
+    projections, met with the factor attributes, lie in the intents of the
+    product concept's factor concepts, or hold them."""
+    prod = product(tens.left, tens.right)
+    split = split_oracle(prod)
+    ap, aq = set(tens.left.attributes), set(tens.right.attributes)
+    plus, minus = set(), set()
+    for x in prod.sem.elements:
+        lx, rx = split[x]
+        lset, rset = prod.left_sem.intents[lx], prod.right_sem.intents[rx]
+        for y in tens.sem.elements:
+            p1, p2 = projections_oracle(tens, y)
+            if p1 & ap <= lset and p2 & aq <= rset:
+                plus.add((x, y))
+            if lset <= p1 and rset <= p2:
+                minus.add((y, x))
+    return plus, minus
+
+
+def attr_closure_operator_oracle(P):
+    """Each closure value named by ``set_id`` of its decoded members."""
+    lat, members = order.lattice_from_masks(P.attributes, range(1 << len(P.attributes)))
+    values = tuple(set_id(attr_closure(P, members[x])) for x in lat.elements)
+    return order.ClosureOperator(lat.poset, values)
+
+
+def check_product_agrees(P, Q):
+    prod = category.product(P, Q)
+    split = split_oracle(prod)
+    assert {z: prod.decompose(z) for z in prod.sem.elements} == split
+    assert all(prod.combine(x, y) == z for z, (x, y) in split.items())
+    assert prod.proj_left().values == tuple(split[z][0] for z in prod.sem.elements)
+    assert prod.proj_right().values == tuple(split[z][1] for z in prod.sem.elements)
+    C = prod.context
+    if len(C.attributes) <= order.POWERSET_GUARD:
+        assert context.attr_closure_operator(C) == attr_closure_operator_oracle(C)
+
+
+def check_tensor_agrees(P, Q):
+    tens = category.tensor(P, Q)
+    plus, minus = iso_pairs_oracle(tens)
+    assert outcome(lambda: tens.iso_plus().pairs) == plus
+    assert outcome(lambda: tens.iso_minus().pairs) == minus
+
+
+def product_factors():
+    """Chains 1-3, K2, and two factors whose attributes are listed out of
+    name order and hold names that ``member_id`` escapes."""
+    special = FormalContext(
+        ["o1", "o2", "o3"],
+        ["b", "a,b", "{", ""],
+        [("o1", "b"), ("o1", "a,b"), ("o2", "{"), ("o2", ""), ("o3", "b"), ("o3", "")],
+    )
+    k2_renamed = FormalContext(["x", "y"], ["{", "a,b"], [("x", "{"), ("y", "a,b")])
+    return [*(chain_context(n) for n in (1, 2, 3)), k2_context(), special, k2_renamed]
+
+
+def test_products_and_tensors_agree_with_the_name_level_bodies():
+    factors = product_factors()
+    for P in factors:
+        assert context.attr_closure_operator(P) == attr_closure_operator_oracle(P)
+        for Q in factors:
+            check_product_agrees(P, Q)
+            check_tensor_agrees(P, Q)
+
+
+@st.composite
+def small_contexts(draw):
+    """Up to three objects and three attributes, drawn in any order from
+    names that ``member_id`` writes raw and names it escapes."""
+    objects = draw(name_lists("opq", 3))
+    attributes = draw(name_lists(("a", "b", "a,b", "", "{", "(x,y)"), 3))
+    pairs = [(o, a) for o in objects for a in attributes]
+    return FormalContext(objects, attributes, draw(st.sets(st.sampled_from(pairs))) if pairs else ())
+
+
+@given(small_contexts(), small_contexts())
+@settings(max_examples=40, deadline=None)
+def test_drawn_products_and_tensors_agree_with_the_name_level_bodies(P, Q):
+    assert context.attr_closure_operator(P) == attr_closure_operator_oracle(P)
+    check_product_agrees(P, Q)
+    check_tensor_agrees(P, Q)
 
 
 # ---------------------------------------------------------------------------

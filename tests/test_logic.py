@@ -208,6 +208,27 @@ def test_lindenbaum_meet_is_class_of_union():
     assert la.class_of({"a"}) == "{a}"
 
 
+def test_lindenbaum_classes_are_named_by_their_closures():
+    """``class_of`` names a closure as ``set_id`` does, on propositions whose
+    names ``member_id`` escapes and listed out of name order; two algebras
+    built apart are equal and hash alike."""
+    props = ["b", "a,b", "", "{"]
+
+    def build():
+        return lindenbaum(is_to_ccp(close_entailment(props, [({"b"}, "a,b"), ({"", "{"}, "b")])))
+
+    la = build()
+    for k in range(len(props) + 1):
+        for xs in combinations(props, k):
+            closed = la.system.closure(xs)
+            assert la.class_of(xs) == set_id(closed) and la.classes[la.class_of(xs)] == closed
+    again = build()
+    assert (again, hash(again)) == (la, hash(la)) and again.classes is not la.classes
+    with pytest.raises(ValidationError) as exc:
+        la.class_of(["zz"])
+    assert exc.value.law == "unknown-element"
+
+
 def test_collapsing_system_has_one_class():
     C = is_to_ccp(close_entailment(["a"], [(set(), "a")]))
     la = lindenbaum(C)

@@ -4,11 +4,12 @@ that works on index tables, and per finite theorem that serves as an engine
 renamed, upper and lower sets come from the monotone-map search and enter
 their space unchecked, the order of a hom-set is read off per-element
 ranks) or definitional fold that cross-checks one, and per fast path of
-the contexts held as rows (the product and tensor blocks, the CXT parser,
-the chunked inclusion tables and the in-order poset writer), of the one
-namer of set families and the injective writer of their members, and of
-the spaces held as open masks (the trusted space build, the closure walk,
-the filter space's membership masks and ψ).
+the contexts held as rows (the product and tensor blocks, the product's
+split and the tensor's projections by mask, the CXT parser, the chunked
+inclusion tables and the in-order poset writer), of the one namer of set
+families and the injective writer of their members, and of the spaces
+held as open masks (the trusted space build, the closure walk, the filter
+space's membership masks and ψ).
 
 Each row patches one seeded mutant into such a path and names what catches
 it: either a law suite, run through the command line at default settings,
@@ -382,6 +383,30 @@ def tensor_with_a_block_shifted(real):
     return tensor
 
 
+def split_pairs_with_two_swapped(mp):
+    """``ProductContext._split_pairs`` with its first two different entries
+    swapped: two product concepts trade factor concepts."""
+    real = category.ProductContext._split_pairs.func
+    mp.setattr(
+        category.ProductContext, "_split_pairs", property(lambda self: swap_values(real(self)))
+    )
+
+
+def projection_masks_without_the_fresh_block(self):
+    """``TensorContext._projection_masks`` that reads no attribute paired
+    with the fresh left attribute of ``plus``."""
+    n, width = len(self.left.attributes), len(self.right_plus.attributes)
+    out = []
+    for m in context.concept_masks(self.context):
+        p1 = p2 = 0
+        for i in range(n):
+            part = m >> i * width & (1 << width) - 1
+            p1 |= bool(part) << i
+            p2 |= part
+        out.append(p1 | (p2 & self.right.full_attr_mask) << n)
+    return tuple(out)
+
+
 def parse_cxt_with_a_bit_shifted(real):
     """``parse_cxt`` that moves the lowest bit of the first row where it can
     move one attribute up."""
@@ -610,6 +635,22 @@ ROWS = [
         "category.tensor rows",
         "the first block shifted one block up",
         patch([category, laws], "tensor", tensor_with_a_block_shifted),
+        "laws prop5.7",
+    ),
+    Row(
+        "category.ProductContext._split_pairs",
+        "two entries swapped",
+        split_pairs_with_two_swapped,
+        "laws prop5.6",
+    ),
+    Row(
+        "category.TensorContext projection masks",
+        "the fresh-attribute block dropped",
+        lambda mp: mp.setattr(
+            category.TensorContext,
+            "_projection_masks",
+            property(projection_masks_without_the_fresh_block),
+        ),
         "laws prop5.7",
     ),
     Row(

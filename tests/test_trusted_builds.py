@@ -18,6 +18,7 @@ from cxtcat import category, laws, mappings, order, topology
 from cxtcat import corpus as corpus_module
 from cxtcat.category import ProductContext, bang
 from cxtcat.cli import main
+from cxtcat.context import ConceptLattice, FormalContext, SemLattice
 from cxtcat.corpus import (
     corpus,
     random_join_semilattice,
@@ -253,19 +254,30 @@ def test_a_corpus_build_error_other_than_a_failed_law_propagates(draw, checked, 
 
 def test_no_memo_holds_its_value_in_a_reference_cycle():
     """A memo holding a structure that refers back to its value (a counit
-    mapping kept on ``S``) would keep the value, with every memo on it,
-    alive after the run until the cyclic collector ran."""
+    mapping kept on ``S``, or a concept lattice kept on its context) would
+    keep the value, with every memo on it, alive after the run until the
+    cyclic collector ran."""
     gc.collect()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        for name in ("thm4.4", "cor6.17"):
+        for name in ("thm4.4", "cor6.17", "prop5.6", "prop5.7", "lemma5.9", "prop5.10", "thm6.7"):
             assert laws.run_law(name, seed=1).ok
         gc.collect()
         kept = [
             o
             for o in gc.garbage
-            if isinstance(o, (JoinSemilattice, MeetSemilattice, FiniteLattice))
+            if isinstance(
+                o,
+                (
+                    JoinSemilattice,
+                    MeetSemilattice,
+                    FiniteLattice,
+                    FormalContext,
+                    SemLattice,
+                    ConceptLattice,
+                ),
+            )
         ]
     finally:
         gc.set_debug(0)
