@@ -10,7 +10,6 @@ by construction and build them through ``mappings._trusted``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -19,6 +18,7 @@ from .context import FormalContext, SemLattice, concept_masks, make_context, sem
 from .errors import ValidationError
 from .mappings import ApproximableMapping, _trusted, enumerate_mappings, validate_am
 from .order import FiniteLattice, JoinSemilattice, _guard, lattice_from_masks
+from .value import Value
 
 LEFT_TAG = "l:"
 RIGHT_TAG = "r:"
@@ -55,8 +55,7 @@ def bang(P: FormalContext) -> ApproximableMapping:
     return _trusted(ApproximableMapping, src, tgt, (tgt.bottom,) * len(src.elements))
 
 
-@dataclass(frozen=True)
-class ProductContext:
+class ProductContext(Value):
     """Disjoint union of two contexts with the cross incidences filled in.
 
     Every left object bears every right attribute and vice versa, so concept
@@ -168,8 +167,7 @@ def plus(P: FormalContext) -> FormalContext:
     return FormalContext._from_rows(P.objects + (g,), P.attributes + (m,), rows)
 
 
-@dataclass(frozen=True)
-class TensorContext:
+class TensorContext(Value):
     """Pairwise product of the row/column-extended factors."""
 
     context: FormalContext
@@ -181,6 +179,12 @@ class TensorContext:
     @cached_property
     def sem(self) -> SemLattice:
         return sem_lattice(self.context)
+
+    @cached_property
+    def product(self) -> ProductContext:
+        """The disjoint-union product of the same factors, which both
+        isomorphisms read."""
+        return product(self.left, self.right)
 
     @cached_property
     def attr_pairs(self) -> dict[str, tuple[str, str]]:
@@ -209,7 +213,7 @@ class TensorContext:
 
     def iso_plus(self) -> ApproximableMapping:
         """From the disjoint-union product's semilattice into this one."""
-        prod = product(self.left, self.right)
+        prod = self.product
         pairs = {
             (x, y)
             for x, m in zip(prod.sem.elements, concept_masks(prod.context))
@@ -219,7 +223,7 @@ class TensorContext:
         return validate_am(prod.sem.semilattice, self.sem.semilattice, pairs)
 
     def iso_minus(self) -> ApproximableMapping:
-        prod = product(self.left, self.right)
+        prod = self.product
         pairs = {
             (y, x)
             for y, t in zip(self.sem.elements, self._projection_masks)
@@ -247,8 +251,7 @@ def tensor(P: FormalContext, Q: FormalContext) -> TensorContext:
 # function space
 
 
-@dataclass(frozen=True)
-class FunctionSpaceContext:
+class FunctionSpaceContext(Value):
     """Context whose attributes are step-function pairs of factor concepts.
 
     Objects are finite sets of such pairs; a set models a pair ``(a, b)``

@@ -9,13 +9,13 @@ intent closure; both code paths exist and are tested against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Iterable
 
 from . import kernels, order
 from .errors import ValidationError
 from .order import ClosureOperator, FiniteLattice, JoinSemilattice, _guard
+from .value import Value
 
 # Cap for the literal union-over-finite-subsets closure.
 APPROX_CLOSURE_GUARD = 16
@@ -23,8 +23,7 @@ APPROX_CLOSURE_GUARD = 16
 CLOSED_SET_GUARD = 512
 
 
-@dataclass(frozen=True, init=False)
-class FormalContext:
+class FormalContext(Value):
     """Objects, attributes, and which object bears which attribute.
 
     The incidence is held as one attribute mask per object, aligned with
@@ -220,14 +219,13 @@ def _check_closed(P: FormalContext, intents: dict[str, frozenset[str]], law: str
             )
 
 
-@dataclass(frozen=True)
-class SemLattice:
+class SemLattice(Value, uncompared=("intents",)):
     """Closures of finite attribute sets: join is closure of union, bottom is
     the closure of the empty set."""
 
     context: FormalContext
     semilattice: JoinSemilattice
-    intents: dict[str, frozenset[str]] = field(compare=False)
+    intents: dict[str, frozenset[str]]
 
     def __post_init__(self):
         _check_closed(self.context, self.intents, "sem:closed", "element")
@@ -237,13 +235,12 @@ class SemLattice:
         return self.semilattice.elements
 
 
-@dataclass(frozen=True)
-class ConceptLattice:
+class ConceptLattice(Value, uncompared=("intents",)):
     """All finitarily-closed attribute sets under inclusion."""
 
     context: FormalContext
     lattice: FiniteLattice
-    intents: dict[str, frozenset[str]] = field(compare=False)
+    intents: dict[str, frozenset[str]]
 
     def __post_init__(self):
         _check_closed(self.context, self.intents, "alg:closed", "concept")
@@ -254,10 +251,11 @@ class ConceptLattice:
 
 
 def _unchecked(cls, *values):
-    """``cls(*values)`` without the closedness check, for the intents of a
-    context: intersections of object rows, closed by construction."""
+    """``cls(*values)`` without the closedness check: ``values`` are stored
+    under ``cls._fields``, in order.  For the intents of a context:
+    intersections of object rows, closed by construction."""
     X = object.__new__(cls)
-    X.__dict__.update(zip((f.name for f in fields(cls)), values))
+    X.__dict__.update(zip(cls._fields, values))
     return X
 
 

@@ -7,8 +7,6 @@ the command line maps reports to exit codes and witness JSON.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .category import funcspace, product, tag_left, tag_right, tensor
 from .context import (
     FormalContext,
@@ -52,14 +50,22 @@ from .topology import (
     lower_set_locale,
     spectrality_check,
 )
+from .value import Value
 
 
-@dataclass
-class LawReport:
+class LawReport(Value, frozen=False):
     name: str
     ok: bool
-    lines: list[str] = field(default_factory=list)
-    witness: dict | None = None
+    lines: list[str]
+    witness: dict | None
+
+    def __init__(
+        self, name: str, ok: bool, lines: list[str] | None = None, witness: dict | None = None
+    ):
+        self.name = name
+        self.ok = ok
+        self.lines = [] if lines is None else lines
+        self.witness = witness
 
     def fail(self, message: str, **witness) -> "LawReport":
         self.ok = False
@@ -201,7 +207,7 @@ def law_prop5_7(seed: int | None = None, max_sem: int | None = None) -> LawRepor
     pairs = [(ctxs[i], ctxs[j]) for i in range(0, len(ctxs), 2) for j in (0, 1)]
     for P, Q in pairs:
         tens = tensor(P, Q)
-        prod = product(P, Q)
+        prod = tens.product
         ip, im = tens.iso_plus(), tens.iso_minus()
         for name in tens.sem.elements:
             members = tens.sem.intents[name]

@@ -15,7 +15,6 @@ entails.  Names are read and written only at the edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -32,6 +31,7 @@ from .order import (
     lattice_from_masks,
     named_masks,
 )
+from .value import Value
 
 # Entailment relations are materialized over the full powerset of
 # propositions; this caps the width.
@@ -164,8 +164,7 @@ class _MaskSystem:
         return self.closure_masks[x] & y == y
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class InformationSystem(_MaskSystem):
+class InformationSystem(_MaskSystem, Value):
     """Propositions with a finitary entailment relation (reflexive and
     cut-closed), held as its closure table.
 
@@ -182,8 +181,8 @@ class InformationSystem(_MaskSystem):
     def __init__(
         self, propositions: tuple[str, ...], entails: Iterable[tuple[Iterable[str], str]]
     ):
-        # The checks keep the name dataclasses give them, as on the order
-        # types, so that per-layer benchmarks count them alike.
+        # The checks live in ``__post_init__``, as on the order types, so
+        # that per-layer benchmarks count them alike.
         self.__dict__["propositions"] = propositions
         self.__post_init__(entails)
 
@@ -255,8 +254,7 @@ def close_entailment(
     return InformationSystem._from_table(props, _chain(len(props), heads.items()))
 
 
-@dataclass(frozen=True, init=False, eq=False, repr=False)
-class CcpSystem(_MaskSystem):
+class CcpSystem(_MaskSystem, Value):
     """Consequence relation of the conjunctive fragment, on set-encoded formulas.
 
     Holds its generating sequents as ``rules``, ``(body mask, head mask)``
@@ -354,8 +352,7 @@ def ccp_to_is(system: CcpSystem) -> InformationSystem:
     return InformationSystem._from_table(system.propositions, system.closure_masks)
 
 
-@dataclass(frozen=True)
-class LindenbaumAlgebra:
+class LindenbaumAlgebra(Value, uncompared=("classes",)):
     """Equivalence classes of formulas, ordered by entailment.
 
     Classes are represented by their deductive closures; the class of the
@@ -364,7 +361,7 @@ class LindenbaumAlgebra:
 
     system: CcpSystem
     semilattice: MeetSemilattice
-    classes: dict[str, frozenset[str]] = field(compare=False)
+    classes: dict[str, frozenset[str]]
 
     @property
     def top(self) -> str:
@@ -464,8 +461,7 @@ def rz_entails(D: FinitePoset, xs: Iterable[str], ys: Iterable[str]) -> bool:
     return _below_all(D, _mub_mask(D, D.mask_of(xs))) & y == y
 
 
-@dataclass(frozen=True)
-class Thm67Report:
+class Thm67Report(Value):
     ok: bool
     context: FormalContext
     failures: tuple[dict, ...]

@@ -10,7 +10,6 @@ lattices and monotone suprema-preserving functions.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable
 
@@ -32,6 +31,7 @@ from .order import (
     k_semilattice,
     principal_ideal,
 )
+from .value import Value
 
 ENUMERATION_GUARD = 512
 # Most mappings ``enumerate_mappings`` may return.  ``ENUMERATION_GUARD``
@@ -40,8 +40,7 @@ ENUMERATION_GUARD = 512
 ENUMERATION_OUTPUT_GUARD = 1 << 15
 
 
-@dataclass(frozen=True)
-class ApproximableMapping:
+class ApproximableMapping(Value):
     """Approximable mapping held as the monotone map ``f`` whose value at
     each source element generates its image ideal ``down(f(a))``; ``values``
     lists ``f`` in source order.  The relation so defined meets am1 and am2
@@ -211,8 +210,7 @@ def compose(m1: ApproximableMapping, m2: ApproximableMapping) -> ApproximableMap
     )
 
 
-@dataclass(frozen=True)
-class ScottFunction:
+class ScottFunction(Value):
     """Scott-continuous function between finite lattices, as a value table.
 
     Monotonicity and preservation of directed suprema coincide on finite

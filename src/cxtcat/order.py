@@ -8,7 +8,6 @@ by the element caps below, read when each scan runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
@@ -16,6 +15,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from . import kernels
 from .canon import member_id
 from .errors import SizeGuardExceeded, ValidationError
+from .value import Value
 
 # Cap on the elements of a poset whose lower sets are listed.
 SUBSET_SCAN_GUARD = 20
@@ -30,8 +30,7 @@ POWERSET_GUARD = 10
 # core types
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class FinitePoset:
+class FinitePoset(Value):
     """A finite partial order held as index masks.
 
     ``up_masks[i]`` has bit ``j`` set when element ``i`` is below element
@@ -48,8 +47,9 @@ class FinitePoset:
     up_masks: tuple[int, ...]
 
     def __init__(self, elements: tuple[str, ...], leq: Iterable[tuple[str, str]]):
-        # The checks keep the name dataclasses give them, as on the other
-        # order types, so that per-layer benchmarks count them alike.
+        # The checks live in ``__post_init__``, where the ``__init__`` of
+        # every other value class calls them, so that per-layer benchmarks
+        # count them alike.
         self.__dict__["elements"] = elements
         self.__post_init__(leq)
 
@@ -341,8 +341,7 @@ def _meet_table(X) -> tuple[tuple[int, ...], ...]:
     return _bound_table(X.poset, X.poset.down_masks, "meet")
 
 
-@dataclass(frozen=True)
-class JoinSemilattice:
+class JoinSemilattice(Value):
     """Poset with a least element in which every pair has a least upper bound.
 
     ``bottom`` names the least element; ``join_table[i][j]`` is the index of
@@ -377,8 +376,7 @@ class JoinSemilattice:
         return _by_construction(MeetSemilattice, self.poset.dual())
 
 
-@dataclass(frozen=True)
-class MeetSemilattice:
+class MeetSemilattice(Value):
     """Dual presentation: poset with a top in which every pair has a greatest
     lower bound; ``top`` and ``meet_table`` as for ``JoinSemilattice``."""
 
@@ -415,8 +413,7 @@ class MeetSemilattice:
         return self.dual()
 
 
-@dataclass(frozen=True)
-class FiniteLattice:
+class FiniteLattice(Value):
     """Finite lattice: bottom, top, and join and meet tables of indices.
 
     Binary bounds together with bottom and top give finite completeness.
@@ -466,8 +463,7 @@ class FiniteLattice:
         return _by_construction(JoinSemilattice, self.poset)
 
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(Value):
     """Non-empty directed lower subset of a poset."""
 
     poset: FinitePoset
@@ -493,8 +489,7 @@ class Ideal:
                 )
 
 
-@dataclass(frozen=True)
-class Filter:
+class Filter(Value):
     """Non-empty down-directed upper subset of a poset."""
 
     poset: FinitePoset
@@ -520,8 +515,7 @@ class Filter:
                 )
 
 
-@dataclass(frozen=True)
-class ClosureOperator:
+class ClosureOperator(Value):
     """Idempotent, inflationary, monotone self-map given as a value table."""
 
     poset: FinitePoset
@@ -587,7 +581,7 @@ def _memo(value, name: str, build: Callable):
     """``build(value)``, computed once per frozen ``value`` and kept in its
     instance ``__dict__`` the way ``cached_property`` keeps its results.
 
-    Dataclass equality, hashing and ``repr`` read the fields only, so the
+    Value equality, hashing and ``repr`` read the fields only, so the
     cache changes none of them; it lives and dies with ``value``.  A guard
     only refuses work and never changes a result, so no guard is part of
     the key.
@@ -1057,8 +1051,7 @@ def is_order_iso(P: FinitePoset, Q: FinitePoset, f: Mapping[str, str]) -> bool:
 # the completion/compacts round trip
 
 
-@dataclass(frozen=True)
-class Thm36Report:
+class Thm36Report(Value):
     """Witnesses (or a counterexample) for the two completion isomorphisms."""
 
     ok: bool

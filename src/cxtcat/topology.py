@@ -12,7 +12,6 @@ named, by ``order.named_masks``, only for reports and witnesses.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -40,13 +39,13 @@ from .order import (
     meet_primes,
     named_masks,
 )
+from .value import Value
 
 SCOTT_GUARD = 14
 FRAME_SUBSET_CAP = 10
 
 
-@dataclass(frozen=True, init=False)
-class TopSpace:
+class TopSpace(Value):
     """Finite topological space: empty and full sets present, closed under
     (binary, hence all) unions and intersections.
 
@@ -128,8 +127,7 @@ def _closure_breach(points: tuple[str, ...], masks: list[int]) -> tuple[str, str
     return None
 
 
-@dataclass(frozen=True)
-class Locale:
+class Locale(Value):
     """Finite lattice satisfying the frame distributivity law.
 
     ``Locale(L)`` checks binary distributivity with a witness and, on
@@ -182,8 +180,7 @@ def _set_family_locale(L: FiniteLattice) -> Locale:
     return loc
 
 
-@dataclass(frozen=True)
-class LocalePoint:
+class LocalePoint(Value):
     """Principal prime ideal, named by its meet-prime generator."""
 
     lattice: FiniteLattice
@@ -274,8 +271,7 @@ def open_set_lattice(T: TopSpace) -> tuple[FiniteLattice, dict[str, frozenset[st
     return lattice_from_masks(T.points, T.open_masks)
 
 
-@dataclass(frozen=True)
-class BaseCoherenceReport:
+class BaseCoherenceReport(Value):
     ok: bool
     base: tuple[frozenset[str], ...]
     compact_opens: tuple[frozenset[str], ...]
@@ -392,8 +388,7 @@ def locale_points(loc: Locale) -> list[LocalePoint]:
     return pts
 
 
-@dataclass(frozen=True)
-class Lemma616Report:
+class Lemma616Report(Value):
     ok: bool
     filter_complements: tuple[str, ...]
     primes: tuple[str, ...]
@@ -417,8 +412,7 @@ def lemma_6_16_check(S: MeetSemilattice | JoinSemilattice) -> Lemma616Report:
     return Lemma616Report(complements == primes, tuple(complements), tuple(primes))
 
 
-@dataclass(frozen=True)
-class SpectralityReport:
+class SpectralityReport(Value):
     ok: bool
     algebraic: bool
     top_compact: bool
@@ -451,8 +445,7 @@ def spectrality_check(loc: Locale) -> SpectralityReport:
 # the three homeomorphic spaces
 
 
-@dataclass(frozen=True)
-class Cor617Report:
+class Cor617Report(Value):
     ok: bool
     scott_space: TopSpace
     filter_space: TopSpace
@@ -535,8 +528,7 @@ def _filter_membership(D: JoinSemilattice, at: list[int]) -> list[int]:
     return [_moved(cone, at) for cone in D.poset.up_masks]
 
 
-@dataclass(frozen=True)
-class FrameHomReport:
+class FrameHomReport(Value):
     continuous: bool
     witness_open: frozenset[str] | None
     preimage: dict[str, str] | None

@@ -10,11 +10,12 @@ attribute that any code writes into an instance ``__dict__``.
 """
 
 import ast
-import dataclasses
 import functools
 import importlib
 from collections import defaultdict
 from pathlib import Path
+
+from cxtcat.value import Value
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cxtcat"
 
@@ -46,7 +47,7 @@ def is_instance_dict(node):
 
 def attribute_names(cls):
     """Fields, properties and cached properties of ``cls``."""
-    names = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+    names = set(cls._fields) if issubclass(cls, Value) else set()
     for klass in cls.__mro__:
         names.update(
             k for k, v in vars(klass).items() if isinstance(v, (property, functools.cached_property))

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from itertools import combinations
 from itertools import product as iproduct
@@ -29,6 +28,7 @@ from cxtcat.order import (
 )
 from cxtcat.topology import (
     SCOTT_GUARD,
+    Cor617Report,
     Locale,
     LocalePoint,
     TopSpace,
@@ -479,8 +479,9 @@ def test_cor617_isos_by_construction_match_the_search(seed):
     for S in (M, M.dual()):
         oracle = cor617_by_search(S)
         r = corollary_6_17_spaces(S)
-        for field in dataclasses.fields(r):
-            assert getattr(r, field.name) == getattr(oracle, field.name), field.name
+        assert type(r) is type(oracle) is Cor617Report
+        for name in Cor617Report._fields:
+            assert getattr(r, name) == getattr(oracle, name), name
         assert r.ok
 
 
