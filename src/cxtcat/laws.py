@@ -53,11 +53,17 @@ from .topology import (
 from .value import Value
 
 
-class LawReport(Value, frozen=False):
+class LawReport(Value):
+    """A law's verdict, built up as its checks run: mutable and unhashable."""
+
     name: str
     ok: bool
     lines: list[str]
-    witness: dict | None
+    witness: dict | None = None
+
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
     def __init__(
         self, name: str, ok: bool, lines: list[str] | None = None, witness: dict | None = None

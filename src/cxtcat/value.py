@@ -25,11 +25,12 @@ dataclass:
   and caches write the instance ``__dict__`` directly, as
   ``functools.cached_property`` does.
 
-A class that defines its own ``__eq__`` or ``__repr__`` keeps it.
-``frozen=False`` makes a class mutable and unhashable.  A class without its
-own ``__init__`` gets one that takes the fields by position, stores them and
-then calls ``self.__post_init__()``, the class's validator (a no-op unless
-the class defines one), by attribute lookup.
+A class that defines its own ``__eq__``, ``__hash__``, ``__repr__``,
+``__setattr__`` or ``__delattr__`` keeps it.  A class without its own
+``__init__`` gets one that takes the fields by position only, stores them
+and then calls ``self.__post_init__()``, the class's validator (a no-op
+unless the class defines one), by attribute lookup.  A subclass of a value
+class that declares no fields of its own keeps those of its base.
 """
 
 from __future__ import annotations
@@ -45,27 +46,22 @@ class Value:
     _fields: tuple[str, ...] = ()
     _compared: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, *, uncompared: tuple[str, ...] = (), frozen: bool = True, **kw):
+    def __init_subclass__(cls, *, uncompared: tuple[str, ...] = (), **kw):
         super().__init_subclass__(**kw)
-        # A subclass keeps the fields of its base and adds its own.
-        inherited = cls._fields
-        fields = inherited + tuple(cls.__dict__.get("__annotations__", ()))
+        if "__annotations__" not in cls.__dict__:
+            return  # a subclass declaring no fields keeps those of its base
+        fields = tuple(cls.__annotations__)
         if not set(uncompared) <= set(fields):
             raise TypeError(f"{cls.__name__}: uncompared {uncompared} are not all fields")
-        dropped = set(uncompared) | set(inherited).difference(cls._compared)
-        given = [getattr(cls, f, _MISSING) for f in fields]
+        given = [cls.__dict__.get(f, _MISSING) for f in fields]
         defaults = tuple(v for v in given if v is not _MISSING)
         if _MISSING in given[len(fields) - len(defaults):]:
             raise TypeError(f"{cls.__name__}: a field without a default follows one with it")
         cls._fields = fields
-        cls._compared = tuple(f for f in fields if f not in dropped)
+        cls._compared = tuple(f for f in fields if f not in uncompared)
         cls._key = _key(cls._compared)
         if "__init__" not in cls.__dict__:
             cls.__init__ = _init(fields, defaults)
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def __post_init__(self):
         pass
@@ -106,45 +102,17 @@ def _key(names: tuple[str, ...]):
 
 def _init(fields: tuple[str, ...], defaults: tuple):
     """An ``__init__`` taking ``fields`` by position, the last
-    ``len(defaults)`` of them optional.  The common arities store their
-    fields without building an argument tuple."""
-    if not defaults and len(fields) == 1:
-        (a,) = fields
+    ``len(defaults)`` of them optional."""
+    least = len(fields) - len(defaults)
+    takes = f"{least} to {len(fields)}" if defaults else str(len(fields))
 
-        def __init__(self, x):
-            self.__dict__[a] = x
-            self.__post_init__()
-
-    elif not defaults and len(fields) == 2:
-        a, b = fields
-
-        def __init__(self, x, y):
-            d = self.__dict__
-            d[a] = x
-            d[b] = y
-            self.__post_init__()
-
-    elif not defaults and len(fields) == 3:
-        a, b, c = fields
-
-        def __init__(self, x, y, z):
-            d = self.__dict__
-            d[a] = x
-            d[b] = y
-            d[c] = z
-            self.__post_init__()
-
-    else:
-        least = len(fields) - len(defaults)
-        takes = f"{least} to {len(fields)}" if defaults else str(len(fields))
-
-        def __init__(self, *args):
-            if not least <= len(args) <= len(fields):
-                raise TypeError(
-                    f"{type(self).__name__}() takes {takes} positional arguments "
-                    f"but {len(args)} were given"
-                )
-            self.__dict__.update(zip(fields, args + defaults[len(args) - least:]))
-            self.__post_init__()
+    def __init__(self, *args):
+        if not least <= len(args) <= len(fields):
+            raise TypeError(
+                f"{type(self).__name__}() takes {takes} positional arguments "
+                f"but {len(args)} were given"
+            )
+        self.__dict__.update(zip(fields, args + defaults[len(args) - least:]))
+        self.__post_init__()
 
     return __init__

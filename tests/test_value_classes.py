@@ -145,6 +145,19 @@ def test_defaults_fill_the_trailing_fields():
     assert Thm36Report(False, None, None, {"law": "x"}).failure == {"law": "x"}
 
 
+def test_a_subclass_declaring_no_fields_keeps_its_base_s():
+    from cxtcat.order import FinitePoset, JoinSemilattice
+
+    class Sub(JoinSemilattice):
+        pass
+
+    P = FinitePoset(("a", "b"), {("a", "a"), ("a", "b"), ("b", "b")})
+    assert Sub._fields == Sub._compared == ("poset",)
+    S = Sub(P)
+    assert S.bottom == "a" and S == Sub(P) and hash(S) == hash((P,))
+    assert S != JoinSemilattice(P) and repr(S) == f"{Sub.__qualname__}(poset={P!r})"
+
+
 def test_declarations_are_checked():
     with pytest.raises(TypeError, match="not all fields"):
 
@@ -177,7 +190,7 @@ def test_law_reports_are_mutable_and_unhashable():
     assert not r.ok and r.lines == ["FAIL broken"] and r != s
     r.ok = True
     del r.witness
-    assert not hasattr(r, "witness")
+    assert r.witness is None  # the class default shows through
     with pytest.raises(TypeError):
         hash(s)
     assert LawReport("y", False, ["l"], {"w": 1}) == LawReport("y", False, ["l"], {"w": 1})
